@@ -12,7 +12,9 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .dsl import EvalContext, evaluate, make_context, parse_formula
+from .dsl import (
+    EvalContext, GoalIndex, evaluate, make_context, parse_formula,
+)
 from .parser import ParseError, SourceSpan, parse_goal_expr, parse_theory, \
     print_theory
 from .pipeline import (
@@ -28,8 +30,8 @@ from .scoring import (
     shortlist,
 )
 from .tactic import (
-    Candidate, SubgoalSet, TacticError, TacticErrorKind, apply_induct,
-    parse_candidate,
+    Candidate, InductTactic, SubgoalSet, TacticError, TacticErrorKind,
+    apply_induct, parse_candidate,
 )
 from .terms import (
     App, Const, Constructor, DatatypeDef, Equation, FreeVar, FunDef, Goal,

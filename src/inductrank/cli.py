@@ -7,8 +7,9 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
-from .dsl import make_context
+from .dsl import GoalIndex, make_context
 from .parser import ParseError, parse_goal_expr, parse_theory
 from .pipeline import (
     CONDITION_NAMES, DEFAULT_CAP, ScreeningResult, screen, stage2_condition,
@@ -68,8 +69,6 @@ def main(argv: list[str] | None = None) -> int:
     rec.add_argument("--timeout-ms", type=int, default=100,
                      help="per-application timeout; 0 disables it")
     rec.add_argument("--heuristics", type=Path)
-    rec.add_argument("--parallel", action="store_true",
-                     help="score candidates on a thread pool")
     rec.add_argument("--json", action="store_true", dest="as_json")
     rec.set_defaults(func=cmd_recommend)
 
@@ -101,24 +100,36 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
 
 
+def _fail(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(1)
+
+
+def _read(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as err:
+        _fail(f"cannot read {path}: {err.strerror}")
+    except UnicodeDecodeError:
+        _fail(f"cannot read {path}: not UTF-8 text")
+
+
 def _load_theory(path: Path) -> Theory:
-    return parse_theory(path.read_text(encoding="utf-8"), str(path))
+    return parse_theory(_read(path), str(path))
 
 
 def _find_goal(thy: Theory, name: str) -> Goal:
     goal = thy.goal_named(name)
     if goal is None:
         available = ", ".join(g.name for g in thy.goals) or "(none)"
-        print(f"error: unknown goal {name!r}; available goals: {available}",
-              file=sys.stderr)
-        raise SystemExit(1)
+        _fail(f"unknown goal {name!r}; available goals: {available}")
     return goal
 
 
 def _suite_from(path: Path | None) -> tuple[Heuristic, ...]:
     if path is None:
         return default_suite()
-    return load_suite(path.read_text(encoding="utf-8"), str(path))
+    return load_suite(_read(path), str(path))
 
 
 def _timeout(ms: int) -> float | None:
@@ -126,16 +137,21 @@ def _timeout(ms: int) -> float | None:
 
 
 def _run_goal(goal: Goal, thy: Theory, suite, cap: int,
-              timeout: float | None,
-              parallel: bool = False) -> tuple[ScreeningResult,
-                                               list[ScoredCandidate]]:
+              timeout: float | None) -> tuple[ScreeningResult,
+                                              list[ScoredCandidate]]:
     result = screen(goal, thy, cap=cap, timeout=timeout)
-    factory = lambda cand, sgs: make_context(goal, cand, thy, sgs)  # noqa: E731
-    scored = score_all(result.finalists, suite, factory, parallel=parallel)
+    index = GoalIndex(goal, thy)
+    scored = score_all(
+        result.finalists, suite,
+        lambda cand, sgs: make_context(goal, cand, thy, sgs, index=index))
     return result, scored
 
 
 def cmd_recommend(args) -> int:
+    if args.top < 1:
+        _fail("--top must be at least 1")
+    if args.max_candidates < 1:
+        _fail("--max-candidates must be at least 1")
     thy = _load_theory(args.file)
     if args.goal is not None:
         goal = _find_goal(thy, args.goal)
@@ -145,7 +161,7 @@ def cmd_recommend(args) -> int:
         goal = Goal("expr", premises, conclusion)
     suite = _suite_from(args.heuristics)
     result, scored = _run_goal(goal, thy, suite, args.max_candidates,
-                               _timeout(args.timeout_ms), args.parallel)
+                               _timeout(args.timeout_ms))
     top = shortlist(scored, args.top)
     if not scored:
         print(f"goal {goal.name}: no candidate survives screening "
@@ -224,22 +240,19 @@ def _disposition_of(candidate: Candidate, goal: Goal, thy: Theory,
 
 def _parse_annotations(path: Path) -> list[Annotation]:
     out: list[Annotation] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8")
-                                 .splitlines(), start=1):
+    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = [p.strip() for p in line.split("|")]
         if len(parts) != 4:
-            print(f"error: {path}:{lineno}: expected "
-                  "'goal | tactic | rule:y/n | arb:y/n'", file=sys.stderr)
-            raise SystemExit(1)
+            _fail(f"{path}:{lineno}: expected "
+                  "'goal | tactic | rule:y/n | arb:y/n'")
         goal_name, tactic, rule_flag, arb_flag = parts
         try:
             candidate = parse_candidate(tactic)
         except ValueError as err:
-            print(f"error: {path}:{lineno}: {err}", file=sys.stderr)
-            raise SystemExit(1)
+            _fail(f"{path}:{lineno}: {err}")
         out.append(Annotation(
             goal_name, candidate,
             rule_used=rule_flag.endswith("yes"),

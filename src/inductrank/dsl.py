@@ -36,14 +36,14 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .parser import ParseError, SourceSpan
 from .schemes import InductionScheme, RULE_SUFFIX, scheme_for_rule_name
 from .tactic import Candidate, SubgoalSet
 from .terms import (
     Const, FreeVar, Goal, Occurrence, SimpleType, Term, Theory,
-    all_occurrences, goal_free_variables, goal_subterms, spine, term_type,
+    all_occurrences, goal_free_variables, spine, term_type,
 )
 
 
@@ -148,59 +148,148 @@ ATOM_SIGNATURES: dict[str, tuple[Sort, ...]] = {
 # Evaluation context
 
 
+class GoalIndex:
+    """Goal-level quantifier domains and lookups, built once per goal.
+
+    Every candidate of a goal shares one index: the goal's distinct
+    sub-terms (the term domain), its occurrences (the occurrence domain),
+    the occurrences grouped by term (the ``in t : term`` restriction), the
+    widest application (the number domain's floor), the goal's free
+    variables by name, and the rules and recursive constants looked up so
+    far.
+    """
+
+    def __init__(self, goal: Goal, thy: Theory):
+        self.goal = goal
+        self.thy = thy
+        self.occurrences = tuple(all_occurrences(goal))
+        by_term: dict[Term, list[Occurrence]] = {}
+        for occ in self.occurrences:
+            by_term.setdefault(occ.term, []).append(occ)
+        self.terms = tuple(by_term)
+        self.occurrences_by_term = {t: tuple(os) for t, os in by_term.items()}
+        # Hashing a term walks all of it; the values quantifiers bind are
+        # mostly the very objects in `terms`, which are found by identity.
+        self.occurrences_by_id = {id(t): os for t, os in
+                                  self.occurrences_by_term.items()}
+        self.arity_bound = max(len(spine(t)[1]) for t in self.terms)
+        self.variables = {v.name: v for v in goal_free_variables(goal)}
+        self._schemes: dict[str, InductionScheme | None] = {}
+        self._recursive: dict[str, bool] = {}
+
+    def scheme(self, rule: str) -> InductionScheme | None:
+        if rule not in self._schemes:
+            self._schemes[rule] = scheme_for_rule_name(rule, self.thy)
+        return self._schemes[rule]
+
+    def is_recursive(self, name: str) -> bool:
+        """Whether `name` is a recursively defined constant."""
+        if name not in self._recursive:
+            f = self.thy.fundef(name)
+            self._recursive[name] = f is not None and f.is_recursive()
+        return self._recursive[name]
+
+
 @dataclass(frozen=True)
 class EvalContext:
     """Finite quantifier domains for one (goal, candidate) pair.
 
-    The term domain is the original goal's sub-terms; subgoals are carried
-    for completeness but no shipped assertion inspects them.
+    The goal-level domains live in the shared `index`; the context adds
+    what depends on the candidate: its induction terms (resolved to the
+    goal's variables), its ``arbitrary`` set (read through `candidate`),
+    its rule (resolved to a scheme) and the number bound, which grows with
+    the number of induction terms.  `subgoals` is carried for completeness,
+    but no assertion inspects it, so a verdict depends only on those three
+    candidate fields.
     """
 
-    goal: Goal
+    index: GoalIndex
     candidate: Candidate
-    thy: Theory
     subgoals: SubgoalSet | None
     number_bound: int
     rules: tuple[InductionScheme, ...]
-    terms: tuple[Term, ...]
-    occurrences: tuple[Occurrence, ...]
     induction_terms: tuple[Term, ...]
 
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        return self.index.terms
 
-def _max_application_arity(goal: Goal) -> int:
-    best = 0
-    for t in goal_subterms(goal):
-        _, args = spine(t)
-        best = max(best, len(args))
-    return best
+    @property
+    def occurrences(self) -> tuple[Occurrence, ...]:
+        return self.index.occurrences
 
 
 def make_context(goal: Goal, candidate: Candidate, thy: Theory,
                  subgoals: SubgoalSet | None = None,
-                 number_bound: int | None = None) -> EvalContext:
+                 number_bound: int | None = None,
+                 index: GoalIndex | None = None) -> EvalContext:
+    """The context of one candidate.  Pass the goal's `index` when scoring
+    many candidates of one goal; without it one is built for this call."""
+    if index is None:
+        index = GoalIndex(goal, thy)
     if number_bound is None:
-        number_bound = max(_max_application_arity(goal),
+        number_bound = max(index.arity_bound,
                            len(candidate.induction_terms), 1)
-    rules: tuple[InductionScheme, ...] = ()
-    if candidate.rule is not None:
-        scheme = scheme_for_rule_name(candidate.rule, thy)
-        if scheme is not None:
-            rules = (scheme,)
-    by_name = {v.name: v for v in goal_free_variables(goal)}
+    scheme = None if candidate.rule is None else index.scheme(candidate.rule)
     ind_terms = tuple(
-        by_name.get(n, FreeVar(n, SimpleType("'a")))
+        index.variables.get(n, FreeVar(n, SimpleType("'a")))
         for n in candidate.induction_terms)
     return EvalContext(
-        goal=goal,
+        index=index,
         candidate=candidate,
-        thy=thy,
         subgoals=subgoals,
         number_bound=number_bound,
-        rules=rules,
-        terms=tuple(goal_subterms(goal)),
-        occurrences=tuple(all_occurrences(goal)),
+        rules=() if scheme is None else (scheme,),
         induction_terms=ind_terms,
     )
+
+
+_CANDIDATE_READS: dict[str, Callable[[Candidate], object]] = {
+    "induction_terms": lambda c: c.induction_terms,
+    "induction_term_count": lambda c: len(c.induction_terms),
+    "arbitrary": lambda c: c.arbitrary,
+    "rule": lambda c: c.rule,
+}
+
+
+def candidate_reads(f: Formula) -> tuple[str, ...]:
+    """What a formula's verdict can depend on in the candidate, as names
+    of `_CANDIDATE_READS`.  Everything else an assertion reads is fixed by
+    the goal.  A number quantifier's domain grows with the count of
+    induction terms, so it reads that count; reading the terms themselves
+    covers it."""
+    read: set[str] = set()
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Not):
+            stack.append(node.body)
+        elif isinstance(node, (And, Or, Implies)):
+            stack += (node.left, node.right)
+        elif isinstance(node, (Exists, Forall)):
+            if node.sort is Sort.RULE:
+                read.add("rule")
+            elif node.sort is Sort.NUMBER:
+                read.add("induction_term_count")
+            elif isinstance(node.restriction, InductionTerms):
+                read.add("induction_terms")
+            stack.append(node.body)
+        elif isinstance(node, Atom):
+            if node.name == "is_nth_induction_term":
+                read.add("induction_terms")
+            elif node.name == "is_in_arbitrary":
+                read.add("arbitrary")
+    if "induction_terms" in read:
+        read.discard("induction_term_count")
+    return tuple(n for n in _CANDIDATE_READS if n in read)
+
+
+def verdict_key(f: Formula) -> Callable[[Candidate], tuple]:
+    """A key on candidates of one goal such that two candidates with equal
+    keys get the same verdict on `f`: the parts of the candidate that `f`
+    reads."""
+    getters = tuple(_CANDIDATE_READS[n] for n in candidate_reads(f))
+    return lambda c: tuple(get(c) for get in getters)
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +307,14 @@ def _domain(sort: Sort, restriction: Restriction, ctx: EvalContext,
     if sort is Sort.TERM:
         if isinstance(restriction, InductionTerms):
             return iter(ctx.induction_terms)
-        return iter(ctx.terms)
+        return iter(ctx.index.terms)
     if isinstance(restriction, OccurrencesOf):
         target = env[restriction.term_var]
-        return iter(o for o in ctx.occurrences if o.term == target)
-    return iter(ctx.occurrences)
+        found = ctx.index.occurrences_by_id.get(id(target))
+        if found is None:
+            found = ctx.index.occurrences_by_term.get(target, ())
+        return iter(found)
+    return iter(ctx.index.occurrences)
 
 
 def evaluate(f: Formula, ctx: EvalContext) -> bool:
@@ -297,15 +389,15 @@ def evaluate_atom(name: str, values: tuple[Value, ...],
         return isinstance(t, FreeVar) and t.name in ctx.candidate.arbitrary
     if name == "is_of_datatype":
         ty = term_type(values[0])
-        return (not ty.is_var()) and ctx.thy.datatype(ty.name) is not None
+        return (not ty.is_var()) \
+            and ctx.index.thy.datatype(ty.name) is not None
     if name == "occurs_in_conclusion":
         return values[0].premise_index is None
     if name == "is_recursive_constant":
         t = values[0]
         if not isinstance(t, Const):
             return False
-        f = ctx.thy.fundef(t.name)
-        return f is not None and f.is_recursive()
+        return ctx.index.is_recursive(t.name)
     if name == "same_term":
         occ, t = values
         return occ.term == t

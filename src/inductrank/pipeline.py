@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 from .schemes import rules_for
 from .tactic import (
-    DEFAULT_TIMEOUT, Candidate, SubgoalSet, TacticError, apply_induct,
+    DEFAULT_TIMEOUT, Candidate, InductTactic, SubgoalSet, TacticError,
 )
 from .terms import Goal, Theory, contains_schematic, contains_subterm, \
     goal_free_variables
@@ -107,11 +107,12 @@ def stage1(goal: Goal, stream: Iterable[Candidate], thy: Theory,
            ) -> tuple[list[tuple[Candidate, SubgoalSet]], list[Disposition]]:
     """Keep candidates whose tactic application returns subgoals in time,
     preserving stream order; errors become dispositions."""
+    tactic = InductTactic(goal, thy)
     survivors: list[tuple[Candidate, SubgoalSet]] = []
     dispositions: list[Disposition] = []
     for candidate in stream:
         try:
-            subgoals = apply_induct(goal, candidate, thy, timeout)
+            subgoals = tactic.apply(candidate, timeout)
         except TacticError as err:
             dispositions.append(
                 Disposition(candidate, "stage1", error=err.kind.value))

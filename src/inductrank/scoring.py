@@ -4,16 +4,22 @@ Every heuristic is worth one point; a candidate's score is the number of
 heuristics whose formula evaluates to True for it.  Candidates are then
 reordered by score, descending, with ties broken by their original
 pipeline position (stable), and ranks assigned from 1.
+
+Scoring is serial.  A verdict depends only on the candidate fields its
+formula reads (`dsl.verdict_key`), so each heuristic is evaluated once
+per distinct value of those fields and the verdict reused for every other
+candidate of the goal that shares it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Sequence
 
-from .dsl import EvalContext, Formula, evaluate, parse_heuristics
+from .dsl import (
+    EvalContext, Formula, evaluate, parse_heuristics, verdict_key,
+)
 from .tactic import Candidate, SubgoalSet
 
 
@@ -51,30 +57,30 @@ ContextFactory = Callable[[Candidate, SubgoalSet], EvalContext]
 
 def score_all(entries: Sequence[tuple[Candidate, SubgoalSet]],
               suite: Sequence[Heuristic],
-              ctx_factory: ContextFactory,
-              parallel: bool = False) -> list[ScoredCandidate]:
+              ctx_factory: ContextFactory) -> list[ScoredCandidate]:
     """Score every entry against every heuristic and sort by score.
 
-    `entries` must be in pipeline order; that order is the tie-break.
-    With `parallel` the per-candidate evaluations run on a thread pool;
-    the aggregation is a deterministic reduction either way.
+    `entries` must be in pipeline order; that order is the tie-break, and
+    all entries must belong to the goal `ctx_factory` builds contexts for.
+    Each heuristic's verdicts are memoised for this call on the candidate
+    fields its formula reads, and a context is built only for a candidate
+    with at least one verdict not yet memoised.
     """
-
-    def verdicts_for(entry: tuple[Candidate, SubgoalSet]) -> tuple[bool, ...]:
-        candidate, subgoals = entry
-        ctx = ctx_factory(candidate, subgoals)
-        return tuple(evaluate(h.formula, ctx) for h in suite)
-
-    if parallel and entries:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            all_verdicts = list(pool.map(verdicts_for, entries))
-    else:
-        all_verdicts = [verdicts_for(e) for e in entries]
-
-    unranked = [
-        (candidate, sum(v), v, i)
-        for i, ((candidate, _), v) in enumerate(zip(entries, all_verdicts))
-    ]
+    keys = [verdict_key(h.formula) for h in suite]
+    memos: list[dict] = [{} for _ in suite]
+    unranked = []
+    for index, (candidate, subgoals) in enumerate(entries):
+        ctx = None
+        verdicts = []
+        for h, key_of, memo in zip(suite, keys, memos):
+            key = key_of(candidate)
+            verdict = memo.get(key)
+            if verdict is None:
+                if ctx is None:
+                    ctx = ctx_factory(candidate, subgoals)
+                verdict = memo[key] = evaluate(h.formula, ctx)
+            verdicts.append(verdict)
+        unranked.append((candidate, sum(verdicts), tuple(verdicts), index))
     unranked.sort(key=lambda item: (-item[1], item[3]))
     return [
         ScoredCandidate(candidate, score, verdicts, rank, index)

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .schemes import (
-    InductionScheme, SchemeCase, SchemeError, functional_scheme,
-    scheme_for_rule_name, structural_scheme,
+    InductionScheme, SchemeCase, scheme_for_rule_name, structural_scheme,
 )
 from .terms import (
     FreeVar, Goal, SchematicVar, SimpleType, Term, Theory,
@@ -104,48 +103,209 @@ class SubgoalSet:
 
 def apply_induct(goal: Goal, candidate: Candidate, thy: Theory,
                  timeout: float | None = DEFAULT_TIMEOUT) -> SubgoalSet:
-    """Apply an induction candidate to a goal.
+    """Apply an induction candidate to a goal; see `InductTactic.apply`.
+    To apply many candidates to one goal, make one `InductTactic`."""
+    return InductTactic(goal, thy).apply(candidate, timeout)
 
-    Structural mode (no rule): the first induction term drives the
-    structural scheme of its datatype; further induction terms are left
-    untouched (no simultaneous product induction).  Functional mode (rule
-    given): the scheme's k-th position is instantiated with the k-th
-    induction term; positions beyond the supplied terms are instantiated
-    with fresh schematic variables, and each case conclusion records the
-    unanchored positions as schematic equations wrapped around it, so the
-    under-determination is visible to the screening stage.
 
-    Variables in `arbitrary` are generalised per subgoal: the conclusion
-    and the original premises share one fresh renaming, and every
-    induction hypothesis gets its own fresh copies.
+class InductTactic:
+    """The induct tactic on one goal.
 
-    Raises TacticError; `timeout` is wall-clock seconds (None = no limit).
+    Holds what every application to the goal shares: the goal's free
+    variables, in order and by name, and the schemes of the rules and
+    datatypes named so far.
     """
-    started = time.monotonic()
-    if not candidate.induction_terms and candidate.rule is None:
-        raise TacticError(TacticErrorKind.NO_ARGUMENTS,
-                          "no induction terms and no rule")
-    overlap = candidate.arbitrary & set(candidate.induction_terms)
-    if overlap:
-        raise TacticError(
-            TacticErrorKind.ARBITRARY_OVERLAPS_INDUCTION_TERM,
-            "generalising an induction term: " + ", ".join(sorted(overlap)))
 
-    goal_vars = {v.name: v for v in goal_free_variables(goal)}
-    for name in candidate.induction_terms:
-        if name not in goal_vars:
-            raise TacticError(TacticErrorKind.NON_DATATYPE_VARIABLE,
-                              f"{name} is not a free variable of the goal")
+    def __init__(self, goal: Goal, thy: Theory):
+        self.goal = goal
+        self.thy = thy
+        self.variables = goal_free_variables(goal)
+        self.by_name = {v.name: v for v in self.variables}
+        self._rules: dict[str, InductionScheme | None] = {}
+        self._structural: dict[str, InductionScheme] = {}
 
-    if candidate.rule is None:
-        result = _structural(goal, candidate, thy, goal_vars)
-    else:
-        result = _functional(goal, candidate, thy, goal_vars)
+    def apply(self, candidate: Candidate,
+              timeout: float | None = DEFAULT_TIMEOUT) -> SubgoalSet:
+        """Apply an induction candidate to the goal.
 
-    if timeout is not None and time.monotonic() - started > timeout:
-        raise TacticError(TacticErrorKind.TIMEOUT,
-                          f"exceeded {timeout * 1000:.0f} ms")
-    return result
+        Structural mode (no rule): the first induction term drives the
+        structural scheme of its datatype; further induction terms are left
+        untouched (no simultaneous product induction).  Functional mode
+        (rule given): the scheme's k-th position is instantiated with the
+        k-th induction term; positions beyond the supplied terms are
+        instantiated with fresh schematic variables, and each case
+        conclusion records the unanchored positions as schematic equations
+        wrapped around it, so the under-determination is visible to the
+        screening stage.
+
+        Variables in `arbitrary` are generalised per subgoal: the conclusion
+        and the original premises share one fresh renaming, and every
+        induction hypothesis gets its own fresh copies.
+
+        Raises TacticError; `timeout` is wall-clock seconds (None = no
+        limit).
+        """
+        started = time.monotonic()
+        if not candidate.induction_terms and candidate.rule is None:
+            raise TacticError(TacticErrorKind.NO_ARGUMENTS,
+                              "no induction terms and no rule")
+        overlap = candidate.arbitrary & set(candidate.induction_terms)
+        if overlap:
+            raise TacticError(
+                TacticErrorKind.ARBITRARY_OVERLAPS_INDUCTION_TERM,
+                "generalising an induction term: "
+                + ", ".join(sorted(overlap)))
+        for name in candidate.induction_terms:
+            if name not in self.by_name:
+                raise TacticError(
+                    TacticErrorKind.NON_DATATYPE_VARIABLE,
+                    f"{name} is not a free variable of the goal")
+
+        if candidate.rule is None:
+            result = self._structural_mode(candidate)
+        else:
+            result = self._functional_mode(candidate)
+
+        if timeout is not None and time.monotonic() - started > timeout:
+            raise TacticError(TacticErrorKind.TIMEOUT,
+                              f"exceeded {timeout * 1000:.0f} ms")
+        return result
+
+    def _structural_mode(self, candidate: Candidate) -> SubgoalSet:
+        first = self.by_name[candidate.induction_terms[0]]
+        dt = None if first.type.is_var() else self.thy.datatype(
+            first.type.name)
+        if dt is None:
+            raise TacticError(
+                TacticErrorKind.NON_DATATYPE_VARIABLE,
+                f"{first.name} has type {first.type}, which is not a "
+                "datatype")
+        scheme = self._structural.get(dt.name)
+        if scheme is None:
+            scheme = self._structural[dt.name] = structural_scheme(dt)
+        tymap = dict(zip(dt.params, first.type.args))
+
+        subgoals = []
+        for case in scheme.cases:
+            case = _instantiate_case(case, tymap)
+            taken = set(self.by_name) - {first.name}
+            renaming = _rename_case_vars(case, taken)
+            introduced = {v.name for v in renaming.values()
+                          if isinstance(v, FreeVar)}
+            pattern = subst_frees(case.patterns[0], renaming)
+            hyp_args = [subst_frees(h[0], renaming) for h in case.hypotheses]
+            subgoals.append(self._build_subgoal(
+                case.name,
+                concl_map={first.name: pattern},
+                hyp_maps=[{first.name: arg} for arg in hyp_args],
+                anchors=[],
+                arbitrary=candidate.arbitrary,
+                taken=taken | introduced,
+            ))
+        return SubgoalSet(tuple(c.name for c in scheme.cases),
+                          tuple(subgoals))
+
+    def _functional_mode(self, candidate: Candidate) -> SubgoalSet:
+        assert candidate.rule is not None
+        if candidate.rule not in self._rules:
+            self._rules[candidate.rule] = scheme_for_rule_name(
+                candidate.rule, self.thy)
+        scheme = self._rules[candidate.rule]
+        if scheme is None:
+            raise TacticError(TacticErrorKind.UNKNOWN_RULE,
+                              f"no induction rule named {candidate.rule}")
+        supplied = [self.by_name[n] for n in candidate.induction_terms]
+        if len(supplied) > scheme.arity:
+            raise TacticError(
+                TacticErrorKind.RULE_ARITY_EXCEEDED,
+                f"{candidate.rule} has {scheme.arity} position(s), "
+                f"got {len(supplied)} induction terms")
+
+        tymap: dict[str, SimpleType] = {}
+        for k, var in enumerate(supplied):
+            if not match_type(scheme.positions[k], var.type, tymap):
+                raise TacticError(
+                    TacticErrorKind.NON_DATATYPE_VARIABLE,
+                    f"{var.name} : {var.type} does not fit position "
+                    f"{k + 1} of {candidate.rule} ({scheme.positions[k]})")
+
+        positions = [subst_type(p, tymap) for p in scheme.positions]
+        schematics = {
+            k: SchematicVar(f"x{k + 1}", positions[k])
+            for k in range(len(supplied), scheme.arity)
+        }
+
+        subgoals = []
+        for case in scheme.cases:
+            case = _instantiate_case(case, tymap)
+            taken = set(self.by_name) - {v.name for v in supplied}
+            renaming = _rename_case_vars(case, taken)
+            introduced = {v.name for v in renaming.values()
+                          if isinstance(v, FreeVar)}
+            patterns = [subst_frees(p, renaming) for p in case.patterns]
+            concl_map = {v.name: patterns[k] for k, v in enumerate(supplied)}
+            anchors = [(schematics[k], patterns[k]) for k in schematics]
+            hyp_maps = []
+            hyp_anchors = []
+            for hyp in case.hypotheses:
+                args = [subst_frees(t, renaming) for t in hyp]
+                hyp_maps.append(
+                    {v.name: args[k] for k, v in enumerate(supplied)})
+                hyp_anchors.append(
+                    [(schematics[k], args[k]) for k in schematics])
+            subgoals.append(self._build_subgoal(
+                case.name,
+                concl_map=concl_map,
+                hyp_maps=hyp_maps,
+                anchors=anchors,
+                arbitrary=candidate.arbitrary,
+                taken=taken | introduced,
+                hyp_anchors=hyp_anchors,
+            ))
+        return SubgoalSet(tuple(c.name for c in scheme.cases),
+                          tuple(subgoals))
+
+    def _build_subgoal(self, case_name: str, concl_map: dict[str, Term],
+                       hyp_maps: list[dict[str, Term]],
+                       anchors: list[tuple[SchematicVar, Term]],
+                       arbitrary: frozenset[str], taken: set[str],
+                       hyp_anchors: list[list[tuple[SchematicVar, Term]]]
+                       | None = None) -> Goal:
+        goal = self.goal
+        generalised = [v for v in self.variables if v.name in arbitrary]
+        used = set(taken) | set(self.by_name)
+
+        def generalise(term: Term, renaming: dict[str, Term]) -> Term:
+            return subst_frees(term, renaming) if renaming else term
+
+        def fresh_renaming() -> dict[str, Term]:
+            renaming: dict[str, Term] = {}
+            for var in generalised:
+                new = fresh_name(var.name, used)
+                used.add(new)
+                renaming[var.name] = FreeVar(new, var.type)
+            return renaming
+
+        # conclusion and original premises share one fresh renaming
+        concl_renaming = fresh_renaming()
+        conclusion = generalise(subst_frees(goal.conclusion, concl_map),
+                                concl_renaming)
+        for schem, pattern in reversed(anchors):
+            conclusion = mk_implies(mk_eq(schem, pattern), conclusion)
+
+        premises: list[Term] = []
+        for i, hyp_map in enumerate(hyp_maps):
+            hyp_renaming = fresh_renaming()
+            hyp = generalise(subst_frees(goal.conclusion, hyp_map),
+                             hyp_renaming)
+            for schem, arg in reversed(hyp_anchors[i] if hyp_anchors else []):
+                hyp = mk_implies(mk_eq(schem, arg), hyp)
+            premises.append(hyp)
+        for p in goal.premises:
+            premises.append(generalise(subst_frees(p, concl_map),
+                                       concl_renaming))
+
+        return Goal(f"{goal.name}.{case_name}", tuple(premises), conclusion)
 
 
 def _instantiate_case(case: SchemeCase,
@@ -160,94 +320,6 @@ def _instantiate_case(case: SchemeCase,
     return SchemeCase(case.name, fresh, hyps, pats)
 
 
-def _structural(goal: Goal, candidate: Candidate, thy: Theory,
-                goal_vars: dict[str, FreeVar]) -> SubgoalSet:
-    first = goal_vars[candidate.induction_terms[0]]
-    dt = None if first.type.is_var() else thy.datatype(first.type.name)
-    if dt is None:
-        raise TacticError(
-            TacticErrorKind.NON_DATATYPE_VARIABLE,
-            f"{first.name} has type {first.type}, which is not a datatype")
-    scheme = structural_scheme(dt)
-    tymap = dict(zip(dt.params, first.type.args))
-
-    subgoals = []
-    for case in scheme.cases:
-        case = _instantiate_case(case, tymap)
-        taken = set(goal_vars) - {first.name}
-        renaming = _rename_case_vars(case, taken)
-        introduced = {v.name for v in renaming.values()
-                      if isinstance(v, FreeVar)}
-        pattern = subst_frees(case.patterns[0], renaming)
-        hyp_args = [subst_frees(h[0], renaming) for h in case.hypotheses]
-        subgoals.append(_build_subgoal(
-            goal, case.name,
-            concl_map={first.name: pattern},
-            hyp_maps=[{first.name: arg} for arg in hyp_args],
-            anchors=[],
-            arbitrary=candidate.arbitrary,
-            taken=taken | introduced,
-        ))
-    return SubgoalSet(tuple(c.name for c in scheme.cases), tuple(subgoals))
-
-
-def _functional(goal: Goal, candidate: Candidate, thy: Theory,
-                goal_vars: dict[str, FreeVar]) -> SubgoalSet:
-    assert candidate.rule is not None
-    scheme = scheme_for_rule_name(candidate.rule, thy)
-    if scheme is None:
-        raise TacticError(TacticErrorKind.UNKNOWN_RULE,
-                          f"no induction rule named {candidate.rule}")
-    supplied = [goal_vars[n] for n in candidate.induction_terms]
-    if len(supplied) > scheme.arity:
-        raise TacticError(
-            TacticErrorKind.RULE_ARITY_EXCEEDED,
-            f"{candidate.rule} has {scheme.arity} position(s), "
-            f"got {len(supplied)} induction terms")
-
-    tymap: dict[str, SimpleType] = {}
-    for k, var in enumerate(supplied):
-        if not match_type(scheme.positions[k], var.type, tymap):
-            raise TacticError(
-                TacticErrorKind.NON_DATATYPE_VARIABLE,
-                f"{var.name} : {var.type} does not fit position {k + 1} "
-                f"of {candidate.rule} ({scheme.positions[k]})")
-
-    positions = [subst_type(p, tymap) for p in scheme.positions]
-    schematics = {
-        k: SchematicVar(f"x{k + 1}", positions[k])
-        for k in range(len(supplied), scheme.arity)
-    }
-
-    subgoals = []
-    for case in scheme.cases:
-        case = _instantiate_case(case, tymap)
-        taken = set(goal_vars) - {v.name for v in supplied}
-        renaming = _rename_case_vars(case, taken)
-        introduced = {v.name for v in renaming.values()
-                      if isinstance(v, FreeVar)}
-        patterns = [subst_frees(p, renaming) for p in case.patterns]
-        concl_map = {v.name: patterns[k] for k, v in enumerate(supplied)}
-        anchors = [(schematics[k], patterns[k]) for k in schematics]
-        hyp_maps = []
-        hyp_anchors = []
-        for hyp in case.hypotheses:
-            args = [subst_frees(t, renaming) for t in hyp]
-            hyp_maps.append(
-                {v.name: args[k] for k, v in enumerate(supplied)})
-            hyp_anchors.append([(schematics[k], args[k]) for k in schematics])
-        subgoals.append(_build_subgoal(
-            goal, case.name,
-            concl_map=concl_map,
-            hyp_maps=hyp_maps,
-            anchors=anchors,
-            arbitrary=candidate.arbitrary,
-            taken=taken | introduced,
-            hyp_anchors=hyp_anchors,
-        ))
-    return SubgoalSet(tuple(c.name for c in scheme.cases), tuple(subgoals))
-
-
 def _rename_case_vars(case: SchemeCase, taken: set[str]) -> dict[str, Term]:
     renaming: dict[str, Term] = {}
     used = set(taken)
@@ -256,47 +328,3 @@ def _rename_case_vars(case: SchemeCase, taken: set[str]) -> dict[str, Term]:
         used.add(new)
         renaming[v.name] = FreeVar(new, v.type)
     return renaming
-
-
-def _build_subgoal(goal: Goal, case_name: str, concl_map: dict[str, Term],
-                   hyp_maps: list[dict[str, Term]],
-                   anchors: list[tuple[SchematicVar, Term]],
-                   arbitrary: frozenset[str], taken: set[str],
-                   hyp_anchors: list[list[tuple[SchematicVar, Term]]]
-                   | None = None) -> Goal:
-    arb_order = [v.name for v in goal_free_variables(goal)
-                 if v.name in arbitrary]
-    used = set(taken) | {v.name for v in goal_free_variables(goal)}
-
-    def generalise(term: Term, renaming: dict[str, Term]) -> Term:
-        return subst_frees(term, renaming) if renaming else term
-
-    def fresh_renaming() -> dict[str, Term]:
-        renaming: dict[str, Term] = {}
-        for name in arb_order:
-            var = next(v for v in goal_free_variables(goal)
-                       if v.name == name)
-            new = fresh_name(name, used)
-            used.add(new)
-            renaming[name] = FreeVar(new, var.type)
-        return renaming
-
-    # conclusion and original premises share one fresh renaming
-    concl_renaming = fresh_renaming()
-    conclusion = generalise(subst_frees(goal.conclusion, concl_map),
-                            concl_renaming)
-    for schem, pattern in reversed(anchors):
-        conclusion = mk_implies(mk_eq(schem, pattern), conclusion)
-
-    premises: list[Term] = []
-    for i, hyp_map in enumerate(hyp_maps):
-        hyp_renaming = fresh_renaming()
-        hyp = generalise(subst_frees(goal.conclusion, hyp_map), hyp_renaming)
-        for schem, arg in reversed(hyp_anchors[i] if hyp_anchors else []):
-            hyp = mk_implies(mk_eq(schem, arg), hyp)
-        premises.append(hyp)
-    for p in goal.premises:
-        premises.append(generalise(subst_frees(p, concl_map),
-                                   concl_renaming))
-
-    return Goal(f"{goal.name}.{case_name}", tuple(premises), conclusion)

@@ -75,13 +75,36 @@ class TestRecommend:
 
     def test_byte_identical_runs(self, capsys, running_path):
         outputs = []
-        for flags in ([], [], ["--parallel"]):
+        for _ in range(2):
             code, out, err = run_cli(capsys, "recommend", running_path,
                                      "--goal", "itrev_rev",
-                                     "--timeout-ms", "0", *flags)
+                                     "--timeout-ms", "0")
             assert code == 0
             outputs.append(out)
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flag", ["--top", "--max-candidates"])
+    def test_nonpositive_count_is_an_error(self, capsys, running_path, flag):
+        code, out, err = run_cli(capsys, "recommend", running_path,
+                                 "--goal", "itrev_rev", flag, "0")
+        assert code == 1
+        assert err.startswith("error:") and flag in err
+        assert err.count("\n") == 1
+
+    def test_missing_theory_file(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "recommend",
+                                 str(tmp_path / "absent.thy"), "--goal", "x")
+        assert code == 1
+        assert err.startswith("error:") and "absent.thy" in err
+        assert err.count("\n") == 1
+
+    def test_missing_heuristics_file(self, capsys, running_path, tmp_path):
+        code, out, err = run_cli(capsys, "recommend", running_path,
+                                 "--goal", "itrev_rev", "--heuristics",
+                                 str(tmp_path / "absent.heuristics"))
+        assert code == 1
+        assert err.startswith("error:") and "absent.heuristics" in err
+        assert err.count("\n") == 1
 
 
 class TestExplain:

@@ -3,14 +3,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from inductrank.dsl import make_context
+from _reference import ref_evaluate
+from inductrank.dsl import GoalIndex, candidate_reads, evaluate, make_context
 from inductrank.parser import parse_theory
 from inductrank.pipeline import screen
+from inductrank.schemes import rules_for
 from inductrank.scoring import (
     default_suite, load_suite, score_all, shortlist,
 )
-from inductrank.tactic import apply_induct, parse_candidate
+from inductrank.tactic import Candidate, apply_induct, parse_candidate
+from inductrank.terms import goal_free_variables
 
 
 def factory_for(goal, thy):
@@ -86,15 +90,6 @@ class TestScoreAll:
             == sorted((sc.candidate.tactic_text(), sc.score)
                       for sc in rescored)
 
-    def test_parallel_equals_serial(self, running_goal, running_theory):
-        result = screen(running_goal, running_theory, timeout=None)
-        factory = factory_for(running_goal, running_theory)
-        serial = score_all(result.finalists, default_suite(), factory,
-                           parallel=False)
-        parallel = score_all(result.finalists, default_suite(), factory,
-                             parallel=True)
-        assert serial == parallel
-
 
 class TestShortlist:
     def test_takes_first_k(self, running_scored):
@@ -143,3 +138,125 @@ class TestDomainIndependence:
                 for sc in scored:
                     assert 0 <= sc.score <= len(suite)
                     assert sc.score == sum(sc.verdicts)
+
+
+# ---------------------------------------------------------------------------
+# Memoised verdicts
+
+# A goal of the scaled benchmark's g4 shape: five variables, two rules.
+G4_THEORY = """\
+primrec rev :: "'a list => 'a list" where
+  "rev [] = []"
+| "rev (x # xs) = rev xs @ [x]"
+fun itrev :: "'a list => 'a list => 'a list" where
+  "itrev [] ys = ys"
+| "itrev (x # xs) ys = itrev xs (x # ys)"
+primrec len :: "'a list => nat" where
+  "len [] = 0"
+| "len (x # xs) = Suc (len xs)"
+fun itadd :: "nat => nat => nat" where
+  "itadd 0 n = n"
+| "itadd (Suc m) n = itadd m (Suc n)"
+lemma g4: "itadd (len (itrev xs ys)) m = itadd (len (rev zs)) n"
+"""
+
+# One heuristic per candidate field, each reading only that field.
+SINGLE_READ_HEURISTICS = [
+    (("arbitrary",),
+     "ALL t : term. (is_in_arbitrary (t)) --> "
+     "(EX t1 : term. EX to1 : term_occurrence in t1 : term. "
+     "(is_recursive_constant (t1)) & "
+     "(EX to : term_occurrence in t : term. "
+     "is_nth_argument_of (to, 1, to1)))"),
+    (("rule",),
+     "EX r : rule. EX t : term. EX to : term_occurrence in t : term. "
+     "(r is_rule_of to) & (occurs_in_conclusion (to))"),
+    (("induction_terms",),
+     "EX t : term in induction_term. "
+     "EX to : term_occurrence in t : term. "
+     "EX t1 : term. EX to1 : term_occurrence in t1 : term. "
+     "is_nth_argument_of (to, 2, to1)"),
+    (("induction_term_count",),
+     "ALL n : number. EX t1 : term. EX to1 : term_occurrence in t1 : term. "
+     "EX t2 : term. EX to2 : term_occurrence in t2 : term. "
+     "is_nth_argument_of (to2, n, to1)"),
+]
+
+
+def scored_as_cli(goal, thy, suite, entries):
+    """score_all with one shared goal index, the way the CLI scores."""
+    index = GoalIndex(goal, thy)
+    return score_all(entries, suite, lambda c, s: make_context(
+        goal, c, thy, s, index=index))
+
+
+def _corpus_goals(corpus_dir):
+    out = []
+    for path in sorted(corpus_dir.glob("*.thy")):
+        thy = parse_theory(path.read_text(encoding="utf-8"), path.name)
+        out += [(thy, goal) for goal in thy.goals]
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus_finalists(corpus_dir):
+    return [(thy, goal, screen(goal, thy, timeout=None).finalists)
+            for thy, goal in _corpus_goals(corpus_dir)]
+
+
+@pytest.fixture(scope="module")
+def oracle_goals(corpus_dir):
+    g4 = parse_theory(G4_THEORY)
+    return _corpus_goals(corpus_dir) + [(g4, g4.goal_named("g4"))]
+
+
+def candidates_over(goal, thy):
+    """Candidates drawn over the goal's variables and its rules."""
+    names = [v.name for v in goal_free_variables(goal)]
+    rules = [None] + [r.name for r in rules_for(goal, thy)]
+    return st.builds(
+        Candidate,
+        st.lists(st.sampled_from(names), unique=True).map(tuple),
+        st.frozensets(st.sampled_from(names)),
+        st.sampled_from(rules))
+
+
+class TestMemoisedVerdicts:
+    def test_every_corpus_finalist_agrees_with_oracle(self,
+                                                      corpus_finalists):
+        suite = default_suite()
+        assert len(corpus_finalists) == 15
+        for thy, goal, finalists in corpus_finalists:
+            for sc in scored_as_cli(goal, thy, suite, finalists):
+                for h, verdict in zip(suite, sc.verdicts):
+                    assert verdict == ref_evaluate(
+                        h.formula, goal, sc.candidate, thy), \
+                        (goal.name, sc.candidate.tactic_text(), h.name)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_drawn_candidates_agree_with_oracle(self, data, oracle_goals):
+        thy, goal = data.draw(st.sampled_from(oracle_goals))
+        candidates = data.draw(st.lists(candidates_over(goal, thy),
+                                        min_size=1, max_size=4))
+        suite = default_suite()
+        scored = scored_as_cli(goal, thy, suite,
+                               [(c, None) for c in candidates])
+        for sc in scored:
+            for h, verdict in zip(suite, sc.verdicts):
+                assert verdict == ref_evaluate(
+                    h.formula, goal, sc.candidate, thy), h.name
+
+    @pytest.mark.parametrize("reads, formula", SINGLE_READ_HEURISTICS,
+                             ids=[r[0] for r, _ in SINGLE_READ_HEURISTICS])
+    def test_memo_key_covers_what_the_formula_reads(self, reads, formula,
+                                                    corpus_finalists):
+        suite = load_suite(f"heuristic h: {formula}")
+        assert candidate_reads(suite[0].formula) == reads
+        seen = set()
+        for thy, goal, finalists in corpus_finalists:
+            for sc in scored_as_cli(goal, thy, suite, finalists):
+                fresh = make_context(goal, sc.candidate, thy)
+                assert sc.verdicts == (evaluate(suite[0].formula, fresh),)
+                seen.add(sc.verdicts)
+        assert seen == {(True,), (False,)}  # the field matters
