@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterable, Union
 
 from .parser import ParseError, SourceSpan
 from .schemes import InductionScheme, RULE_SUFFIX, scheme_for_rule_name
@@ -177,6 +177,13 @@ class GoalIndex:
         self._schemes: dict[str, InductionScheme | None] = {}
         self._recursive: dict[str, bool] = {}
 
+    def occurrences_of(self, t: Term) -> tuple[Occurrence, ...]:
+        """The goal's occurrences of `t`, in occurrence order."""
+        found = self.occurrences_by_id.get(id(t))
+        if found is None:
+            found = self.occurrences_by_term.get(t, ())
+        return found
+
     def scheme(self, rule: str) -> InductionScheme | None:
         if rule not in self._schemes:
             self._schemes[rule] = scheme_for_rule_name(rule, self.thy)
@@ -296,51 +303,116 @@ def verdict_key(f: Formula) -> Callable[[Candidate], tuple]:
 # Evaluator
 
 Value = Union[int, InductionScheme, Term, Occurrence]
+Check = Callable[[EvalContext], bool]
+# A compiled sub-formula: a test of the context and the slots of the
+# variables bound so far.
+_Node = Callable[[EvalContext, list], bool]
 
 
-def _domain(sort: Sort, restriction: Restriction, ctx: EvalContext,
-            env: dict[str, Value]) -> Iterator[Value]:
+def compile_formula(f: Formula) -> Check:
+    """Compile a closed, well-sorted formula into a test of a context.
+
+    Connectives, quantifier domains and assertions are chosen here, once,
+    so a verdict only walks domains and calls tests.  Every quantifier and
+    every numeral gets a slot of its own in one list of values, so binding
+    a variable copies nothing, and a nested quantifier that rebinds a name
+    leaves the outer binding's slot as it was."""
+    template: list[Value | None] = []
+    node = _compile(f, {}, template)
+
+    def check(ctx: EvalContext) -> bool:
+        return node(ctx, template.copy())
+    return check
+
+
+def evaluate(f: Formula, ctx: EvalContext,
+             check: Check | None = None) -> bool:
+    """Evaluate a closed, well-sorted formula by exhaustive enumeration.
+    `check` is `f` compiled by `compile_formula`; without it `f` is
+    compiled for this call."""
+    if check is None:
+        check = compile_formula(f)
+    return check(ctx)
+
+
+def _slot(template: list, value: Value | None = None) -> int:
+    template.append(value)
+    return len(template) - 1
+
+
+def _compile(f: Formula, scope: dict[str, int], template: list) -> _Node:
+    if isinstance(f, TrueF):
+        return lambda ctx, env: True
+    if isinstance(f, Not):
+        body = _compile(f.body, scope, template)
+        return lambda ctx, env: not body(ctx, env)
+    if isinstance(f, (And, Or, Implies)):
+        left = _compile(f.left, scope, template)
+        right = _compile(f.right, scope, template)
+        if isinstance(f, And):
+            return lambda ctx, env: left(ctx, env) and right(ctx, env)
+        if isinstance(f, Or):
+            return lambda ctx, env: left(ctx, env) or right(ctx, env)
+        return lambda ctx, env: (not left(ctx, env)) or right(ctx, env)
+    if isinstance(f, (Exists, Forall)):
+        return _compile_quantifier(f, scope, template)
+    assert isinstance(f, Atom)
+    return _compile_atom(f, scope, template)
+
+
+def _compile_quantifier(f: Exists | Forall, scope: dict[str, int],
+                        template: list) -> _Node:
+    domain = _domain(f.sort, f.restriction, scope)
+    slot = _slot(template)
+    body = _compile(f.body, {**scope, f.var: slot}, template)
+    if isinstance(f, Exists):
+        def exists(ctx: EvalContext, env: list) -> bool:
+            for value in domain(ctx, env):
+                env[slot] = value
+                if body(ctx, env):
+                    return True
+            return False
+        return exists
+
+    def forall(ctx: EvalContext, env: list) -> bool:
+        for value in domain(ctx, env):
+            env[slot] = value
+            if not body(ctx, env):
+                return False
+        return True
+    return forall
+
+
+def _domain(sort: Sort, restriction: Restriction, scope: dict[str, int],
+            ) -> Callable[[EvalContext, list], Iterable[Value]]:
     if sort is Sort.NUMBER:
-        return iter(range(1, ctx.number_bound + 1))
+        return lambda ctx, env: range(1, ctx.number_bound + 1)
     if sort is Sort.RULE:
-        return iter(ctx.rules)
+        return lambda ctx, env: ctx.rules
     if sort is Sort.TERM:
         if isinstance(restriction, InductionTerms):
-            return iter(ctx.induction_terms)
-        return iter(ctx.index.terms)
+            return lambda ctx, env: ctx.induction_terms
+        return lambda ctx, env: ctx.index.terms
     if isinstance(restriction, OccurrencesOf):
-        target = env[restriction.term_var]
-        found = ctx.index.occurrences_by_id.get(id(target))
-        if found is None:
-            found = ctx.index.occurrences_by_term.get(target, ())
-        return iter(found)
-    return iter(ctx.index.occurrences)
+        target = scope[restriction.term_var]
+        return lambda ctx, env: ctx.index.occurrences_of(env[target])
+    return lambda ctx, env: ctx.index.occurrences
 
 
-def evaluate(f: Formula, ctx: EvalContext) -> bool:
-    """Evaluate a closed, well-sorted formula by exhaustive enumeration."""
-    return _eval(f, ctx, {})
-
-
-def _eval(f: Formula, ctx: EvalContext, env: dict[str, Value]) -> bool:
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, Not):
-        return not _eval(f.body, ctx, env)
-    if isinstance(f, And):
-        return _eval(f.left, ctx, env) and _eval(f.right, ctx, env)
-    if isinstance(f, Or):
-        return _eval(f.left, ctx, env) or _eval(f.right, ctx, env)
-    if isinstance(f, Implies):
-        return (not _eval(f.left, ctx, env)) or _eval(f.right, ctx, env)
-    if isinstance(f, (Exists, Forall)):
-        values = _domain(f.sort, f.restriction, ctx, env)
-        if isinstance(f, Exists):
-            return any(_eval(f.body, ctx, {**env, f.var: v}) for v in values)
-        return all(_eval(f.body, ctx, {**env, f.var: v}) for v in values)
-    assert isinstance(f, Atom)
-    values = tuple(a if isinstance(a, int) else env[a] for a in f.args)
-    return evaluate_atom(f.name, values, ctx)
+def _compile_atom(f: Atom, scope: dict[str, int], template: list) -> _Node:
+    test = _ATOMS.get(f.name)
+    if test is None:
+        raise ValueError(f"unknown assertion {f.name}")
+    slots = [_slot(template, a) if isinstance(a, int) else scope[a]
+             for a in f.args]
+    if len(slots) == 1:
+        (a,) = slots
+        return lambda ctx, env: test(ctx, env[a])
+    if len(slots) == 2:
+        a, b = slots
+        return lambda ctx, env: test(ctx, env[a], env[b])
+    a, b, c = slots
+    return lambda ctx, env: test(ctx, env[a], env[b], env[c])
 
 
 # -- atomic assertions -------------------------------------------------------
@@ -358,7 +430,14 @@ def _spine_base(occ: Occurrence) -> tuple[tuple[int, ...], int]:
     return path[: len(path) - k], k
 
 
-def _is_nth_argument_of(to2: Occurrence, n: int, to1: Occurrence) -> bool:
+def _is_rule_of(ctx: EvalContext, rule: InductionScheme,
+                occ: Occurrence) -> bool:
+    return (isinstance(occ.term, Const)
+            and rule.name == occ.term.name + RULE_SUFFIX)
+
+
+def _is_nth_argument_of(ctx: EvalContext, to2: Occurrence, n: int,
+                        to1: Occurrence) -> bool:
     if to2.premise_index != to1.premise_index:
         return False
     base, arity = _spine_base(to1)
@@ -367,41 +446,45 @@ def _is_nth_argument_of(to2: Occurrence, n: int, to1: Occurrence) -> bool:
     return to2.path == base + (0,) * (arity - n) + (1,)
 
 
+def _is_nth_induction_term(ctx: EvalContext, t: Term, n: int) -> bool:
+    return 1 <= n <= len(ctx.induction_terms) \
+        and ctx.induction_terms[n - 1] == t
+
+
+def _is_in_arbitrary(ctx: EvalContext, t: Term) -> bool:
+    return isinstance(t, FreeVar) and t.name in ctx.candidate.arbitrary
+
+
+def _is_of_datatype(ctx: EvalContext, t: Term) -> bool:
+    ty = term_type(t)
+    return (not ty.is_var()) and ctx.index.thy.datatype(ty.name) is not None
+
+
+def _is_recursive_constant(ctx: EvalContext, t: Term) -> bool:
+    return isinstance(t, Const) and ctx.index.is_recursive(t.name)
+
+
+# assertion name -> test of the context and the argument values
+_ATOMS: dict[str, Callable[..., bool]] = {
+    "is_rule_of": _is_rule_of,
+    "is_nth_argument_of": _is_nth_argument_of,
+    "is_nth_induction_term": _is_nth_induction_term,
+    "is_free_variable": lambda ctx, t: isinstance(t, FreeVar),
+    "is_constant": lambda ctx, t: isinstance(t, Const),
+    "is_in_arbitrary": _is_in_arbitrary,
+    "is_of_datatype": _is_of_datatype,
+    "occurs_in_conclusion": lambda ctx, occ: occ.premise_index is None,
+    "is_recursive_constant": _is_recursive_constant,
+    "same_term": lambda ctx, occ, t: occ.term == t,
+}
+
+
 def evaluate_atom(name: str, values: tuple[Value, ...],
                   ctx: EvalContext) -> bool:
-    if name == "is_rule_of":
-        rule, occ = values
-        return (isinstance(occ.term, Const)
-                and rule.name == occ.term.name + RULE_SUFFIX)
-    if name == "is_nth_argument_of":
-        to2, n, to1 = values
-        return _is_nth_argument_of(to2, n, to1)
-    if name == "is_nth_induction_term":
-        t, n = values
-        return 1 <= n <= len(ctx.induction_terms) \
-            and ctx.induction_terms[n - 1] == t
-    if name == "is_free_variable":
-        return isinstance(values[0], FreeVar)
-    if name == "is_constant":
-        return isinstance(values[0], Const)
-    if name == "is_in_arbitrary":
-        t = values[0]
-        return isinstance(t, FreeVar) and t.name in ctx.candidate.arbitrary
-    if name == "is_of_datatype":
-        ty = term_type(values[0])
-        return (not ty.is_var()) \
-            and ctx.index.thy.datatype(ty.name) is not None
-    if name == "occurs_in_conclusion":
-        return values[0].premise_index is None
-    if name == "is_recursive_constant":
-        t = values[0]
-        if not isinstance(t, Const):
-            return False
-        return ctx.index.is_recursive(t.name)
-    if name == "same_term":
-        occ, t = values
-        return occ.term == t
-    raise ValueError(f"unknown assertion {name}")
+    test = _ATOMS.get(name)
+    if test is None:
+        raise ValueError(f"unknown assertion {name}")
+    return test(ctx, *values)
 
 
 # ---------------------------------------------------------------------------

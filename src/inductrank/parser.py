@@ -25,7 +25,8 @@ import re
 from dataclasses import dataclass, field
 
 from .terms import (
-    EXTRA_CONST_SCHEMES, FUN, IMPLIES, PRELUDE_NAMES, TYPE_BOOL, TYPE_NAT,
+    EXTRA_CONST_SCHEMES, FUN, IMPLIES, PRELUDE_DATATYPES, PRELUDE_FUNDEFS,
+    PRELUDE_NAMES, TYPE_BOOL, TYPE_NAT,
     Const, Constructor, DatatypeDef, Equation, FreeVar, FunDef, Goal,
     SchematicVar, SimpleType, Term, Theory,
     format_goal, format_term, format_type, fun_type, mk_app,
@@ -431,10 +432,11 @@ class _TermParser:
     variables, in the right-hand side of an equation they are an error.
     """
 
-    def __init__(self, ts: _TermTokens, thy: Theory, uni: _Unifier,
-                 env: dict[str, SimpleType], bind_unknown: bool):
+    def __init__(self, ts: _TermTokens, sig: Theory | _Signature,
+                 uni: _Unifier, env: dict[str, SimpleType],
+                 bind_unknown: bool):
         self.ts = ts
-        self.thy = thy
+        self.sig = sig
         self.uni = uni
         self.env = env
         self.schem_env: dict[str, SimpleType] = {}
@@ -473,7 +475,7 @@ class _TermParser:
         if self.ts.at_sym("#") or self.ts.at_sym("@"):
             tok = self.ts.next()
             right, rty = self.parse_cons()
-            scheme = self.thy.const_scheme(tok.text)
+            scheme = self.sig.const_scheme(tok.text)
             assert scheme is not None
             inst = self.uni.instantiate(scheme)
             (a_ty, b_ty), result = _split2(inst)
@@ -518,7 +520,7 @@ class _TermParser:
             return SchematicVar(name, ty), ty
         if tok.kind == "ident":
             self.ts.next()
-            scheme = self.thy.const_scheme(tok.text)
+            scheme = self.sig.const_scheme(tok.text)
             if scheme is not None:
                 inst = self.uni.instantiate(scheme)
                 return Const(tok.text, inst), inst
@@ -590,6 +592,29 @@ def _numeral(n: int) -> Term:
 # Declarations
 
 
+class _Signature:
+    """The constants declared so far while a theory is parsed: their type
+    schemes by name, and which of them are constructors.  It answers the
+    term parser's lookups the way the `Theory` of the declarations so far
+    would, without building one per declaration."""
+
+    def __init__(self) -> None:
+        self.schemes: dict[str, SimpleType] = dict(EXTRA_CONST_SCHEMES)
+        self.constructors: set[str] = set()
+        for f in PRELUDE_FUNDEFS.values():
+            self.schemes[f.name] = f.type
+        for d in PRELUDE_DATATYPES.values():
+            self.add_datatype(d)
+
+    def add_datatype(self, d: DatatypeDef) -> None:
+        for c in d.constructors:
+            self.schemes[c.name] = d.constructor_type(c)
+            self.constructors.add(c.name)
+
+    def const_scheme(self, name: str) -> SimpleType | None:
+        return self.schemes.get(name)
+
+
 def parse_theory(source: str, file: str = "<string>") -> Theory:
     """Parse a theory file.  Raises ParseError on syntax violations,
     duplicate names, unknown constants/types, or ill-typed equations."""
@@ -600,6 +625,7 @@ def parse_theory(source: str, file: str = "<string>") -> Theory:
     goals: list[Goal] = []
     known_types = {"nat": 0, "list": 1, "bool": 0}
     declared = set(PRELUDE_NAMES)
+    sig = _Signature()
 
     def declare(name: str, tok: Token) -> None:
         if name in declared:
@@ -611,15 +637,15 @@ def parse_theory(source: str, file: str = "<string>") -> Theory:
         if tok.kind != "ident" or tok.text not in _KEYWORDS:
             raise p.fail(f"found {tok.text!r}", tok,
                          expected=("datatype", "fun", "primrec", "lemma"))
-        thy = Theory(tuple(datatypes), tuple(fundefs), tuple(goals))
         if tok.text == "datatype":
             d = _parse_datatype(p, known_types, declare)
             datatypes.append(d)
             known_types[d.name] = len(d.params)
+            sig.add_datatype(d)
         elif tok.text in ("fun", "primrec"):
-            fundefs.append(_parse_fundef(p, thy, known_types, declare))
+            fundefs.append(_parse_fundef(p, sig, known_types, declare))
         else:
-            goals.append(_parse_lemma(p, thy, declare))
+            goals.append(_parse_lemma(p, sig, declare))
     return Theory(tuple(datatypes), tuple(fundefs), tuple(goals))
 
 
@@ -713,8 +739,8 @@ def _collect_tyvars(t: SimpleType) -> list[str]:
     return out
 
 
-def _parse_fundef(p: _Parser, thy: Theory, known_types: dict[str, int],
-                  declare) -> FunDef:
+def _parse_fundef(p: _Parser, sig: _Signature,
+                  known_types: dict[str, int], declare) -> FunDef:
     kw = p.next()  # 'fun' | 'primrec'
     name_tok = p.expect_ident("function name")
     p.expect_sym("::")
@@ -733,8 +759,7 @@ def _parse_fundef(p: _Parser, thy: Theory, known_types: dict[str, int],
                      expected=("'where'",))
 
     # the new constant is visible inside its own equations
-    fn_stub = FunDef(name_tok.text, declared_ty, (), kw.text == "fun")
-    eq_thy = Theory(thy.datatypes, thy.fundefs + (fn_stub,), thy.goals)
+    sig.schemes[name_tok.text] = declared_ty
 
     equations: list[Equation] = []
     arity: int | None = None
@@ -744,7 +769,7 @@ def _parse_fundef(p: _Parser, thy: Theory, known_types: dict[str, int],
             raise p.fail("found unquoted equation", eq_tok,
                          expected=('"<equation>"',))
         p.next()
-        eq = _parse_equation(eq_tok, p.file, eq_thy, name_tok.text)
+        eq = _parse_equation(eq_tok, p.file, sig, name_tok.text)
         n_args = len(eq.lhs_args())
         if arity is None:
             arity = n_args
@@ -761,17 +786,17 @@ def _parse_fundef(p: _Parser, thy: Theory, known_types: dict[str, int],
                   kw.text == "fun")
 
 
-def _parse_equation(quoted: Token, file: str, thy: Theory,
+def _parse_equation(quoted: Token, file: str, sig: _Signature,
                     fn_name: str) -> Equation:
     ts = _TermTokens(quoted, file)
     uni = _Unifier()
     env: dict[str, SimpleType] = {}
 
     # left-hand side: unknown identifiers become pattern variables
-    lhs_parser = _TermParser(ts, thy, uni, env, bind_unknown=True)
+    lhs_parser = _TermParser(ts, sig, uni, env, bind_unknown=True)
     lhs, lhs_ty = lhs_parser.parse_cons()
     ts.expect_sym("=")
-    rhs_parser = _TermParser(ts, thy, uni, env, bind_unknown=False)
+    rhs_parser = _TermParser(ts, sig, uni, env, bind_unknown=False)
     rhs_parser.schem_env = lhs_parser.schem_env
     rhs, rhs_ty = rhs_parser.parse_cons()
     if ts.peek().kind != "eof":
@@ -781,7 +806,7 @@ def _parse_equation(quoted: Token, file: str, thy: Theory,
     if not (isinstance(head, Const) and head.name == fn_name):
         raise ParseError(f"equation must define {fn_name}",
                          SourceSpan(file, quoted.line, quoted.column))
-    _check_patterns(args, thy, file, quoted)
+    _check_patterns(args, sig, file, quoted)
     try:
         uni.unify(lhs_ty, rhs_ty)
     except _Mismatch:
@@ -795,7 +820,7 @@ def _parse_equation(quoted: Token, file: str, thy: Theory,
     return Equation(lhs2, rhs2)
 
 
-def _check_patterns(args: tuple[Term, ...], thy: Theory, file: str,
+def _check_patterns(args: tuple[Term, ...], sig: _Signature, file: str,
                     quoted: Token) -> None:
     seen_vars: set[str] = set()
     span = SourceSpan(file, quoted.line, quoted.column)
@@ -807,7 +832,7 @@ def _check_patterns(args: tuple[Term, ...], thy: Theory, file: str,
             seen_vars.add(t.name)
             return
         head, sub = spine(t)
-        if isinstance(head, Const) and thy.constructor_owner(head.name):
+        if isinstance(head, Const) and head.name in sig.constructors:
             for s in sub:
                 walk(s)
             return
@@ -818,7 +843,7 @@ def _check_patterns(args: tuple[Term, ...], thy: Theory, file: str,
         walk(a)
 
 
-def _parse_lemma(p: _Parser, thy: Theory, declare) -> Goal:
+def _parse_lemma(p: _Parser, sig: _Signature, declare) -> Goal:
     lemma_tok = p.next()  # 'lemma'
     name_tok = p.expect_ident("lemma name")
     declare(name_tok.text, name_tok)
@@ -828,15 +853,16 @@ def _parse_lemma(p: _Parser, thy: Theory, declare) -> Goal:
         raise p.fail("found unquoted proposition", prop_tok,
                      expected=('"<prop>"',))
     p.next()
-    term = _parse_prop(prop_tok, p.file, thy)
+    term = _parse_prop(prop_tok, p.file, sig)
     premises, conclusion = split_implications(term)
     return Goal(name_tok.text, premises, conclusion, line=lemma_tok.line)
 
 
-def _parse_prop(quoted: Token, file: str, thy: Theory) -> Term:
+def _parse_prop(quoted: Token, file: str,
+                sig: Theory | _Signature) -> Term:
     ts = _TermTokens(quoted, file)
     uni = _Unifier()
-    parser = _TermParser(ts, thy, uni, {}, bind_unknown=True)
+    parser = _TermParser(ts, sig, uni, {}, bind_unknown=True)
     start = ts.peek()
     term, ty = parser.parse()
     if ts.peek().kind != "eof":

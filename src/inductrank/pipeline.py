@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .schemes import rules_for
 from .tactic import (
@@ -124,31 +124,45 @@ def stage1(goal: Goal, stream: Iterable[Candidate], thy: Theory,
 
 def stage2_condition(goal: Goal, subgoals: SubgoalSet) -> int | None:
     """First screening condition a candidate's subgoals violate, if any."""
-    gs = subgoals.subgoals
-    for i in range(len(gs)):
-        for j in range(i + 1, len(gs)):
-            if (gs[i].premises == gs[j].premises
-                    and gs[i].conclusion == gs[j].conclusion):
-                return 1
+    return _screen(goal)(subgoals)
+
+
+def _screen(goal: Goal) -> Callable[[SubgoalSet], int | None]:
+    """`stage2_condition` for one goal, with what it reads of the goal
+    computed once."""
     original = set(goal.premises)
-    no_new_premise = all(
-        all(p in original for p in sg.premises) for sg in gs)
-    if no_new_premise and all(
-            contains_subterm(sg.conclusion, goal.conclusion) for sg in gs):
-        return 2
-    if not contains_schematic(goal) and any(
-            contains_schematic(sg) for sg in gs):
-        return 3
-    return None
+    schematic_free = not contains_schematic(goal)
+
+    def condition(subgoals: SubgoalSet) -> int | None:
+        gs = subgoals.subgoals
+        for i in range(len(gs)):
+            for j in range(i + 1, len(gs)):
+                if (gs[i].premises == gs[j].premises
+                        and gs[i].conclusion == gs[j].conclusion):
+                    return 1
+        if original:
+            no_new_premise = all(p in original
+                                 for sg in gs for p in sg.premises)
+        else:
+            no_new_premise = not any(sg.premises for sg in gs)
+        if no_new_premise and all(
+                contains_subterm(sg.conclusion, goal.conclusion)
+                for sg in gs):
+            return 2
+        if schematic_free and any(contains_schematic(sg) for sg in gs):
+            return 3
+        return None
+    return condition
 
 
 def stage2(goal: Goal,
            survivors: list[tuple[Candidate, SubgoalSet]],
            ) -> tuple[list[tuple[Candidate, SubgoalSet]], list[Disposition]]:
+    condition = _screen(goal)
     finalists: list[tuple[Candidate, SubgoalSet]] = []
     dispositions: list[Disposition] = []
     for candidate, subgoals in survivors:
-        cond = stage2_condition(goal, subgoals)
+        cond = condition(subgoals)
         if cond is None:
             finalists.append((candidate, subgoals))
             dispositions.append(Disposition(candidate, "kept"))

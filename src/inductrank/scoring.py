@@ -13,20 +13,24 @@ candidate of the goal that shares it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Sequence
 
 from .dsl import (
-    EvalContext, Formula, evaluate, parse_heuristics, verdict_key,
+    Check, EvalContext, Formula, compile_formula, evaluate, parse_heuristics,
+    verdict_key,
 )
 from .tactic import Candidate, SubgoalSet
 
 
 @dataclass(frozen=True)
 class Heuristic:
+    """A named formula and its compiled test (`dsl.compile_formula`)."""
+
     name: str
     formula: Formula
+    check: Check = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -41,8 +45,8 @@ class ScoredCandidate:
 def load_suite(text: str, file: str = "<heuristics>") -> tuple[Heuristic, ...]:
     """Parse a suite; formulas arrive closed and well-sorted or not at all.
     Atom arguments are bound variables or numerals, so no formula can name
-    theory constants."""
-    return tuple(Heuristic(name, formula)
+    theory constants.  Each formula is compiled once, here."""
+    return tuple(Heuristic(name, formula, compile_formula(formula))
                  for name, formula in parse_heuristics(text, file))
 
 
@@ -78,7 +82,7 @@ def score_all(entries: Sequence[tuple[Candidate, SubgoalSet]],
             if verdict is None:
                 if ctx is None:
                     ctx = ctx_factory(candidate, subgoals)
-                verdict = memo[key] = evaluate(h.formula, ctx)
+                verdict = memo[key] = evaluate(h.formula, ctx, h.check)
             verdicts.append(verdict)
         unranked.append((candidate, sum(verdicts), tuple(verdicts), index))
     unranked.sort(key=lambda item: (-item[1], item[3]))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .schemes import (
     InductionScheme, SchemeCase, scheme_for_rule_name, structural_scheme,
@@ -108,12 +109,39 @@ def apply_induct(goal: Goal, candidate: Candidate, thy: Theory,
     return InductTactic(goal, thy).apply(candidate, timeout)
 
 
+@dataclass(frozen=True)
+class _Case:
+    """One case of an application before generalisation: the goal's
+    conclusion under the case's substitution, under each induction
+    hypothesis's, and the goal's premises under the case's; the schematic
+    equations to wrap around the conclusion and around each hypothesis,
+    innermost first; and the names a generalised variable must avoid."""
+
+    name: str
+    conclusion: Term
+    hypotheses: tuple[Term, ...]
+    premises: tuple[Term, ...]
+    anchors: tuple[Term, ...]
+    hyp_anchors: tuple[tuple[Term, ...], ...]
+    used: frozenset[str]
+
+
+class _Failure(NamedTuple):
+    """How the cases of an (induction terms, rule) pair failed."""
+
+    kind: TacticErrorKind
+    detail: str
+
+
 class InductTactic:
     """The induct tactic on one goal.
 
     Holds what every application to the goal shares: the goal's free
-    variables, in order and by name, and the schemes of the rules and
-    datatypes named so far.
+    variables, in order and by name, the schemes of the rules and
+    datatypes named so far, and the instantiated cases of each
+    (induction terms, rule) pair applied so far, or how it failed.  The
+    cases do not depend on `arbitrary`, so each candidate pays only for
+    its own generalisation.
     """
 
     def __init__(self, goal: Goal, thy: Theory):
@@ -123,6 +151,7 @@ class InductTactic:
         self.by_name = {v.name: v for v in self.variables}
         self._rules: dict[str, InductionScheme | None] = {}
         self._structural: dict[str, InductionScheme] = {}
+        self._cases: dict[tuple, tuple[_Case, ...] | _Failure] = {}
 
     def apply(self, candidate: Candidate,
               timeout: float | None = DEFAULT_TIMEOUT) -> SubgoalSet:
@@ -161,18 +190,35 @@ class InductTactic:
                     TacticErrorKind.NON_DATATYPE_VARIABLE,
                     f"{name} is not a free variable of the goal")
 
-        if candidate.rule is None:
-            result = self._structural_mode(candidate)
-        else:
-            result = self._functional_mode(candidate)
+        terms, rule = candidate.induction_terms, candidate.rule
+        if rule is None:
+            terms = terms[:1]  # structural mode reads only the first one
+        cases = self._cases.get((terms, rule))
+        if cases is None:
+            try:
+                cases = self._structural_mode(terms[0]) if rule is None \
+                    else self._functional_mode(terms, rule)
+            except TacticError as err:
+                cases = _Failure(err.kind, err.detail)
+            self._cases[terms, rule] = cases
+        if isinstance(cases, _Failure):
+            # a fresh error each time: re-raising one instance would grow
+            # its traceback with every candidate
+            raise TacticError(cases.kind, cases.detail)
+
+        generalised = [v for v in self.variables
+                       if v.name in candidate.arbitrary]
+        result = SubgoalSet(tuple(c.name for c in cases),
+                            tuple(self._subgoal(c, generalised)
+                                  for c in cases))
 
         if timeout is not None and time.monotonic() - started > timeout:
             raise TacticError(TacticErrorKind.TIMEOUT,
                               f"exceeded {timeout * 1000:.0f} ms")
         return result
 
-    def _structural_mode(self, candidate: Candidate) -> SubgoalSet:
-        first = self.by_name[candidate.induction_terms[0]]
+    def _structural_mode(self, name: str) -> tuple[_Case, ...]:
+        first = self.by_name[name]
         dt = None if first.type.is_var() else self.thy.datatype(
             first.type.name)
         if dt is None:
@@ -185,7 +231,7 @@ class InductTactic:
             scheme = self._structural[dt.name] = structural_scheme(dt)
         tymap = dict(zip(dt.params, first.type.args))
 
-        subgoals = []
+        cases = []
         for case in scheme.cases:
             case = _instantiate_case(case, tymap)
             taken = set(self.by_name) - {first.name}
@@ -194,31 +240,29 @@ class InductTactic:
                           if isinstance(v, FreeVar)}
             pattern = subst_frees(case.patterns[0], renaming)
             hyp_args = [subst_frees(h[0], renaming) for h in case.hypotheses]
-            subgoals.append(self._build_subgoal(
+            cases.append(self._case(
                 case.name,
                 concl_map={first.name: pattern},
                 hyp_maps=[{first.name: arg} for arg in hyp_args],
                 anchors=[],
-                arbitrary=candidate.arbitrary,
+                hyp_anchors=[[] for _ in hyp_args],
                 taken=taken | introduced,
             ))
-        return SubgoalSet(tuple(c.name for c in scheme.cases),
-                          tuple(subgoals))
+        return tuple(cases)
 
-    def _functional_mode(self, candidate: Candidate) -> SubgoalSet:
-        assert candidate.rule is not None
-        if candidate.rule not in self._rules:
-            self._rules[candidate.rule] = scheme_for_rule_name(
-                candidate.rule, self.thy)
-        scheme = self._rules[candidate.rule]
+    def _functional_mode(self, terms: tuple[str, ...],
+                         rule: str) -> tuple[_Case, ...]:
+        if rule not in self._rules:
+            self._rules[rule] = scheme_for_rule_name(rule, self.thy)
+        scheme = self._rules[rule]
         if scheme is None:
             raise TacticError(TacticErrorKind.UNKNOWN_RULE,
-                              f"no induction rule named {candidate.rule}")
-        supplied = [self.by_name[n] for n in candidate.induction_terms]
+                              f"no induction rule named {rule}")
+        supplied = [self.by_name[n] for n in terms]
         if len(supplied) > scheme.arity:
             raise TacticError(
                 TacticErrorKind.RULE_ARITY_EXCEEDED,
-                f"{candidate.rule} has {scheme.arity} position(s), "
+                f"{rule} has {scheme.arity} position(s), "
                 f"got {len(supplied)} induction terms")
 
         tymap: dict[str, SimpleType] = {}
@@ -227,7 +271,7 @@ class InductTactic:
                 raise TacticError(
                     TacticErrorKind.NON_DATATYPE_VARIABLE,
                     f"{var.name} : {var.type} does not fit position "
-                    f"{k + 1} of {candidate.rule} ({scheme.positions[k]})")
+                    f"{k + 1} of {rule} ({scheme.positions[k]})")
 
         positions = [subst_type(p, tymap) for p in scheme.positions]
         schematics = {
@@ -235,7 +279,7 @@ class InductTactic:
             for k in range(len(supplied), scheme.arity)
         }
 
-        subgoals = []
+        cases = []
         for case in scheme.cases:
             case = _instantiate_case(case, tymap)
             taken = set(self.by_name) - {v.name for v in supplied}
@@ -253,59 +297,70 @@ class InductTactic:
                     {v.name: args[k] for k, v in enumerate(supplied)})
                 hyp_anchors.append(
                     [(schematics[k], args[k]) for k in schematics])
-            subgoals.append(self._build_subgoal(
+            cases.append(self._case(
                 case.name,
                 concl_map=concl_map,
                 hyp_maps=hyp_maps,
                 anchors=anchors,
-                arbitrary=candidate.arbitrary,
-                taken=taken | introduced,
                 hyp_anchors=hyp_anchors,
+                taken=taken | introduced,
             ))
-        return SubgoalSet(tuple(c.name for c in scheme.cases),
-                          tuple(subgoals))
+        return tuple(cases)
 
-    def _build_subgoal(self, case_name: str, concl_map: dict[str, Term],
-                       hyp_maps: list[dict[str, Term]],
-                       anchors: list[tuple[SchematicVar, Term]],
-                       arbitrary: frozenset[str], taken: set[str],
-                       hyp_anchors: list[list[tuple[SchematicVar, Term]]]
-                       | None = None) -> Goal:
+    def _case(self, case_name: str, concl_map: dict[str, Term],
+              hyp_maps: list[dict[str, Term]],
+              anchors: list[tuple[SchematicVar, Term]],
+              hyp_anchors: list[list[tuple[SchematicVar, Term]]],
+              taken: set[str]) -> _Case:
         goal = self.goal
-        generalised = [v for v in self.variables if v.name in arbitrary]
-        used = set(taken) | set(self.by_name)
 
-        def generalise(term: Term, renaming: dict[str, Term]) -> Term:
-            return subst_frees(term, renaming) if renaming else term
+        def equations(pairs: list[tuple[SchematicVar, Term]]) -> tuple:
+            return tuple(mk_eq(schem, t) for schem, t in reversed(pairs))
 
-        def fresh_renaming() -> dict[str, Term]:
-            renaming: dict[str, Term] = {}
-            for var in generalised:
-                new = fresh_name(var.name, used)
-                used.add(new)
-                renaming[var.name] = FreeVar(new, var.type)
-            return renaming
+        return _Case(
+            name=case_name,
+            conclusion=subst_frees(goal.conclusion, concl_map),
+            hypotheses=tuple(subst_frees(goal.conclusion, m)
+                             for m in hyp_maps),
+            premises=tuple(subst_frees(p, concl_map) for p in goal.premises),
+            anchors=equations(anchors),
+            hyp_anchors=tuple(equations(pairs) for pairs in hyp_anchors),
+            used=frozenset(taken.union(self.by_name)),
+        )
 
-        # conclusion and original premises share one fresh renaming
-        concl_renaming = fresh_renaming()
-        conclusion = generalise(subst_frees(goal.conclusion, concl_map),
-                                concl_renaming)
-        for schem, pattern in reversed(anchors):
-            conclusion = mk_implies(mk_eq(schem, pattern), conclusion)
+    def _subgoal(self, case: _Case, generalised: list[FreeVar]) -> Goal:
+        conclusion = case.conclusion
+        hypotheses = case.hypotheses
+        premises = case.premises
+        if generalised:
+            used = set(case.used)
 
-        premises: list[Term] = []
-        for i, hyp_map in enumerate(hyp_maps):
-            hyp_renaming = fresh_renaming()
-            hyp = generalise(subst_frees(goal.conclusion, hyp_map),
-                             hyp_renaming)
-            for schem, arg in reversed(hyp_anchors[i] if hyp_anchors else []):
-                hyp = mk_implies(mk_eq(schem, arg), hyp)
-            premises.append(hyp)
-        for p in goal.premises:
-            premises.append(generalise(subst_frees(p, concl_map),
-                                       concl_renaming))
+            def fresh_renaming() -> dict[str, Term]:
+                renaming: dict[str, Term] = {}
+                for var in generalised:
+                    new = fresh_name(var.name, used)
+                    used.add(new)
+                    renaming[var.name] = FreeVar(new, var.type)
+                return renaming
 
-        return Goal(f"{goal.name}.{case_name}", tuple(premises), conclusion)
+            # conclusion and original premises share one fresh renaming;
+            # every induction hypothesis gets its own, in order
+            concl_renaming = fresh_renaming()
+            conclusion = subst_frees(conclusion, concl_renaming)
+            hypotheses = tuple(subst_frees(h, fresh_renaming())
+                               for h in hypotheses)
+            premises = tuple(subst_frees(p, concl_renaming)
+                             for p in premises)
+
+        for eq in case.anchors:
+            conclusion = mk_implies(eq, conclusion)
+        wrapped = []
+        for hyp, eqs in zip(hypotheses, case.hyp_anchors):
+            for eq in eqs:
+                hyp = mk_implies(eq, hyp)
+            wrapped.append(hyp)
+        return Goal(f"{self.goal.name}.{case.name}",
+                    (*wrapped, *premises), conclusion)
 
 
 def _instantiate_case(case: SchemeCase,

@@ -13,6 +13,7 @@ theories can be shared freely between concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Union
 
 # ---------------------------------------------------------------------------
@@ -223,21 +224,37 @@ def free_variables(t: Term) -> list[FreeVar]:
 def contains_subterm(haystack: Term, needle: Term) -> bool:
     """True iff some occurrence of `needle` exists in `haystack`
     (syntactic equality; schematic names compared literally)."""
-    return any(node == needle for _, node in subterms_with_paths(haystack))
+    stack = [haystack]
+    while stack:
+        node = stack.pop()
+        if node == needle:
+            return True
+        if isinstance(node, App):
+            stack += (node.arg, node.fun)
+    return False
 
 
 def has_schematic(t: Term) -> bool:
-    return any(isinstance(node, SchematicVar)
-               for _, node in subterms_with_paths(t))
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, App):
+            stack += (node.arg, node.fun)
+        elif isinstance(node, SchematicVar):
+            return True
+    return False
 
 
 def subst_frees(t: Term, mapping: dict[str, Term]) -> Term:
     """Simultaneously replace free variables by name.  The language is
-    binder-free, so no capture can occur."""
+    binder-free, so no capture can occur.  Sub-terms the mapping does not
+    touch are shared with `t`, not copied."""
+    if isinstance(t, App):
+        fun = subst_frees(t.fun, mapping)
+        arg = subst_frees(t.arg, mapping)
+        return t if fun is t.fun and arg is t.arg else App(fun, arg)
     if isinstance(t, FreeVar):
         return mapping.get(t.name, t)
-    if isinstance(t, App):
-        return App(subst_frees(t.fun, mapping), subst_frees(t.arg, mapping))
     return t
 
 
@@ -392,34 +409,46 @@ class FunDef:
 
 @dataclass(frozen=True)
 class Theory:
+    """Declarations on top of the prelude.  Names are looked up through
+    indexes built on first use: the first declaration of a name wins, and
+    the theory's declarations shadow the prelude's."""
+
     datatypes: tuple[DatatypeDef, ...] = ()
     fundefs: tuple[FunDef, ...] = ()
     goals: tuple[Goal, ...] = ()
 
+    @cached_property
+    def _datatypes_by_name(self) -> dict[str, DatatypeDef]:
+        return _first_by_name(self.datatypes, PRELUDE_DATATYPES.values())
+
+    @cached_property
+    def _fundefs_by_name(self) -> dict[str, FunDef]:
+        return _first_by_name(self.fundefs, PRELUDE_FUNDEFS.values())
+
+    @cached_property
+    def _goals_by_name(self) -> dict[str, Goal]:
+        return _first_by_name(self.goals)
+
+    @cached_property
+    def _constructors_by_name(self) -> dict[str, tuple[DatatypeDef,
+                                                       Constructor]]:
+        index: dict[str, tuple[DatatypeDef, Constructor]] = {}
+        for d in (*self.datatypes, *PRELUDE_DATATYPES.values()):
+            for c in d.constructors:
+                index.setdefault(c.name, (d, c))
+        return index
+
     def datatype(self, name: str) -> DatatypeDef | None:
-        for d in self.datatypes:
-            if d.name == name:
-                return d
-        return PRELUDE_DATATYPES.get(name)
+        return self._datatypes_by_name.get(name)
 
     def fundef(self, name: str) -> FunDef | None:
-        for f in self.fundefs:
-            if f.name == name:
-                return f
-        return PRELUDE_FUNDEFS.get(name)
+        return self._fundefs_by_name.get(name)
 
     def goal_named(self, name: str) -> Goal | None:
-        for g in self.goals:
-            if g.name == name:
-                return g
-        return None
+        return self._goals_by_name.get(name)
 
     def constructor_owner(self, name: str) -> tuple[DatatypeDef, Constructor] | None:
-        for d in list(self.datatypes) + list(PRELUDE_DATATYPES.values()):
-            for c in d.constructors:
-                if c.name == name:
-                    return d, c
-        return None
+        return self._constructors_by_name.get(name)
 
     def const_scheme(self, name: str) -> SimpleType | None:
         """Most general type of a declared constant, or None."""
@@ -431,6 +460,15 @@ class Theory:
         if f is not None:
             return f.type
         return EXTRA_CONST_SCHEMES.get(name)
+
+
+def _first_by_name(*groups):
+    """Items by name, the first of each name winning."""
+    index = {}
+    for group in groups:
+        for item in group:
+            index.setdefault(item.name, item)
+    return index
 
 
 def check_term(t: Term, thy: Theory) -> None:

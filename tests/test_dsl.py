@@ -7,12 +7,13 @@ import pytest
 from _reference import random_formula, ref_evaluate
 from inductrank.dsl import (
     Atom, Exists, Forall, Implies, Not, Sort, TrueF,
-    evaluate, make_context, parse_formula, parse_heuristics,
+    compile_formula, evaluate, evaluate_atom, make_context, parse_formula,
+    parse_heuristics,
 )
 from inductrank.parser import ParseError, parse_theory
 from inductrank.scoring import default_suite
 from inductrank.tactic import Candidate, apply_induct, parse_candidate
-from inductrank.terms import Occurrence, occurrences_of
+from inductrank.terms import Occurrence, goal_free_variables, occurrences_of
 
 
 def ctx_for(goal, thy, text):
@@ -204,3 +205,72 @@ class TestEvaluatorAgainstReference:
             shape = Implies(Exists("r", Sort.RULE, UNRESTRICTED, TrueF()),
                             psi)
             assert evaluate(shape, ctx) is True
+
+
+# Formulas whose quantifiers rebind a name that an enclosing quantifier
+# bound, and then read the outer binding again.
+SHADOWING_FORMULAS = [
+    "EX t : term. (EX t : term in induction_term. is_free_variable (t)) "
+    "& is_constant (t)",
+    "ALL t : term in induction_term. (EX t : term. "
+    "is_recursive_constant (t)) --> "
+    "(EX to : term_occurrence in t : term. occurs_in_conclusion (to))",
+    # rebound at another sort
+    "EX x : term in induction_term. (EX x : number. "
+    "EX t : term in induction_term. t is_nth_induction_term x) "
+    "& is_free_variable (x)",
+    # an inner occurrence quantifier rebinds `to`; the last atom reads
+    # the outer one, an occurrence of t rather than of t1
+    "EX t1 : term. EX to1 : term_occurrence in t1 : term. "
+    "EX t : term in induction_term. EX to : term_occurrence in t : term. "
+    "is_nth_argument_of (to, 1, to1) "
+    "& (ALL to : term_occurrence in t1 : term. same_term (to, t1)) "
+    "& same_term (to, t)",
+    # the restriction of the inner occurrence quantifier reads the
+    # innermost t
+    "ALL t : term in induction_term. EX t : term. "
+    "EX to : term_occurrence in t : term. "
+    "(is_recursive_constant (t)) & (occurs_in_conclusion (to))",
+]
+
+
+class TestCompiledEvaluator:
+    @pytest.fixture(scope="class")
+    def contexts(self, corpus_dir):
+        out = []
+        for path in sorted(corpus_dir.glob("*.thy")):
+            thy = parse_theory(path.read_text(encoding="utf-8"), path.name)
+            for goal in thy.goals:
+                names = [v.name for v in goal_free_variables(goal)]
+                for terms in ([], names, names[::-1]):
+                    out.append((goal, Candidate(tuple(terms)), thy))
+        return out
+
+    @pytest.mark.parametrize("text", SHADOWING_FORMULAS)
+    def test_shadowing_quantifiers_agree_with_oracle(self, text, contexts):
+        formula = parse_formula(text)
+        check = compile_formula(formula)
+        verdicts = set()
+        for goal, candidate, thy in contexts:
+            ctx = make_context(goal, candidate, thy)
+            expected = ref_evaluate(formula, goal, candidate, thy)
+            assert evaluate(formula, ctx) == expected, goal.name
+            assert evaluate(formula, ctx, check) == expected, goal.name
+            verdicts.add(expected)
+        assert verdicts == {True, False}  # the outer binding matters
+
+    def test_one_compiled_formula_serves_many_contexts(self):
+        rng = random.Random(314)
+        contexts = _contexts()
+        for i in range(30):
+            formula = random_formula(rng, depth=5, max_quantifiers=3)
+            check = compile_formula(formula)
+            for goal, candidate, thy in contexts:
+                ctx = make_context(goal, candidate, thy)
+                assert check(ctx) == ref_evaluate(
+                    formula, goal, candidate, thy), f"formula #{i}"
+
+    def test_unknown_assertion(self, running_goal, running_theory):
+        ctx = ctx_for(running_goal, running_theory, "induct xs")
+        with pytest.raises(ValueError):
+            evaluate_atom("frobnicates", (), ctx)

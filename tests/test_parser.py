@@ -44,6 +44,24 @@ class TestParseTheory:
             parse_theory('fun f :: "nat => nat" where "f x = g x"')
         assert "unknown constant g" in str(err.value)
 
+    def test_declarations_see_only_earlier_ones(self):
+        with pytest.raises(ParseError) as err:
+            parse_theory('fun f :: "nat => nat" where "f x = g x"\n'
+                         'fun g :: "nat => nat" where "g x = x"')
+        assert "unknown constant g" in str(err.value)
+        # in a lemma, a name declared only later is a free variable
+        early = parse_theory('lemma l: "f B = B"\n'
+                             "datatype t = B\n"
+                             'fun f :: "t => t" where "f B = B"')
+        assert early.goals[0].conclusion.arg == FreeVar("B", SimpleType("'a"))
+        thy = parse_theory("datatype t = B | C t\n"
+                           'fun f :: "t => t" where\n'
+                           '  "f B = B"\n'
+                           '| "f (C x) = f x"\n'
+                           'lemma l: "f (C y) = f y"')
+        assert thy.goals[0].conclusion.fun.arg.arg.fun \
+            == thy.fundefs[0].equations[1].lhs.arg.fun
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ParseError) as err:
             parse_theory("datatype t = A | A")

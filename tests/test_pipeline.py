@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inductrank.parser import parse_theory
 from inductrank.pipeline import (
@@ -9,8 +10,8 @@ from inductrank.pipeline import (
 )
 from inductrank.tactic import Candidate, SubgoalSet, parse_candidate
 from inductrank.terms import (
-    TYPE_BOOL, Const, FreeVar, Goal, SimpleType, TYPE_NAT, fun_type,
-    list_of, mk_app, mk_eq,
+    TYPE_BOOL, Const, FreeVar, Goal, SchematicVar, SimpleType, TYPE_NAT,
+    check_term, fun_type, list_of, mk_app, mk_eq, subterms_with_paths,
 )
 
 
@@ -181,3 +182,115 @@ def test_cap_bounds_generated(running_goal, running_theory):
     for cap in (1, 2, 7, 39, 40, 41, 100):
         result = screen(running_goal, running_theory, cap=cap, timeout=None)
         assert result.report.generated == min(cap, 40)
+
+
+# ---------------------------------------------------------------------------
+# Stage 2 against its first, unshared form; subgoal well-formedness
+
+# Small theories whose candidates hit conditions 1 and 2.
+CONDITION_THEORIES = [
+    "datatype bit = B0 | B1\n"
+    'fun konst :: "bit => bit" where\n'
+    '  "konst x = B0"\n'
+    '| "konst x = B0"\n'
+    'lemma k: "konst y = B0"',
+    'fun id2 :: "\'a => \'a" where "id2 x = x"\n'
+    'lemma i: "id2 y = y"',
+]
+
+
+def reference_condition(goal, subgoals):
+    """Stage 2 as first written: every walk lists the paths of all nodes,
+    and every premise is hashed, also when the goal has none."""
+    def nodes(t):
+        return [node for _, node in subterms_with_paths(t)]
+
+    def schematic(g):
+        return any(isinstance(node, SchematicVar)
+                   for _, root in g.regions() for node in nodes(root))
+
+    gs = subgoals.subgoals
+    for i in range(len(gs)):
+        for j in range(i + 1, len(gs)):
+            if (gs[i].premises == gs[j].premises
+                    and gs[i].conclusion == gs[j].conclusion):
+                return 1
+    original = set(goal.premises)
+    if all(all(p in original for p in sg.premises) for sg in gs) and all(
+            any(node == goal.conclusion for node in nodes(sg.conclusion))
+            for sg in gs):
+        return 2
+    if not schematic(goal) and any(schematic(sg) for sg in gs):
+        return 3
+    return None
+
+
+def _test_goals(corpus_dir, g4_theory):
+    out = []
+    for path in sorted(corpus_dir.glob("*.thy")):
+        thy = parse_theory(path.read_text(encoding="utf-8"), path.name)
+        out += [(thy, goal) for goal in thy.goals]
+    for src in CONDITION_THEORIES:
+        thy = parse_theory(src)
+        out.append((thy, thy.goals[0]))
+    return out + [(g4_theory, g4_theory.goal_named("g4"))]
+
+
+def _checked_regions(goal, thy) -> int:
+    """Run `check_term` on every region of every finalist's subgoals."""
+    regions = 0
+    for _, subgoals in screen(goal, thy, timeout=None).finalists:
+        for sg in subgoals.subgoals:
+            for _, root in sg.regions():
+                check_term(root, thy)
+                regions += 1
+    return regions
+
+
+LIST_NAMES = ("xs", "ys", "zs", "ws", "us", "vs")
+NAT_NAMES = ("m", "n", "k", "j")
+
+
+@st.composite
+def scaled_lemmas(draw):
+    """A lemma of one of the scaled benchmark's shapes, with drawn names:
+    5 or 6 variables, both sides over `itadd` and `len`."""
+    xs = draw(st.permutations(LIST_NAMES))
+    m, n = draw(st.permutations(NAT_NAMES))[:2]
+    left = f"itadd (len (itrev {xs[0]} {xs[1]})) {m}"
+    right = draw(st.sampled_from([f"itadd (len (rev {xs[2]})) {n}",
+                                  f"itadd (len (itrev {xs[2]} {xs[3]})) {n}"]))
+    if draw(st.booleans()):
+        left, right = right, left
+    return f'lemma g: "{left} = {right}"\n'
+
+
+class TestStage2Reference:
+    def test_every_survivor_agrees_with_reference(self, corpus_dir,
+                                                  g4_theory):
+        seen = set()
+        for thy, goal in _test_goals(corpus_dir, g4_theory):
+            survivors, _ = stage1(goal, enumerate_candidates(goal, thy), thy,
+                                  timeout=None)
+            expected = [reference_condition(goal, s) for _, s in survivors]
+            _, dispositions = stage2(goal, survivors)
+            assert [d.condition for d in dispositions] == expected, goal.name
+            assert [stage2_condition(goal, s) for _, s in survivors] \
+                == expected, goal.name
+            seen.update(expected)
+        assert seen == {None, 1, 2, 3}
+
+
+class TestSubgoalsWellFormed:
+    def test_corpus_finalist_subgoals_pass_check_term(self, corpus_dir,
+                                                      g4_theory):
+        regions = sum(_checked_regions(goal, thy)
+                      for thy, goal in _test_goals(corpus_dir, g4_theory))
+        assert regions > 0
+
+    @settings(max_examples=4, deadline=None)
+    @given(lemma=scaled_lemmas())
+    def test_scaled_finalist_subgoals_pass_check_term(
+            self, lemma, scaled_definitions):
+        thy = parse_theory(scaled_definitions + lemma)
+        assert _checked_regions(thy.goals[0], thy) > 0

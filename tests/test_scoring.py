@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from _reference import ref_evaluate
-from inductrank.dsl import GoalIndex, candidate_reads, evaluate, make_context
+from inductrank import scoring
+from inductrank.dsl import (
+    GoalIndex, candidate_reads, evaluate, make_context, verdict_key,
+)
 from inductrank.parser import parse_theory
 from inductrank.pipeline import screen
 from inductrank.schemes import rules_for
@@ -143,23 +147,6 @@ class TestDomainIndependence:
 # ---------------------------------------------------------------------------
 # Memoised verdicts
 
-# A goal of the scaled benchmark's g4 shape: five variables, two rules.
-G4_THEORY = """\
-primrec rev :: "'a list => 'a list" where
-  "rev [] = []"
-| "rev (x # xs) = rev xs @ [x]"
-fun itrev :: "'a list => 'a list => 'a list" where
-  "itrev [] ys = ys"
-| "itrev (x # xs) ys = itrev xs (x # ys)"
-primrec len :: "'a list => nat" where
-  "len [] = 0"
-| "len (x # xs) = Suc (len xs)"
-fun itadd :: "nat => nat => nat" where
-  "itadd 0 n = n"
-| "itadd (Suc m) n = itadd m (Suc n)"
-lemma g4: "itadd (len (itrev xs ys)) m = itadd (len (rev zs)) n"
-"""
-
 # One heuristic per candidate field, each reading only that field.
 SINGLE_READ_HEURISTICS = [
     (("arbitrary",),
@@ -205,9 +192,9 @@ def corpus_finalists(corpus_dir):
 
 
 @pytest.fixture(scope="module")
-def oracle_goals(corpus_dir):
-    g4 = parse_theory(G4_THEORY)
-    return _corpus_goals(corpus_dir) + [(g4, g4.goal_named("g4"))]
+def oracle_goals(corpus_dir, g4_theory):
+    return _corpus_goals(corpus_dir) + [(g4_theory,
+                                         g4_theory.goal_named("g4"))]
 
 
 def candidates_over(goal, thy):
@@ -260,3 +247,29 @@ class TestMemoisedVerdicts:
                 assert sc.verdicts == (evaluate(suite[0].formula, fresh),)
                 seen.add(sc.verdicts)
         assert seen == {(True,), (False,)}  # the field matters
+
+
+class TestEvaluateBinding:
+    def test_one_module_level_evaluate_call_per_memo_miss(
+            self, monkeypatch, corpus_finalists):
+        # Callers that time heuristics wrap `scoring.evaluate`, so every
+        # verdict score_all computes must go through that name, with the
+        # suite's own formula object first.
+        suite = default_suite()
+        calls = []
+        original = scoring.evaluate
+
+        def spy(formula, *args):
+            calls.append(formula)
+            return original(formula, *args)
+
+        monkeypatch.setattr(scoring, "evaluate", spy)
+        for thy, goal, finalists in corpus_finalists:
+            calls.clear()
+            scored_as_cli(goal, thy, suite, finalists)
+            misses = Counter({
+                id(h.formula): len({verdict_key(h.formula)(c)
+                                    for c, _ in finalists})
+                for h in suite})
+            assert all(any(f is h.formula for h in suite) for f in calls)
+            assert Counter(id(f) for f in calls) == misses, goal.name

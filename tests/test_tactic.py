@@ -3,8 +3,10 @@ from __future__ import annotations
 import pytest
 
 from inductrank.parser import parse_goal_expr, parse_theory
+from inductrank.pipeline import enumerate_candidates
 from inductrank.tactic import (
-    Candidate, TacticError, TacticErrorKind, apply_induct, parse_candidate,
+    Candidate, InductTactic, TacticError, TacticErrorKind, apply_induct,
+    parse_candidate,
 )
 from inductrank.terms import (
     App, FreeVar, Goal, SchematicVar, contains_schematic, goal_free_variables,
@@ -202,3 +204,66 @@ class TestCandidateSyntax:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_candidate("apply auto")
+
+
+# ---------------------------------------------------------------------------
+# One tactic shared by every candidate of a goal
+
+
+def _outcome(apply, candidate):
+    """The subgoals of an application, or the kind of error it raised."""
+    try:
+        return apply(candidate)
+    except TacticError as err:
+        return err.kind
+
+
+class TestSharedTactic:
+    def test_shared_tactic_equals_fresh_application(self, corpus_dir,
+                                                    g4_theory):
+        goals = [(thy, goal) for path in sorted(corpus_dir.glob("*.thy"))
+                 for thy in [parse_theory(path.read_text(encoding="utf-8"),
+                                          path.name)]
+                 for goal in thy.goals]
+        goals.append((g4_theory, g4_theory.goal_named("g4")))
+        assert len(goals) == 16
+        kinds = set()
+        for thy, goal in goals:
+            shared = InductTactic(goal, thy)
+            # backwards, so the shared cases are made in another order
+            # than stage 1 makes them
+            for candidate in reversed(list(enumerate_candidates(goal, thy))):
+                got = _outcome(lambda c: shared.apply(c, None), candidate)
+                assert got == _outcome(
+                    lambda c: apply_induct(goal, c, thy, timeout=None),
+                    candidate), (goal.name, candidate.tactic_text())
+                kinds.add(got if isinstance(got, TacticErrorKind)
+                          else "subgoals")
+        assert kinds == {"subgoals", *TacticErrorKind} - {
+            TacticErrorKind.UNKNOWN_RULE, TacticErrorKind.TIMEOUT}
+
+    def test_shared_failure_raises_a_fresh_error(self, running_goal,
+                                                 running_theory):
+        tactic = InductTactic(running_goal, running_theory)
+        errors = []
+        for text in ("induct xs rule: nosuch.induct",
+                     "induct xs arbitrary: ys rule: nosuch.induct"):
+            with pytest.raises(TacticError) as info:
+                tactic.apply(parse_candidate(text), None)
+            errors.append(info.value)
+        first, second = errors
+        assert first.kind == second.kind == TacticErrorKind.UNKNOWN_RULE
+        assert first.detail == second.detail
+        assert second is not first
+
+    def test_cases_do_not_depend_on_arbitrary(self, running_goal,
+                                              running_theory):
+        # generalising one candidate must not leak into the shared cases
+        tactic = InductTactic(running_goal, running_theory)
+        plain = parse_candidate("induct xs rule: itrev.induct")
+        generalised = parse_candidate("induct xs arbitrary: ys "
+                                      "rule: itrev.induct")
+        before = tactic.apply(plain, None)
+        tactic.apply(generalised, None)
+        assert tactic.apply(plain, None) == before \
+            == apply_induct(running_goal, plain, running_theory, None)

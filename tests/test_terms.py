@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from inductrank.parser import parse_goal_expr
 from inductrank.terms import (
-    TYPE_NAT, App, Const, FreeVar, Goal, SchematicVar, SimpleType,
+    PRELUDE_DATATYPES, PRELUDE_FUNDEFS, TYPE_NAT, App, Const, Constructor,
+    DatatypeDef, FreeVar, FunDef, Goal, SchematicVar, SimpleType, Theory,
     contains_schematic, contains_subterm, free_variables, fun_type,
     goal_free_variables, list_of, mk_app, occurrences_of,
     resolve_occurrence, subst_frees, subterm_at, term_type,
@@ -211,3 +212,55 @@ def test_subterm_at_rejects_bad_path():
 def test_term_type_of_application():
     assert term_type(cons(VA, NIL)) == NATS
     assert term_type(suc(ZERO)) == NAT
+
+
+# -- theory name lookups -----------------------------------------------------
+
+
+def _scan_lookups(thy, name):
+    """The lookups as linear scans: the theory's declarations in order,
+    then the prelude."""
+    datatypes = [*thy.datatypes, *PRELUDE_DATATYPES.values()]
+    fundefs = [*thy.fundefs, *PRELUDE_FUNDEFS.values()]
+    owners = [(d, c) for d in datatypes for c in d.constructors
+              if c.name == name]
+    return (next((d for d in datatypes if d.name == name), None),
+            next((f for f in fundefs if f.name == name), None),
+            next((g for g in thy.goals if g.name == name), None),
+            owners[0] if owners else None)
+
+
+class TestTheoryLookups:
+    def test_first_declaration_wins_and_theory_shadows_prelude(self):
+        my_nat = DatatypeDef("nat", (), (Constructor("Z", ()),))
+        first = DatatypeDef("t", (), (Constructor("A", ()),
+                                      Constructor("Suc", (NAT,))))
+        second = DatatypeDef("t", (), (Constructor("A", ()),))
+        f1 = FunDef("f", fun_type(NAT, NAT), (), False)
+        f2 = FunDef("f", fun_type(NATS, NAT), (), True)
+        at = FunDef("@", fun_type(NAT, NAT), (), False)
+        g1 = Goal("g", (), VA)
+        g2 = Goal("g", (), VB)
+        thy = Theory((my_nat, first, second), (f1, f2, at), (g1, g2))
+        assert thy.datatype("nat") is my_nat
+        assert thy.datatype("t") is first
+        assert thy.fundef("f") is f1
+        assert thy.fundef("@") is at
+        assert thy.goal_named("g") is g1
+        assert thy.constructor_owner("Suc") == (first, first.constructors[1])
+        assert thy.const_scheme("Suc") == fun_type(NAT, SimpleType("t"))
+        for name in ("nat", "list", "bool", "t", "f", "@", "g", "Z", "A",
+                     "Suc", "0", "[]", "#", "True", "eq", "missing"):
+            assert (thy.datatype(name), thy.fundef(name),
+                    thy.goal_named(name), thy.constructor_owner(name)) \
+                == _scan_lookups(thy, name), name
+
+    def test_lookups_leave_equality_and_repr_alone(self, running_theory):
+        copy = Theory(running_theory.datatypes, running_theory.fundefs,
+                      running_theory.goals)
+        before = repr(copy)
+        assert copy.fundef("itrev") is not None
+        assert copy.constructor_owner("#") is not None
+        assert copy.goal_named("itrev_rev") is not None
+        assert repr(copy) == before
+        assert copy == running_theory and hash(copy) == hash(running_theory)
