@@ -96,6 +96,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 1
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
 

@@ -22,15 +22,17 @@ declaration (left-over inference variables are canonicalised to 'a, 'b,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import is_
+from typing import NamedTuple
 
 from .terms import (
     EXTRA_CONST_SCHEMES, FUN, IMPLIES, PRELUDE_DATATYPES, PRELUDE_FUNDEFS,
     PRELUDE_NAMES, TYPE_BOOL, TYPE_NAT,
-    Const, Constructor, DatatypeDef, Equation, FreeVar, FunDef, Goal,
+    App, Const, Constructor, DatatypeDef, Equation, FreeVar, FunDef, Goal,
     SchematicVar, SimpleType, Term, Theory,
     format_goal, format_term, format_type, fun_type, mk_app,
-    spine, split_implications,
+    spine, split_implications, type_vars,
 )
 
 
@@ -65,7 +67,8 @@ _KEYWORDS = {"datatype", "fun", "primrec", "lemma", "where"}
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
   | (?P<comment>\(\*)
-  | (?P<quoted>")
+  | (?P<quoted>"[^"]*")
+  | (?P<unterminated>")
   | (?P<tyvar>'[a-zA-Z][a-zA-Z0-9_']*)
   | (?P<schem>\?[a-zA-Z_][a-zA-Z0-9_']*)
   | (?P<ident>[a-zA-Z_][a-zA-Z0-9_']*)
@@ -74,263 +77,69 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str       # tyvar | schem | ident | num | sym | quoted | eof
-    text: str
+    text: str       # for quoted tokens: the text between the quotes
     line: int
     column: int
-    # for quoted tokens: position of the first character inside the quotes
-    inner_line: int = 0
-    inner_column: int = 0
 
 
-def _scan(source: str, file: str) -> list[Token]:
-    source = source.replace("\r\n", "\n")
+def _scan(source: str, file: str, line: int = 1,
+          column: int = 1) -> list[Token]:
+    """Tokens of `source`, whose first character is at `line`:`column`.
+
+    A token's column is its distance from the last newline before it;
+    `nl` is that newline's index (before the first one, -`column`)."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-
-    def advance(text: str) -> None:
-        nonlocal line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-
+    nl = -column
+    i, n = 0, len(source)
     while i < n:
         m = _TOKEN_RE.match(source, i)
         if m is None:
             raise ParseError(f"unexpected character {source[i]!r}",
-                             SourceSpan(file, line, col))
-        kind = m.lastgroup
-        text = m.group()
-        start_line, start_col = line, col
-        if kind == "ws":
-            advance(text)
-            i = m.end()
-            continue
+                             SourceSpan(file, line, i - nl))
+        kind, j = m.lastgroup, m.end()
         if kind == "comment":
             depth = 1
-            j = m.end()
-            advance(text)
-            while depth > 0:
-                if j >= n:
+            while depth:
+                close = source.find("*)", j)
+                if close < 0:
                     raise ParseError("unterminated comment",
-                                     SourceSpan(file, start_line, start_col))
-                if source.startswith("(*", j):
-                    depth += 1
-                    advance("(*")
-                    j += 2
-                elif source.startswith("*)", j):
-                    depth -= 1
-                    advance("*)")
-                    j += 2
+                                     SourceSpan(file, line, i - nl))
+                inner = source.find("(*", j)
+                if 0 <= inner < close:
+                    depth, j = depth + 1, inner + 2
                 else:
-                    advance(source[j])
-                    j += 1
+                    depth, j = depth - 1, close + 2
+        elif kind == "quoted":
+            tokens.append(Token(kind, source[i + 1:j - 1], line, i - nl))
+        elif kind == "unterminated":
+            raise ParseError("unterminated quote",
+                             SourceSpan(file, line, i - nl))
+        elif kind != "ws":
+            tokens.append(Token(kind, m.group(), line, i - nl))
             i = j
             continue
-        if kind == "quoted":
-            advance('"')
-            inner_line, inner_col = line, col
-            j = m.end()
-            while j < n and source[j] != '"':
-                advance(source[j])
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated quote",
-                                 SourceSpan(file, start_line, start_col))
-            inner = source[m.end():j]
-            advance('"')
-            tokens.append(Token("quoted", inner, start_line, start_col,
-                                inner_line, inner_col))
-            i = j + 1
-            continue
-        advance(text)
-        tokens.append(Token(kind, text, start_line, start_col))
-        i = m.end()
-    tokens.append(Token("eof", "", line, col))
+        newlines = source.count("\n", i, j)
+        if newlines:
+            line += newlines
+            nl = source.rfind("\n", i, j)
+        i = j
+    tokens.append(Token("eof", "", line, n - nl))
     return tokens
 
 
-# ---------------------------------------------------------------------------
-# Type inference plumbing
+class _Cursor:
+    """A position in a token list, with errors spanned in `file`.  `end`
+    is what an error says on reaching the end of the list; inside quotes
+    that is the empty end token itself (``found ''``)."""
 
-
-class _Mismatch(Exception):
-    pass
-
-
-class _Unifier:
-    """Union-find-free unifier over SimpleType; inference variables are
-    primed names starting with ``'?``."""
-
-    def __init__(self) -> None:
-        self.subst: dict[str, SimpleType] = {}
-        self.counter = 0
-
-    def fresh(self) -> SimpleType:
-        self.counter += 1
-        return SimpleType(f"'?{self.counter}")
-
-    def resolve(self, t: SimpleType) -> SimpleType:
-        while t.is_var() and t.name in self.subst:
-            t = self.subst[t.name]
-        if t.args:
-            return SimpleType(t.name, tuple(self.resolve(a) for a in t.args))
-        return t
-
-    def _occurs(self, name: str, t: SimpleType) -> bool:
-        t = self.resolve(t)
-        if t.is_var():
-            return t.name == name
-        return any(self._occurs(name, a) for a in t.args)
-
-    def unify(self, a: SimpleType, b: SimpleType) -> None:
-        a, b = self.resolve(a), self.resolve(b)
-        if a == b:
-            return
-        if a.is_var():
-            if self._occurs(a.name, b):
-                raise _Mismatch()
-            self.subst[a.name] = b
-            return
-        if b.is_var():
-            self.unify(b, a)
-            return
-        if a.name != b.name or len(a.args) != len(b.args):
-            raise _Mismatch()
-        for x, y in zip(a.args, b.args):
-            self.unify(x, y)
-
-    def instantiate(self, scheme: SimpleType) -> SimpleType:
-        mapping: dict[str, SimpleType] = {}
-
-        def walk(t: SimpleType) -> SimpleType:
-            if t.is_var():
-                if t.name not in mapping:
-                    mapping[t.name] = self.fresh()
-                return mapping[t.name]
-            return SimpleType(t.name, tuple(walk(a) for a in t.args))
-
-        return walk(scheme)
-
-
-_CANON_POOL = [f"'{c}" for c in "abcdefghijklmnopqrstuvwxyz"]
-
-
-def _canonicalise(term: Term, uni: _Unifier) -> Term:
-    """Resolve all inference variables in a term and rename the left-over
-    ones to 'a, 'b, ... in first-occurrence order."""
-    order: list[str] = []
-    used: set[str] = set()
-
-    def note(t: SimpleType) -> None:
-        if t.is_var():
-            if t.name.startswith("'?"):
-                if t.name not in order:
-                    order.append(t.name)
-            else:
-                used.add(t.name)
-        for a in t.args:
-            note(a)
-
-    def resolve_types(t: Term) -> Term:
-        if isinstance(t, (FreeVar, SchematicVar, Const)):
-            ty = uni.resolve(t.type)
-            note(ty)
-            return type(t)(t.name, ty)
-        return mk_app(resolve_types(t.fun), resolve_types(t.arg))
-
-    t2 = resolve_types(term)
-    pool = [v for v in _CANON_POOL if v not in used]
-    renames: dict[str, SimpleType] = {}
-    for i, name in enumerate(order):
-        fresh = pool[i] if i < len(pool) else f"'v{i}"
-        renames[name] = SimpleType(fresh)
-
-    def apply(ty: SimpleType) -> SimpleType:
-        if ty.is_var():
-            return renames.get(ty.name, ty)
-        return SimpleType(ty.name, tuple(apply(a) for a in ty.args))
-
-    def rewrite(t: Term) -> Term:
-        if isinstance(t, (FreeVar, SchematicVar, Const)):
-            return type(t)(t.name, apply(t.type))
-        return mk_app(rewrite(t.fun), rewrite(t.arg))  # type: ignore[union-attr]
-
-    return rewrite(t2)
-
-
-# ---------------------------------------------------------------------------
-# Parser
-
-
-class _Parser:
-    def __init__(self, tokens: list[Token], file: str):
+    def __init__(self, tokens: list[Token], file: str,
+                 end: str = "unexpected end of input"):
         self.tokens = tokens
         self.pos = 0
         self.file = file
-
-    # -- token plumbing -----------------------------------------------------
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def span(self, tok: Token) -> SourceSpan:
-        return SourceSpan(self.file, tok.line, tok.column)
-
-    def fail(self, message: str, tok: Token | None = None,
-             expected: tuple[str, ...] = ()) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, self.span(tok), expected)
-
-    def expect_sym(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == text:
-            return self.next()
-        raise self.fail(f"found {tok.text!r}" if tok.kind != "eof"
-                        else "unexpected end of input",
-                        tok, expected=(f"'{text}'",))
-
-    def expect_ident(self, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "ident":
-            return self.next()
-        raise self.fail(f"found {tok.text!r}" if tok.kind != "eof"
-                        else "unexpected end of input",
-                        tok, expected=(what,))
-
-    def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == text
-
-
-class _TermTokens:
-    """Token cursor for text inside a quoted string, with absolute spans."""
-
-    def __init__(self, quoted: Token, file: str):
-        shifted: list[Token] = []
-        for t in _scan(quoted.text, file):
-            if t.line == 1:
-                shifted.append(Token(t.kind, t.text, quoted.inner_line,
-                                     quoted.inner_column + t.column - 1))
-            else:
-                shifted.append(Token(t.kind, t.text,
-                                     quoted.inner_line + t.line - 1, t.column))
-        self.tokens = shifted
-        self.pos = 0
-        self.file = file
+        self.end = end
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -348,20 +157,169 @@ class _TermTokens:
                           expected)
 
     def at_sym(self, text: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == "sym" and tok.text == text
 
-    def expect_sym(self, text: str) -> None:
-        if not self.at_sym(text):
-            raise self.fail(f"found {self.peek().text!r}",
-                            expected=(f"'{text}'",))
-        self.next()
+    def expect_sym(self, text: str) -> Token:
+        if self.at_sym(text):
+            return self.next()
+        raise self.unexpected(f"'{text}'")
+
+    def expect_ident(self, what: str) -> Token:
+        if self.peek().kind == "ident":
+            return self.next()
+        raise self.unexpected(what)
+
+    def unexpected(self, what: str, end: str | None = None) -> ParseError:
+        """The error for the next token where `what` was expected."""
+        tok = self.peek()
+        return self.fail(f"found {tok.text!r}" if tok.kind != "eof"
+                         else end or self.end, tok, expected=(what,))
+
+
+def _quoted(text: str, file: str, line: int, column: int) -> _Cursor:
+    """A cursor over the terms or types of quoted text starting at
+    `line`:`column`."""
+    return _Cursor(_scan(text, file, line, column), file, end="found ''")
+
+
+# ---------------------------------------------------------------------------
+# Type inference plumbing
+
+
+class _Mismatch(Exception):
+    pass
+
+
+def _with_args(t: SimpleType, args: tuple[SimpleType, ...]) -> SimpleType:
+    """`t` with argument types `args`; `t` itself when they are its own."""
+    if all(map(is_, args, t.args)):
+        return t
+    return SimpleType(t.name, args)
+
+
+class _Unifier:
+    """Unifier over SimpleType; inference variables are primed names
+    starting with ``'?``.  `subst` binds a variable to a type that may
+    mention other bound variables; bindings are followed one level at a
+    time, and a type is resolved in full only where it is written out."""
+
+    def __init__(self) -> None:
+        self.subst: dict[str, SimpleType] = {}
+        self.counter = 0
+
+    def fresh(self) -> SimpleType:
+        self.counter += 1
+        return SimpleType(f"'?{self.counter}")
+
+    def head(self, t: SimpleType) -> SimpleType:
+        """`t` with the bindings at its root followed."""
+        while t.name in self.subst:
+            t = self.subst[t.name]
+        return t
+
+    def resolve(self, t: SimpleType) -> SimpleType:
+        t = self.head(t)
+        return _with_args(t, tuple(map(self.resolve, t.args))) if t.args \
+            else t
+
+    def _occurs(self, name: str, t: SimpleType) -> bool:
+        t = self.head(t)
+        return t.name == name or any(self._occurs(name, a) for a in t.args)
+
+    def unify(self, a: SimpleType, b: SimpleType) -> None:
+        a, b = self.head(a), self.head(b)
+        if a is b:
+            return
+        if a.is_var():
+            if a.name == b.name:
+                return
+            if self._occurs(a.name, b):
+                raise _Mismatch()
+            self.subst[a.name] = b
+        elif b.is_var():
+            self.unify(b, a)
+        elif a.name != b.name or len(a.args) != len(b.args):
+            raise _Mismatch()
+        else:
+            for x, y in zip(a.args, b.args):
+                self.unify(x, y)
+
+    def instantiate(self, scheme: SimpleType) -> SimpleType:
+        mapping: dict[str, SimpleType] = {}
+
+        def walk(t: SimpleType) -> SimpleType:
+            if t.is_var():
+                if t.name not in mapping:
+                    mapping[t.name] = self.fresh()
+                return mapping[t.name]
+            return _with_args(t, tuple(map(walk, t.args))) if t.args else t
+
+        return walk(scheme)
+
+
+_CANON_POOL = [f"'{c}" for c in "abcdefghijklmnopqrstuvwxyz"]
+
+
+def _canonicalise(term: Term, uni: _Unifier) -> Term:
+    """Resolve all inference variables in a term and rename the left-over
+    ones to 'a, 'b, ... in first-occurrence order.  One pass collects the
+    variables, one rewrites the term; each visits a type object once."""
+    order: dict[str, None] = {}
+    used: set[str] = set()
+    seen: set[int] = set()
+
+    def note(ty: SimpleType) -> None:
+        if id(ty) not in seen:
+            seen.add(id(ty))
+            ty = uni.head(ty)
+            if ty.name.startswith("'?"):
+                order.setdefault(ty.name)
+            elif ty.is_var():
+                used.add(ty.name)
+            for a in ty.args:
+                note(a)
+
+    def note_term(t: Term) -> None:
+        if isinstance(t, App):
+            note_term(t.fun)
+            note_term(t.arg)
+        else:
+            note(t.type)
+
+    note_term(term)
+    pool = [v for v in _CANON_POOL if v not in used]
+    renames = {name: SimpleType(pool[i] if i < len(pool) else f"'v{i}")
+               for i, name in enumerate(order)}
+    done: dict[int, SimpleType] = {}
+
+    def canon(ty: SimpleType) -> SimpleType:
+        out = done.get(id(ty))
+        if out is None:
+            t = uni.head(ty)
+            out = _with_args(t, tuple(map(canon, t.args))) if t.args \
+                else renames.get(t.name, t)
+            done[id(ty)] = out
+        return out
+
+    def rewrite(t: Term) -> Term:
+        if isinstance(t, App):
+            fun, arg = rewrite(t.fun), rewrite(t.arg)
+            return t if fun is t.fun and arg is t.arg else App(fun, arg)
+        ty = canon(t.type)
+        return t if ty is t.type else type(t)(t.name, ty)
+
+    return rewrite(term)
+
+
+# ---------------------------------------------------------------------------
+# Parser
 
 
 # -- types ------------------------------------------------------------------
 
 
-def _parse_type(ts: _TermTokens, known: dict[str, int]) -> SimpleType:
+def _parse_type(ts: _Cursor, known: dict[str, int]) -> SimpleType:
     left = _parse_type_postfix(ts, known)
     if ts.at_sym(FUN):
         ts.next()
@@ -370,7 +328,7 @@ def _parse_type(ts: _TermTokens, known: dict[str, int]) -> SimpleType:
     return left
 
 
-def _parse_type_postfix(ts: _TermTokens, known: dict[str, int]) -> SimpleType:
+def _parse_type_postfix(ts: _Cursor, known: dict[str, int]) -> SimpleType:
     args: list[SimpleType]
     tok = ts.peek()
     if tok.kind == "tyvar":
@@ -394,9 +352,7 @@ def _parse_type_postfix(ts: _TermTokens, known: dict[str, int]) -> SimpleType:
         _check_type_name(ts, tok, 0, known)
         args = [SimpleType(tok.text)]
     else:
-        raise ts.fail(f"found {tok.text!r}" if tok.kind != "eof"
-                      else "unexpected end of type",
-                      tok, expected=("type",))
+        raise ts.unexpected("type", "unexpected end of type")
     while ts.peek().kind == "ident":
         name_tok = ts.next()
         _check_type_name(ts, name_tok, len(args), known)
@@ -407,16 +363,15 @@ def _parse_type_postfix(ts: _TermTokens, known: dict[str, int]) -> SimpleType:
     return result
 
 
-def _check_type_name(ts: _TermTokens, tok: Token, arity: int,
+def _check_type_name(ts: _Cursor, tok: Token, arity: int,
                      known: dict[str, int]) -> None:
     declared = known.get(tok.text)
     if declared is None:
-        raise ParseError(f"unknown type {tok.text}",
-                         SourceSpan(ts.file, tok.line, tok.column))
+        raise ts.fail(f"unknown type {tok.text}", tok)
     if declared != arity:
-        raise ParseError(
+        raise ts.fail(
             f"type {tok.text} expects {declared} argument(s), got {arity}",
-            SourceSpan(ts.file, tok.line, tok.column))
+            tok)
 
 
 # -- terms ------------------------------------------------------------------
@@ -432,7 +387,7 @@ class _TermParser:
     variables, in the right-hand side of an equation they are an error.
     """
 
-    def __init__(self, ts: _TermTokens, sig: Theory | _Signature,
+    def __init__(self, ts: _Cursor, sig: Theory | _Signature,
                  uni: _Unifier, env: dict[str, SimpleType],
                  bind_unknown: bool):
         self.ts = ts
@@ -547,10 +502,7 @@ class _TermParser:
                     items.append(self.parse_implies())
             self.ts.expect_sym("]")
             return self._list_literal(items, tok)
-        raise self.ts.fail(
-            f"found {tok.text!r}" if tok.kind != "eof"
-            else "unexpected end of term",
-            tok, expected=("term",))
+        raise self.ts.unexpected("term", "unexpected end of term")
 
     def _list_literal(self, items: list[tuple[Term, SimpleType]],
                       tok: Token) -> tuple[Term, SimpleType]:
@@ -618,8 +570,7 @@ class _Signature:
 def parse_theory(source: str, file: str = "<string>") -> Theory:
     """Parse a theory file.  Raises ParseError on syntax violations,
     duplicate names, unknown constants/types, or ill-typed equations."""
-    tokens = _scan(source, file)
-    p = _Parser(tokens, file)
+    p = _Cursor(_scan(source.replace("\r\n", "\n"), file), file)
     datatypes: list[DatatypeDef] = []
     fundefs: list[FunDef] = []
     goals: list[Goal] = []
@@ -649,7 +600,7 @@ def parse_theory(source: str, file: str = "<string>") -> Theory:
     return Theory(tuple(datatypes), tuple(fundefs), tuple(goals))
 
 
-def _parse_datatype(p: _Parser, known_types: dict[str, int],
+def _parse_datatype(p: _Cursor, known_types: dict[str, int],
                     declare) -> DatatypeDef:
     p.next()  # 'datatype'
     name_tok = p.expect_ident("datatype name")
@@ -682,7 +633,7 @@ def _parse_datatype(p: _Parser, known_types: dict[str, int],
     return DatatypeDef(name_tok.text, tuple(params), tuple(ctors))
 
 
-def _parse_ctor_arg(p: _Parser, known: dict[str, int], params: list[str],
+def _parse_ctor_arg(p: _Cursor, known: dict[str, int], params: list[str],
                     ctx_tok: Token) -> SimpleType:
     tok = p.peek()
     if tok.kind == "tyvar":
@@ -714,32 +665,17 @@ def _parse_ctor_arg(p: _Parser, known: dict[str, int], params: list[str],
             if depth == 0:
                 break
         parts.append(t)
-    ts = _TermTokens(Token("quoted", "", tok.line, tok.column,
-                           tok.line, tok.column), p.file)
-    ts.tokens = parts + [Token("eof", "", tok.line, tok.column)]
+    ts = _Cursor(parts + [Token("eof", "", tok.line, tok.column)], p.file)
     ty = _parse_type(ts, known)
     if ts.peek().kind != "eof":
         raise ts.fail("trailing tokens in type")
-    for tv in _collect_tyvars(ty):
+    for tv in type_vars(ty):
         if tv not in params:
             raise p.fail(f"type variable {tv} is not a parameter", tok)
     return ty
 
 
-def _collect_tyvars(t: SimpleType) -> list[str]:
-    out: list[str] = []
-
-    def walk(u: SimpleType) -> None:
-        if u.is_var():
-            out.append(u.name)
-        for a in u.args:
-            walk(a)
-
-    walk(t)
-    return out
-
-
-def _parse_fundef(p: _Parser, sig: _Signature,
+def _parse_fundef(p: _Cursor, sig: _Signature,
                   known_types: dict[str, int], declare) -> FunDef:
     kw = p.next()  # 'fun' | 'primrec'
     name_tok = p.expect_ident("function name")
@@ -748,7 +684,7 @@ def _parse_fundef(p: _Parser, sig: _Signature,
     if ty_tok.kind != "quoted":
         raise p.fail("found unquoted type", ty_tok, expected=('"<type>"',))
     p.next()
-    ts = _TermTokens(ty_tok, p.file)
+    ts = _quoted(ty_tok.text, p.file, ty_tok.line, ty_tok.column + 1)
     declared_ty = _parse_type(ts, known_types)
     if ts.peek().kind != "eof":
         raise ts.fail("trailing tokens in type")
@@ -769,14 +705,13 @@ def _parse_fundef(p: _Parser, sig: _Signature,
             raise p.fail("found unquoted equation", eq_tok,
                          expected=('"<equation>"',))
         p.next()
-        eq = _parse_equation(eq_tok, p.file, sig, name_tok.text)
+        eq = _parse_equation(p, eq_tok, sig, name_tok.text)
         n_args = len(eq.lhs_args())
         if arity is None:
             arity = n_args
         elif arity != n_args:
-            raise ParseError(
-                f"equation has {n_args} argument(s), earlier ones have "
-                f"{arity}", SourceSpan(p.file, eq_tok.line, eq_tok.column))
+            raise p.fail(f"equation has {n_args} argument(s), earlier ones "
+                         f"have {arity}", eq_tok)
         equations.append(eq)
         if p.at_sym("|"):
             p.next()
@@ -786,9 +721,9 @@ def _parse_fundef(p: _Parser, sig: _Signature,
                   kw.text == "fun")
 
 
-def _parse_equation(quoted: Token, file: str, sig: _Signature,
+def _parse_equation(p: _Cursor, quoted: Token, sig: _Signature,
                     fn_name: str) -> Equation:
-    ts = _TermTokens(quoted, file)
+    ts = _quoted(quoted.text, p.file, quoted.line, quoted.column + 1)
     uni = _Unifier()
     env: dict[str, SimpleType] = {}
 
@@ -804,15 +739,13 @@ def _parse_equation(quoted: Token, file: str, sig: _Signature,
 
     head, args = spine(lhs)
     if not (isinstance(head, Const) and head.name == fn_name):
-        raise ParseError(f"equation must define {fn_name}",
-                         SourceSpan(file, quoted.line, quoted.column))
-    _check_patterns(args, sig, file, quoted)
+        raise p.fail(f"equation must define {fn_name}", quoted)
+    _check_patterns(args, sig, SourceSpan(p.file, quoted.line, quoted.column))
     try:
         uni.unify(lhs_ty, rhs_ty)
     except _Mismatch:
-        raise ParseError(
-            "ill-typed equation: left and right sides disagree",
-            SourceSpan(file, quoted.line, quoted.column))
+        raise p.fail("ill-typed equation: left and right sides disagree",
+                     quoted)
     # canonicalise both sides against the same variable pool
     shell = Const("eq", fun_type(lhs_ty, lhs_ty, TYPE_BOOL))
     pair = _canonicalise(mk_app(shell, lhs, rhs), uni)
@@ -820,10 +753,9 @@ def _parse_equation(quoted: Token, file: str, sig: _Signature,
     return Equation(lhs2, rhs2)
 
 
-def _check_patterns(args: tuple[Term, ...], sig: _Signature, file: str,
-                    quoted: Token) -> None:
+def _check_patterns(args: tuple[Term, ...], sig: _Signature,
+                    span: SourceSpan) -> None:
     seen_vars: set[str] = set()
-    span = SourceSpan(file, quoted.line, quoted.column)
 
     def walk(t: Term) -> None:
         if isinstance(t, FreeVar):
@@ -843,7 +775,7 @@ def _check_patterns(args: tuple[Term, ...], sig: _Signature, file: str,
         walk(a)
 
 
-def _parse_lemma(p: _Parser, sig: _Signature, declare) -> Goal:
+def _parse_lemma(p: _Cursor, sig: _Signature, declare) -> Goal:
     lemma_tok = p.next()  # 'lemma'
     name_tok = p.expect_ident("lemma name")
     declare(name_tok.text, name_tok)
@@ -853,14 +785,14 @@ def _parse_lemma(p: _Parser, sig: _Signature, declare) -> Goal:
         raise p.fail("found unquoted proposition", prop_tok,
                      expected=('"<prop>"',))
     p.next()
-    term = _parse_prop(prop_tok, p.file, sig)
+    term = _parse_prop(
+        _quoted(prop_tok.text, p.file, prop_tok.line, prop_tok.column + 1),
+        sig)
     premises, conclusion = split_implications(term)
     return Goal(name_tok.text, premises, conclusion, line=lemma_tok.line)
 
 
-def _parse_prop(quoted: Token, file: str,
-                sig: Theory | _Signature) -> Term:
-    ts = _TermTokens(quoted, file)
+def _parse_prop(ts: _Cursor, sig: Theory | _Signature) -> Term:
     uni = _Unifier()
     parser = _TermParser(ts, sig, uni, {}, bind_unknown=True)
     start = ts.peek()
@@ -870,17 +802,14 @@ def _parse_prop(quoted: Token, file: str,
     try:
         uni.unify(ty, TYPE_BOOL)
     except _Mismatch:
-        raise ParseError(
-            "goal must be propositional",
-            SourceSpan(file, start.line, start.column))
+        raise ts.fail("goal must be propositional", start)
     return _canonicalise(term, uni)
 
 
 def parse_goal_expr(source: str, ctx: Theory,
                     file: str = "<expr>") -> Term:
     """Parse a standalone boolean proposition over `ctx`'s signature."""
-    quoted = Token("quoted", source.replace("\r\n", "\n"), 1, 1, 1, 1)
-    return _parse_prop(quoted, file, ctx)
+    return _parse_prop(_quoted(source.replace("\r\n", "\n"), file, 1, 1), ctx)
 
 
 # ---------------------------------------------------------------------------

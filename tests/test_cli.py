@@ -106,6 +106,18 @@ class TestRecommend:
         assert err.startswith("error:") and "absent.heuristics" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("prop", [
+        "Suc 0 = 5000",
+        "(" * 1000 + "x" + ")" * 1000 + " = 0",
+    ], ids=["numeral", "parentheses"])
+    def test_deep_input_is_an_error(self, capsys, tmp_path, prop):
+        thy = tmp_path / "deep.thy"
+        thy.write_text(f'lemma deep: "{prop}"\n')
+        code, out, err = run_cli(capsys, "recommend", str(thy),
+                                 "--goal", "deep")
+        assert code == 1
+        assert err == "error: input nested too deeply\n"
+
 
 class TestExplain:
     def test_finalist_matrix(self, capsys, running_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inductrank.parser import (
     ParseError, parse_goal_expr, parse_theory, print_theory,
@@ -137,6 +138,160 @@ class TestParseGoalExpr:
         assert "goal must be propositional" in str(err.value)
 
 
+# -- generated theories ------------------------------------------------------
+#
+# Types are written as theory text with A for the one type variable 'a of a
+# declaration: "nat", "A list", "nat => nat", "A t0".  Every type the
+# generator uses has a leaf term (a numeral, [], a nullary constructor)
+# except A and nat => nat, which need a variable or a declared constant.
+
+ELEMS = ("nat", "A")
+
+
+def _decl(ty: str) -> str:
+    return ty.replace("A", "'a")
+
+
+@st.composite
+def theory_texts(draw):
+    """Theory text with datatypes whose constructors take compound
+    arguments, polymorphic fun and primrec definitions, and lemmas with
+    premises, list literals and numerals."""
+    chunks: list[str] = []
+    datatypes: list[tuple[str, bool, list[tuple[str, list[str]]]]] = []
+    funs: list[tuple[str, list[str], str]] = []
+    names: dict[str, str] = {}
+
+    def instances(dt_name, has_param):
+        return [f"{e} {dt_name}" for e in ELEMS] if has_param else [dt_name]
+
+    def constructors(ty):
+        for dt_name, has_param, ctors in datatypes:
+            for inst in instances(dt_name, has_param):
+                if inst == ty:
+                    elem = ty.split()[0]
+                    return [(c, [a.replace("A", elem) for a in args])
+                            for c, args in ctors]
+        return []
+
+    def calls(ty):
+        """Declared functions that give a `ty`, each with the argument
+        types it is applied to: all of them, or none for a function
+        that is itself a `ty`."""
+        out = []
+        for f, args, result in funs:
+            for e in ELEMS:
+                inst = [a.replace("A", e) for a in args + [result]]
+                if inst[-1] == ty:
+                    out.append((f, inst[:-1]))
+                if " => ".join(inst) == ty:
+                    out.append((f, []))
+        return out
+
+    def available(ty, env, free):
+        return free or ty not in ("A", "nat => nat") or ty in env.values() \
+            or any(not args for _, args in calls(ty))
+
+    def term(ty, env, free, depth):
+        def sub(t):
+            return "(" + term(t, env, free, depth - 1) + ")"
+        options = [("var", v) for v, t in env.items() if t == ty]
+        if free:
+            prefix = names.setdefault(ty, f"v{len(names)}_")
+            options += [("var", prefix + c) for c in "ab"]
+        options += [("call", fa) for fa in calls(ty)
+                    if not fa[1] or depth > 0
+                    and all(available(a, env, free) for a in fa[1])]
+        options += [("ctor", ca) for ca in constructors(ty)
+                    if not ca[1] or depth > 0
+                    and all(available(a, env, free) for a in ca[1])]
+        if ty == "nat":
+            options += [("num", None)] + [("suc", None)] * (depth > 0)
+        if ty.endswith(" list"):
+            options += [("nil", None)] + [(k, None) for k in (
+                "literal", "cons", "append") if depth > 0
+                and available(ty[:-5], env, free)]
+        kind, arg = draw(st.sampled_from(options))
+        elem = ty[:-5]
+        if kind == "var":
+            return arg
+        if kind in ("call", "ctor"):
+            return " ".join([arg[0]] + [sub(a) for a in arg[1]])
+        if kind == "num":
+            return str(draw(st.integers(0, 4)))
+        if kind == "suc":
+            return "Suc " + sub("nat")
+        if kind == "nil":
+            return "[]"
+        if kind == "literal":
+            n = draw(st.integers(1, 3))
+            return "[" + ", ".join(term(elem, env, free, depth - 1)
+                                   for _ in range(n)) + "]"
+        if kind == "cons":
+            return sub(elem) + " # " + sub(ty)
+        return sub(ty) + " @ " + sub(ty)
+
+    for k in range(draw(st.integers(0, 2))):
+        dt_name, has_param = f"t{k}", draw(st.booleans())
+        own = ("A " if has_param else "") + dt_name
+        arg_types = ["nat", "nat list", "nat => nat", "nat list list", own]
+        arg_types += [i for d, p, _ in datatypes for i in instances(d, p)
+                      if "A" not in i or has_param]
+        if has_param:
+            arg_types += ["A", "A list"]
+        ctors = [(f"C{k}_0", [])]
+        for j in range(1, draw(st.integers(1, 3))):
+            ctors.append((f"C{k}_{j}", draw(st.lists(
+                st.sampled_from(arg_types), max_size=3))))
+        datatypes.append((dt_name, has_param, ctors))
+        head = f"datatype {dt_name}" + (" 'a" if has_param else "")
+        chunks.append(head + " = " + " | ".join(
+            " ".join([c] + [_decl(a) if " " not in a else f"({_decl(a)})"
+                            for a in args])
+            for c, args in ctors))
+
+    dt_types = [i for d, p, _ in datatypes for i in instances(d, p)]
+    for k in range(draw(st.integers(0, 3))):
+        f = f"f{k}"
+        args = draw(st.lists(st.sampled_from(
+            ["nat", "A", "nat list", "A list", "nat => nat"] + dt_types),
+            min_size=1, max_size=3))
+        result = draw(st.sampled_from(["nat", "nat list", "A list"]))
+        funs.append((f, args, result))
+        first, rest = args[0], args[1:]
+        if first == "nat":
+            patterns = [("0", []), ("(Suc p0)", ["nat"])]
+        elif first.endswith(" list"):
+            patterns = [("[]", []), ("(p0 # p1)", [first[:-5], first])]
+        elif constructors(first):
+            patterns = [(c if not cargs else "(" + " ".join(
+                [c] + [f"p{i}" for i in range(len(cargs))]) + ")", cargs)
+                for c, cargs in constructors(first)]
+        else:
+            patterns = [("p0", [first])]
+        equations = []
+        for pattern, ptypes in patterns:
+            env = {f"p{i}": t for i, t in enumerate(ptypes)}
+            env.update({f"q{i}": t for i, t in enumerate(rest)})
+            lhs = " ".join([f, pattern] + [f"q{i}" for i in range(len(rest))])
+            equations.append(f'"{lhs} = {term(result, env, False, 2)}"')
+        ftype = " => ".join(f"({_decl(a)})" if "=>" in a else _decl(a)
+                            for a in args + [result])
+        kw = draw(st.sampled_from(["fun", "primrec"]))
+        chunks.append(f'{kw} {f} :: "{ftype}" where\n  '
+                      + "\n| ".join(equations))
+
+    eq_types = ["nat", "A", "nat list", "A list", "nat => nat"] + dt_types
+    for k in range(draw(st.integers(1, 3))):
+        props = []
+        for _ in range(draw(st.integers(1, 3))):
+            ty = draw(st.sampled_from(eq_types))
+            props.append(f"({term(ty, {}, True, 3)}) = "
+                         f"({term(ty, {}, True, 3)})")
+        chunks.append(f'lemma l{k}: "' + " ==> ".join(props) + '"')
+    return "\n".join(chunks) + "\n"
+
+
 class TestRoundTrip:
     def test_corpus_files_round_trip(self, corpus_dir):
         for path in sorted(corpus_dir.glob("*.thy")):
@@ -148,6 +303,12 @@ class TestRoundTrip:
         src = ('fun apply2 :: "(\'a => \'b) => \'a => \'b" where '
                '"apply2 f x = f x"')
         thy = parse_theory(src)
+        assert parse_theory(print_theory(thy)) == thy
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=theory_texts())
+    def test_generated_theories_round_trip(self, text):
+        thy = parse_theory(text)
         assert parse_theory(print_theory(thy)) == thy
 
 
@@ -170,6 +331,59 @@ class TestSpans:
         assert span.column >= 1
         if span.line <= len(lines):
             assert span.column <= len(lines[span.line - 1]) + 2
+
+    # Whole messages with exact positions, so that a change to the scanner
+    # or the cursor cannot move them unnoticed.
+    @pytest.mark.parametrize("src, error", [
+        ('lemma a: "0 = ]"',
+         "bad.thy:1:15: found ']' (expected term)"),
+        ('lemma a: "[x] =\n  0 # x"',
+         "bad.thy:1:15: type mismatch: 0 # x has type nat list, expected "
+         "nat list list"),
+        ('lemma a: "xs =\n  ys @ ]"',
+         "bad.thy:2:8: found ']' (expected term)"),
+        ('fun f :: "nat => nat" where\n  "f 0 = 0"\n| "f (Suc n) =\n'
+         '     n n"',
+         "bad.thy:4:8: cannot apply n (type nat) to n"),
+        ('(* a (* b *) c\n *) lemma a: "x = )"',
+         "bad.thy:2:19: found ')' (expected term)"),
+        ("(* a (* b *) c *)  garbage",
+         "bad.thy:1:20: found 'garbage' (expected datatype or fun or "
+         "primrec or lemma)"),
+        ('lemma a:\r\n  "x =\r\n  ]"',
+         "bad.thy:3:3: found ']' (expected term)"),
+        ('lemma a: "x" \r\n\r\n  ]',
+         "bad.thy:3:3: found ']' (expected datatype or fun or primrec or "
+         "lemma)"),
+        ("datatype t = C (nat => foo)",
+         "bad.thy:1:24: unknown type foo"),
+        ("datatype t = C (nat =>)",
+         "bad.thy:1:16: unexpected end of type (expected type)"),
+        ("datatype t = C nat (nat list, nat)",
+         "bad.thy:1:29: trailing tokens in type"),
+        ('fun f :: "nat => nat" where "f x"',
+         "bad.thy:1:33: found '' (expected '=')"),
+        ('lemma a: "x = y',
+         "bad.thy:1:10: unterminated quote"),
+        ('lemma a: "x"\n  (* a (* b *) c',
+         "bad.thy:2:3: unterminated comment"),
+        ('lemma a: "x"\ndatatype',
+         "bad.thy:2:9: unexpected end of input (expected datatype name)"),
+    ])
+    def test_exact_error_positions(self, src, error):
+        with pytest.raises(ParseError) as err:
+            parse_theory(src, "bad.thy")
+        assert str(err.value) == error
+
+    @pytest.mark.parametrize("src, error", [
+        ('lemma a: "x $ y"', "bad.thy:1:13: unexpected character '$'"),
+        ('lemma a:\n  "x =\n   y $"', "bad.thy:3:6: unexpected character '$'"),
+        ('lemma a: "x (* y"', "bad.thy:1:13: unterminated comment"),
+    ])
+    def test_scan_errors_inside_quotes_are_absolute(self, src, error):
+        with pytest.raises(ParseError) as err:
+            parse_theory(src, "bad.thy")
+        assert str(err.value) == error
 
     def test_message_nonempty(self):
         with pytest.raises(ParseError) as err:
