@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn
 
@@ -38,11 +38,8 @@ class Annotation:
 class CoincidenceRow:
     theory: str
     total: int = 0
-    hits: dict[int, int] = None  # top_n -> count
-
-    def __post_init__(self) -> None:
-        if self.hits is None:
-            self.hits = {n: 0 for n in TOP_BUCKETS}
+    hits: dict[int, int] = field(   # top_n -> count
+        default_factory=lambda: dict.fromkeys(TOP_BUCKETS, 0))
 
     def add(self, rank: int | None) -> None:
         self.total += 1
@@ -145,8 +142,8 @@ def _run_goal(goal: Goal, thy: Theory, suite, cap: int,
     result = screen(goal, thy, cap=cap, timeout=timeout)
     index = GoalIndex(goal, thy)
     scored = score_all(
-        result.finalists, suite,
-        lambda cand, sgs: make_context(goal, cand, thy, sgs, index=index))
+        [c for c, _ in result.finalists], suite,
+        lambda c: make_context(goal, c, thy, index=index))
     return result, scored
 
 
@@ -314,7 +311,7 @@ def cmd_eval(args) -> int:
         rank, score = _rank_of(ann, scored, args.terms_only)
         counts = result.report.counts()
         disposition = "ranked" if rank is not None else \
-            _disposition_text(ann.candidate, result)
+            _disposition_of(ann.candidate, goal, thy, result)
         goal_rows.append({
             "theory": label,
             "goal": ann.goal_name,
@@ -354,16 +351,6 @@ def cmd_eval(args) -> int:
     print()
     _print_coincidence_table(rows + [total_row])
     return 0
-
-
-def _disposition_text(candidate: Candidate, result: ScreeningResult) -> str:
-    for d in result.report.dispositions:
-        if d.candidate == candidate:
-            if d.status == "stage1":
-                return f"filtered: stage 1 ({d.error})"
-            if d.status == "stage2":
-                return f"filtered: condition {d.condition}"
-    return "not enumerated"
 
 
 def _print_goal_table(rows: list[dict]) -> None:

@@ -38,9 +38,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
-from .parser import ParseError, SourceSpan
+from .parser import Cursor, Token, scan
 from .schemes import InductionScheme, RULE_SUFFIX, scheme_for_rule_name
-from .tactic import Candidate, SubgoalSet
+from .tactic import Candidate
 from .terms import (
     Const, FreeVar, Goal, Occurrence, SimpleType, Term, Theory,
     all_occurrences, goal_free_variables, spine, term_type,
@@ -205,14 +205,12 @@ class EvalContext:
     what depends on the candidate: its induction terms (resolved to the
     goal's variables), its ``arbitrary`` set (read through `candidate`),
     its rule (resolved to a scheme) and the number bound, which grows with
-    the number of induction terms.  `subgoals` is carried for completeness,
-    but no assertion inspects it, so a verdict depends only on those three
-    candidate fields.
+    the number of induction terms.  A verdict depends on the candidate
+    through those three fields only.
     """
 
     index: GoalIndex
     candidate: Candidate
-    subgoals: SubgoalSet | None
     number_bound: int
     rules: tuple[InductionScheme, ...]
     induction_terms: tuple[Term, ...]
@@ -227,16 +225,11 @@ class EvalContext:
 
 
 def make_context(goal: Goal, candidate: Candidate, thy: Theory,
-                 subgoals: SubgoalSet | None = None,
-                 number_bound: int | None = None,
                  index: GoalIndex | None = None) -> EvalContext:
     """The context of one candidate.  Pass the goal's `index` when scoring
     many candidates of one goal; without it one is built for this call."""
     if index is None:
         index = GoalIndex(goal, thy)
-    if number_bound is None:
-        number_bound = max(index.arity_bound,
-                           len(candidate.induction_terms), 1)
     scheme = None if candidate.rule is None else index.scheme(candidate.rule)
     ind_terms = tuple(
         index.variables.get(n, FreeVar(n, SimpleType("'a")))
@@ -244,8 +237,7 @@ def make_context(goal: Goal, candidate: Candidate, thy: Theory,
     return EvalContext(
         index=index,
         candidate=candidate,
-        subgoals=subgoals,
-        number_bound=number_bound,
+        number_bound=max(index.arity_bound, len(candidate.induction_terms), 1),
         rules=() if scheme is None else (scheme,),
         induction_terms=ind_terms,
     )
@@ -495,11 +487,10 @@ _ALIASES = {
     "→": "-->", "⟶": "-->", "∈": "in",
 }
 
-_DSL_TOKEN_RE = re.compile(r"""
+_TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
   | (?P<comment>\(\*)
-  | (?P<arrow>-->)
-  | (?P<sym>[().,:&|!])
+  | (?P<sym>-->|[().,:&|!])
   | (?P<num>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
   | (?P<uni>[∃∀∧∨¬→⟶∈])
@@ -508,101 +499,8 @@ _DSL_TOKEN_RE = re.compile(r"""
 _SORTS = {s.value: s for s in Sort}
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str   # sym | num | ident | eof  ('-->' arrives as sym)
-    text: str
-    line: int
-    column: int
-
-
-def _dsl_scan(source: str, file: str) -> list[_Tok]:
-    source = source.replace("\r\n", "\n")
-    tokens: list[_Tok] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        m = _DSL_TOKEN_RE.match(source, i)
-        if m is None:
-            raise ParseError(f"unexpected character {source[i]!r}",
-                             SourceSpan(file, line, col))
-        kind = m.lastgroup
-        text = m.group()
-        start_line, start_col = line, col
-        for ch in text:
-            if ch == "\n":
-                line, col = line + 1, 1
-            else:
-                col += 1
-        i = m.end()
-        if kind == "ws":
-            continue
-        if kind == "comment":
-            depth = 1
-            while depth > 0:
-                if i >= n:
-                    raise ParseError("unterminated comment",
-                                     SourceSpan(file, start_line, start_col))
-                two = source[i:i + 2]
-                if two == "(*":
-                    depth += 1
-                    step = 2
-                elif two == "*)":
-                    depth -= 1
-                    step = 2
-                else:
-                    step = 1
-                for ch in source[i:i + step]:
-                    if ch == "\n":
-                        line, col = line + 1, 1
-                    else:
-                        col += 1
-                i += step
-            continue
-        if kind == "uni":
-            alias = _ALIASES[text]
-            tokens.append(_Tok("ident" if alias.isalpha() else "sym",
-                               alias, start_line, start_col))
-            continue
-        if kind == "arrow":
-            tokens.append(_Tok("sym", "-->", start_line, start_col))
-            continue
-        tokens.append(_Tok(kind, text, start_line, start_col))
-    tokens.append(_Tok("eof", "", line, col))
-    return tokens
-
-
-class _DslParser:
-    def __init__(self, tokens: list[_Tok], file: str):
-        self.tokens = tokens
-        self.pos = 0
-        self.file = file
-
-    def peek(self, ahead: int = 0) -> _Tok:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> _Tok:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: _Tok | None = None,
-             expected: tuple[str, ...] = ()) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, SourceSpan(self.file, tok.line, tok.column),
-                          expected)
-
-    def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == text
-
-    def expect_sym(self, text: str) -> None:
-        if not self.at_sym(text):
-            raise self.fail(f"found {self.peek().text!r}",
-                            expected=(f"'{text}'",))
-        self.next()
+class _DslParser(Cursor):
+    """The heuristic grammar over the theory parser's token cursor."""
 
     # formula := implies
     def parse_formula(self, env: dict[str, Sort]) -> Formula:
@@ -707,7 +605,7 @@ class _DslParser:
         # prefix form: name ( arg, ... )
         if first.kind == "ident" and self.at_sym("("):
             self.next()
-            args: list[_Tok] = []
+            args: list[Token] = []
             if not self.at_sym(")"):
                 args.append(self._arg_token())
                 while self.at_sym(","):
@@ -723,14 +621,14 @@ class _DslParser:
         second = self._arg_token()
         return self._typed_atom(name_tok, [first, second], env)
 
-    def _arg_token(self) -> _Tok:
+    def _arg_token(self) -> Token:
         tok = self.next()
         if tok.kind not in ("ident", "num"):
             raise self.fail("found non-argument", tok,
                             expected=("variable or number",))
         return tok
 
-    def _typed_atom(self, name_tok: _Tok, arg_toks: list[_Tok],
+    def _typed_atom(self, name_tok: Token, arg_toks: list[Token],
                     env: dict[str, Sort]) -> Atom:
         sig = ATOM_SIGNATURES.get(name_tok.text)
         if sig is None:
@@ -760,9 +658,21 @@ class _DslParser:
         return Atom(name_tok.text, tuple(args))
 
 
+def _parser(source: str, file: str) -> _DslParser:
+    """A parser at the start of `source`, with every Unicode alias read as
+    the token it stands for."""
+    tokens = scan(source.replace("\r\n", "\n"), file, token_re=_TOKEN_RE)
+    for i, tok in enumerate(tokens):
+        if tok.kind == "uni":
+            alias = _ALIASES[tok.text]
+            tokens[i] = tok._replace(
+                kind="ident" if alias.isalpha() else "sym", text=alias)
+    return _DslParser(tokens, file, end="found ''")
+
+
 def parse_formula(source: str, file: str = "<formula>") -> Formula:
     """Parse and sort-check a closed formula."""
-    parser = _DslParser(_dsl_scan(source, file), file)
+    parser = _parser(source, file)
     formula = parser.parse_formula({})
     if parser.peek().kind != "eof":
         raise parser.fail("trailing tokens after formula")
@@ -772,7 +682,7 @@ def parse_formula(source: str, file: str = "<formula>") -> Formula:
 def parse_heuristics(source: str,
                      file: str = "<heuristics>") -> list[tuple[str, Formula]]:
     """Parse a suite file: named blocks ``heuristic <name>: <formula>``."""
-    parser = _DslParser(_dsl_scan(source, file), file)
+    parser = _parser(source, file)
     out: list[tuple[str, Formula]] = []
     names: set[str] = set()
     while parser.peek().kind != "eof":

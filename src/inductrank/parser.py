@@ -84,9 +84,11 @@ class Token(NamedTuple):
     column: int
 
 
-def _scan(source: str, file: str, line: int = 1,
-          column: int = 1) -> list[Token]:
+def scan(source: str, file: str, line: int = 1, column: int = 1,
+         token_re: re.Pattern = _TOKEN_RE) -> list[Token]:
     """Tokens of `source`, whose first character is at `line`:`column`.
+    Each group of `token_re` is a token kind.  Whitespace (``ws``) and
+    comments, which open with a ``comment`` match and nest, are skipped.
 
     A token's column is its distance from the last newline before it;
     `nl` is that newline's index (before the first one, -`column`)."""
@@ -94,7 +96,7 @@ def _scan(source: str, file: str, line: int = 1,
     nl = -column
     i, n = 0, len(source)
     while i < n:
-        m = _TOKEN_RE.match(source, i)
+        m = token_re.match(source, i)
         if m is None:
             raise ParseError(f"unexpected character {source[i]!r}",
                              SourceSpan(file, line, i - nl))
@@ -129,10 +131,11 @@ def _scan(source: str, file: str, line: int = 1,
     return tokens
 
 
-class _Cursor:
+class Cursor:
     """A position in a token list, with errors spanned in `file`.  `end`
     is what an error says on reaching the end of the list; inside quotes
-    that is the empty end token itself (``found ''``)."""
+    and in heuristic formulas that is the empty end token itself
+    (``found ''``)."""
 
     def __init__(self, tokens: list[Token], file: str,
                  end: str = "unexpected end of input"):
@@ -177,10 +180,10 @@ class _Cursor:
                          else end or self.end, tok, expected=(what,))
 
 
-def _quoted(text: str, file: str, line: int, column: int) -> _Cursor:
+def _quoted(text: str, file: str, line: int, column: int) -> Cursor:
     """A cursor over the terms or types of quoted text starting at
     `line`:`column`."""
-    return _Cursor(_scan(text, file, line, column), file, end="found ''")
+    return Cursor(scan(text, file, line, column), file, end="found ''")
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +322,7 @@ def _canonicalise(term: Term, uni: _Unifier) -> Term:
 # -- types ------------------------------------------------------------------
 
 
-def _parse_type(ts: _Cursor, known: dict[str, int]) -> SimpleType:
+def _parse_type(ts: Cursor, known: dict[str, int]) -> SimpleType:
     left = _parse_type_postfix(ts, known)
     if ts.at_sym(FUN):
         ts.next()
@@ -328,7 +331,7 @@ def _parse_type(ts: _Cursor, known: dict[str, int]) -> SimpleType:
     return left
 
 
-def _parse_type_postfix(ts: _Cursor, known: dict[str, int]) -> SimpleType:
+def _parse_type_postfix(ts: Cursor, known: dict[str, int]) -> SimpleType:
     args: list[SimpleType]
     tok = ts.peek()
     if tok.kind == "tyvar":
@@ -363,7 +366,7 @@ def _parse_type_postfix(ts: _Cursor, known: dict[str, int]) -> SimpleType:
     return result
 
 
-def _check_type_name(ts: _Cursor, tok: Token, arity: int,
+def _check_type_name(ts: Cursor, tok: Token, arity: int,
                      known: dict[str, int]) -> None:
     declared = known.get(tok.text)
     if declared is None:
@@ -387,7 +390,7 @@ class _TermParser:
     variables, in the right-hand side of an equation they are an error.
     """
 
-    def __init__(self, ts: _Cursor, sig: Theory | _Signature,
+    def __init__(self, ts: Cursor, sig: Theory | _Signature,
                  uni: _Unifier, env: dict[str, SimpleType],
                  bind_unknown: bool):
         self.ts = ts
@@ -570,7 +573,7 @@ class _Signature:
 def parse_theory(source: str, file: str = "<string>") -> Theory:
     """Parse a theory file.  Raises ParseError on syntax violations,
     duplicate names, unknown constants/types, or ill-typed equations."""
-    p = _Cursor(_scan(source.replace("\r\n", "\n"), file), file)
+    p = Cursor(scan(source.replace("\r\n", "\n"), file), file)
     datatypes: list[DatatypeDef] = []
     fundefs: list[FunDef] = []
     goals: list[Goal] = []
@@ -600,7 +603,7 @@ def parse_theory(source: str, file: str = "<string>") -> Theory:
     return Theory(tuple(datatypes), tuple(fundefs), tuple(goals))
 
 
-def _parse_datatype(p: _Cursor, known_types: dict[str, int],
+def _parse_datatype(p: Cursor, known_types: dict[str, int],
                     declare) -> DatatypeDef:
     p.next()  # 'datatype'
     name_tok = p.expect_ident("datatype name")
@@ -633,7 +636,7 @@ def _parse_datatype(p: _Cursor, known_types: dict[str, int],
     return DatatypeDef(name_tok.text, tuple(params), tuple(ctors))
 
 
-def _parse_ctor_arg(p: _Cursor, known: dict[str, int], params: list[str],
+def _parse_ctor_arg(p: Cursor, known: dict[str, int], params: list[str],
                     ctx_tok: Token) -> SimpleType:
     tok = p.peek()
     if tok.kind == "tyvar":
@@ -665,7 +668,7 @@ def _parse_ctor_arg(p: _Cursor, known: dict[str, int], params: list[str],
             if depth == 0:
                 break
         parts.append(t)
-    ts = _Cursor(parts + [Token("eof", "", tok.line, tok.column)], p.file)
+    ts = Cursor(parts + [Token("eof", "", tok.line, tok.column)], p.file)
     ty = _parse_type(ts, known)
     if ts.peek().kind != "eof":
         raise ts.fail("trailing tokens in type")
@@ -675,7 +678,7 @@ def _parse_ctor_arg(p: _Cursor, known: dict[str, int], params: list[str],
     return ty
 
 
-def _parse_fundef(p: _Cursor, sig: _Signature,
+def _parse_fundef(p: Cursor, sig: _Signature,
                   known_types: dict[str, int], declare) -> FunDef:
     kw = p.next()  # 'fun' | 'primrec'
     name_tok = p.expect_ident("function name")
@@ -721,7 +724,7 @@ def _parse_fundef(p: _Cursor, sig: _Signature,
                   kw.text == "fun")
 
 
-def _parse_equation(p: _Cursor, quoted: Token, sig: _Signature,
+def _parse_equation(p: Cursor, quoted: Token, sig: _Signature,
                     fn_name: str) -> Equation:
     ts = _quoted(quoted.text, p.file, quoted.line, quoted.column + 1)
     uni = _Unifier()
@@ -775,7 +778,7 @@ def _check_patterns(args: tuple[Term, ...], sig: _Signature,
         walk(a)
 
 
-def _parse_lemma(p: _Cursor, sig: _Signature, declare) -> Goal:
+def _parse_lemma(p: Cursor, sig: _Signature, declare) -> Goal:
     lemma_tok = p.next()  # 'lemma'
     name_tok = p.expect_ident("lemma name")
     declare(name_tok.text, name_tok)
@@ -792,7 +795,7 @@ def _parse_lemma(p: _Cursor, sig: _Signature, declare) -> Goal:
     return Goal(name_tok.text, premises, conclusion, line=lemma_tok.line)
 
 
-def _parse_prop(ts: _Cursor, sig: Theory | _Signature) -> Term:
+def _parse_prop(ts: Cursor, sig: Theory | _Signature) -> Term:
     uni = _Unifier()
     parser = _TermParser(ts, sig, uni, {}, bind_unknown=True)
     start = ts.peek()

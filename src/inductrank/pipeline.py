@@ -185,13 +185,10 @@ def screen(goal: Goal, thy: Theory, cap: int = DEFAULT_CAP,
     survivors, disp1 = stage1(goal, stream, thy, timeout)
     finalists, disp2 = stage2(goal, survivors)
 
-    merged: list[Disposition] = []
-    disp2_by_candidate = {d.candidate: d for d in disp2}
-    for d in disp1:
-        if d.status == "kept":
-            merged.append(disp2_by_candidate[d.candidate])
-        else:
-            merged.append(d)
+    # stage 2 disposes of each stage-1 survivor once, in stage-1 order
+    stage2_of_kept = iter(disp2)
+    merged = [next(stage2_of_kept) if d.status == "kept" else d
+              for d in disp1]
     stage2a = sum(1 for d in merged
                   if d.status == "kept"
                   or (d.status == "stage2" and d.condition == 3))

@@ -21,7 +21,7 @@ from .dsl import (
     Check, EvalContext, Formula, compile_formula, evaluate, parse_heuristics,
     verdict_key,
 )
-from .tactic import Candidate, SubgoalSet
+from .tactic import Candidate
 
 
 @dataclass(frozen=True)
@@ -56,24 +56,22 @@ def default_suite() -> tuple[Heuristic, ...]:
     return load_suite(text, "default.heuristics")
 
 
-ContextFactory = Callable[[Candidate, SubgoalSet], EvalContext]
-
-
-def score_all(entries: Sequence[tuple[Candidate, SubgoalSet]],
+def score_all(candidates: Sequence[Candidate],
               suite: Sequence[Heuristic],
-              ctx_factory: ContextFactory) -> list[ScoredCandidate]:
-    """Score every entry against every heuristic and sort by score.
+              ctx_factory: Callable[[Candidate], EvalContext],
+              ) -> list[ScoredCandidate]:
+    """Score every candidate against every heuristic and sort by score.
 
-    `entries` must be in pipeline order; that order is the tie-break, and
-    all entries must belong to the goal `ctx_factory` builds contexts for.
-    Each heuristic's verdicts are memoised for this call on the candidate
-    fields its formula reads, and a context is built only for a candidate
-    with at least one verdict not yet memoised.
+    `candidates` must be in pipeline order; that order is the tie-break,
+    and all of them must belong to the goal `ctx_factory` builds contexts
+    for.  Each heuristic's verdicts are memoised for this call on the
+    candidate fields its formula reads, and a context is built only for a
+    candidate with at least one verdict not yet memoised.
     """
     keys = [verdict_key(h.formula) for h in suite]
     memos: list[dict] = [{} for _ in suite]
     unranked = []
-    for index, (candidate, subgoals) in enumerate(entries):
+    for index, candidate in enumerate(candidates):
         ctx = None
         verdicts = []
         for h, key_of, memo in zip(suite, keys, memos):
@@ -81,7 +79,7 @@ def score_all(entries: Sequence[tuple[Candidate, SubgoalSet]],
             verdict = memo.get(key)
             if verdict is None:
                 if ctx is None:
-                    ctx = ctx_factory(candidate, subgoals)
+                    ctx = ctx_factory(candidate)
                 verdict = memo[key] = evaluate(h.formula, ctx, h.check)
             verdicts.append(verdict)
         unranked.append((candidate, sum(verdicts), tuple(verdicts), index))

@@ -45,8 +45,9 @@ def test_criterion_2_expert_candidates_survive_and_rank(running_goal,
                                                         running_theory):
     started = time.monotonic()
     result = screen(running_goal, running_theory, timeout=None)
-    factory = lambda c, s: make_context(running_goal, c, running_theory, s)  # noqa: E731
-    scored = score_all(result.finalists, default_suite(), factory)
+    factory = lambda c: make_context(running_goal, c, running_theory)  # noqa: E731
+    scored = score_all([c for c, _ in result.finalists], default_suite(),
+                       factory)
     top10 = {sc.candidate.tactic_text() for sc in shortlist(scored, 10)}
     elapsed = time.monotonic() - started
     finalist_texts = {c.tactic_text() for c, _ in result.finalists}
@@ -192,8 +193,9 @@ def test_criterion_8_score_bounds(corpus_dir):
         thy = parse_theory(path.read_text(encoding="utf-8"), path.name)
         for goal in thy.goals:
             result = screen(goal, thy, timeout=None)
-            factory = lambda c, s: make_context(goal, c, thy, s)  # noqa: E731
-            for sc in score_all(result.finalists, suite, factory):
+            factory = lambda c: make_context(goal, c, thy)  # noqa: E731
+            for sc in score_all([c for c, _ in result.finalists], suite,
+                                factory):
                 assert 0 <= sc.score <= 20
                 assert sc.score == sum(sc.verdicts)
                 checked += 1

@@ -210,6 +210,29 @@ class TestEval:
         assert " - " in row or row.rstrip().endswith("-") or "-" in row
         assert "condition 3" in out
 
+    def test_unranked_notes_match_explain(self, capsys, corpus_dir,
+                                          tmp_path):
+        # eval names an unranked expert's fate in explain's words: the
+        # stage-2 condition with its name, and for a candidate that was
+        # never enumerated, what applying it directly gives.
+        ann = tmp_path / "ann.txt"
+        ann.write_text(
+            "snoc_append | induct rule: snoc.induct | rule:yes | arb:no\n"
+            "snoc_append | induct zz | rule:no | arb:no\n")
+        code, out, err = run_cli(capsys, "eval", str(corpus_dir),
+                                 "--annotations", str(ann))
+        assert code == 0
+        assert [line.split("   [")[1] for line in out.splitlines()
+                if "snoc_append" in line] == [
+            "filtered: condition 3 (schematic variable introduced)]",
+            "filtered: stage 1 (NonDatatypeVariable)]"]
+        code, out, err = run_cli(capsys, "eval", str(corpus_dir),
+                                 "--annotations", str(ann), "--json")
+        assert [r["disposition"] for r in map(json.loads, out.splitlines())
+                if r["kind"] == "goal"] == [
+            "filtered: condition 3 (schematic variable introduced)",
+            "filtered: stage 1 (NonDatatypeVariable)"]
+
     def test_unresolvable_annotation(self, capsys, corpus_dir, tmp_path):
         ann = tmp_path / "ann.txt"
         ann.write_text("ghost_goal | induct xs | rule:no | arb:no\n")

@@ -12,18 +12,13 @@ from inductrank.dsl import (
 )
 from inductrank.parser import ParseError, parse_theory
 from inductrank.scoring import default_suite
-from inductrank.tactic import Candidate, apply_induct, parse_candidate
+from inductrank.tactic import Candidate, parse_candidate
 from inductrank.terms import Occurrence, goal_free_variables, occurrences_of
 
 
 def ctx_for(goal, thy, text):
     candidate = parse_candidate(text)
-    subgoals = None
-    try:
-        subgoals = apply_induct(goal, candidate, thy, timeout=None)
-    except Exception:
-        pass
-    return make_context(goal, candidate, thy, subgoals)
+    return make_context(goal, candidate, thy)
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +98,61 @@ class TestParsing:
     def test_duplicate_heuristic_names(self):
         with pytest.raises(ParseError):
             parse_heuristics("heuristic a: True\nheuristic a: True")
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_heuristics, "heuristic h:\n  True $ True",
+         "<heuristics>:2:8: unexpected character '$'"),
+        (parse_formula, "True -- True",
+         "<formula>:1:6: unexpected character '-'"),
+        (parse_heuristics, "heuristic h: True\n(* never closed",
+         "<heuristics>:2:1: unterminated comment"),
+        (parse_heuristics,
+         "heuristic h: True\n  (* outer (* inner *) still open",
+         "<heuristics>:2:3: unterminated comment"),
+        (parse_formula, "EX t : term. (is_constant (t)",
+         "<formula>:1:30: found '' (expected ')')"),
+        (parse_formula, "True &",
+         "<formula>:1:7: unexpected end of formula (expected formula)"),
+        (parse_formula, "True -->\n\n",
+         "<formula>:3:1: unexpected end of formula (expected formula)"),
+        (parse_heuristics, "(* a\n b *) oops",
+         "<heuristics>:2:7: found 'oops' (expected 'heuristic')"),
+        (parse_heuristics,
+         "(* one\n   two (* three *)\n *)   heuristic h: ! oops",
+         "<heuristics>:3:26: found non-assertion "
+         "(expected assertion name)"),
+        (parse_heuristics, "heuristic h: (* c *) True @",
+         "<heuristics>:1:27: unexpected character '@'"),
+        (parse_formula, "EX r : rule. (* (*) *) *) r",
+         "<formula>:1:28: found non-assertion (expected assertion name)"),
+        (parse_heuristics,
+         "heuristic a:\r\n  True\r\nheuristic b:\r\n"
+         "  ALL t : term. is_constant (u)",
+         "<heuristics>:4:30: unbound variable u"),
+        (parse_formula, "True\r\n& (True\r\n",
+         "<formula>:3:1: found '' (expected ')')"),
+        (parse_formula,
+         "∀ t : term ∈ induction_term. ¬ is_constant (t) ∧ "
+         "is_free_variable (u)",
+         "<formula>:1:68: unbound variable u"),
+        (parse_formula, "∃ r : rule. ∃ t : term. t is_rule_of r",
+         "<formula>:1:25: sort error: t has sort term, "
+         "is_rule_of expects rule"),
+        (parse_formula, "EX x : widget. True",
+         "<formula>:1:8: unknown sort 'widget' "
+         "(expected number or rule or term or term_occurrence)"),
+        (parse_heuristics, "heuristic a: True\nheuristic a: True",
+         "<heuristics>:2:11: duplicate heuristic a"),
+        (parse_heuristics, "heuristic 3: True",
+         "<heuristics>:1:11: found non-identifier "
+         "(expected heuristic name)"),
+        (parse_formula, "True True",
+         "<formula>:1:6: trailing tokens after formula"),
+    ])
+    def test_exact_error_positions(self, parse, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
 
 
 class TestAtomSemantics:

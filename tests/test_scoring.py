@@ -17,18 +17,18 @@ from inductrank.schemes import rules_for
 from inductrank.scoring import (
     default_suite, load_suite, score_all, shortlist,
 )
-from inductrank.tactic import Candidate, apply_induct, parse_candidate
+from inductrank.tactic import Candidate, parse_candidate
 from inductrank.terms import goal_free_variables
 
 
 def factory_for(goal, thy):
-    return lambda cand, sgs: make_context(goal, cand, thy, sgs)
+    return lambda cand: make_context(goal, cand, thy)
 
 
 @pytest.fixture(scope="module")
 def running_scored(running_goal, running_theory):
     result = screen(running_goal, running_theory, timeout=None)
-    scored = score_all(result.finalists, default_suite(),
+    scored = score_all([c for c, _ in result.finalists], default_suite(),
                        factory_for(running_goal, running_theory))
     return result, scored
 
@@ -48,7 +48,7 @@ class TestScoreAll:
     def test_empty_suite_keeps_pipeline_order(self, running_goal,
                                               running_theory):
         result = screen(running_goal, running_theory, timeout=None)
-        scored = score_all(result.finalists, (),
+        scored = score_all([c for c, _ in result.finalists], (),
                            factory_for(running_goal, running_theory))
         assert [sc.candidate for sc in scored] \
             == [c for c, _ in result.finalists]
@@ -59,11 +59,7 @@ class TestScoreAll:
         suite = (default_suite()[0],)
         matching = parse_candidate("induct xs ys rule: itrev.induct")
         misordered = parse_candidate("induct ys rule: itrev.induct")
-        entries = [
-            (c, apply_induct(running_goal, c, running_theory, timeout=None))
-            for c in (matching, misordered)
-        ]
-        scored = score_all(entries, suite,
+        scored = score_all([matching, misordered], suite,
                            factory_for(running_goal, running_theory))
         by_candidate = {sc.candidate: sc for sc in scored}
         assert by_candidate[matching].score == 1
@@ -85,10 +81,12 @@ class TestScoreAll:
                                               running_theory):
         result = screen(running_goal, running_theory, timeout=None)
         factory = factory_for(running_goal, running_theory)
-        straight = score_all(result.finalists, default_suite(), factory)
+        straight = score_all([c for c, _ in result.finalists],
+                             default_suite(), factory)
         shuffled = list(result.finalists)
         random.Random(5).shuffle(shuffled)
-        rescored = score_all(shuffled, default_suite(), factory)
+        rescored = score_all([c for c, _ in shuffled], default_suite(),
+                             factory)
         assert sorted((sc.candidate.tactic_text(), sc.score)
                       for sc in straight) \
             == sorted((sc.candidate.tactic_text(), sc.score)
@@ -127,7 +125,7 @@ class TestDomainIndependence:
             thy = parse_theory(src)
             goal = thy.goal_named(name)
             result = screen(goal, thy, timeout=None)
-            scored = score_all(result.finalists, suite,
+            scored = score_all([c for c, _ in result.finalists], suite,
                                factory_for(goal, thy))
             assert scored  # evaluation never raised on unseen constants
 
@@ -137,7 +135,7 @@ class TestDomainIndependence:
             thy = parse_theory(path.read_text(encoding="utf-8"), path.name)
             for goal in thy.goals:
                 result = screen(goal, thy, timeout=None)
-                scored = score_all(result.finalists, suite,
+                scored = score_all([c for c, _ in result.finalists], suite,
                                    factory_for(goal, thy))
                 for sc in scored:
                     assert 0 <= sc.score <= len(suite)
@@ -173,8 +171,8 @@ SINGLE_READ_HEURISTICS = [
 def scored_as_cli(goal, thy, suite, entries):
     """score_all with one shared goal index, the way the CLI scores."""
     index = GoalIndex(goal, thy)
-    return score_all(entries, suite, lambda c, s: make_context(
-        goal, c, thy, s, index=index))
+    return score_all([c for c, _ in entries], suite, lambda c: make_context(
+        goal, c, thy, index=index))
 
 
 def _corpus_goals(corpus_dir):
