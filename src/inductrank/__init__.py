@@ -30,8 +30,8 @@ from .scoring import (
     shortlist,
 )
 from .tactic import (
-    Candidate, InductTactic, SubgoalSet, TacticError, TacticErrorKind,
-    apply_induct, parse_candidate,
+    Candidate, Failure, InductTactic, SubgoalSet, TacticError,
+    TacticErrorKind, apply_induct, parse_candidate,
 )
 from .terms import (
     App, Const, Constructor, DatatypeDef, Equation, FreeVar, FunDef, Goal,

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .schemes import rules_for
 from .tactic import (
-    DEFAULT_TIMEOUT, Candidate, InductTactic, SubgoalSet, TacticError,
+    DEFAULT_TIMEOUT, Candidate, Failure, InductTactic, SubgoalSet,
 )
 from .terms import Goal, Theory, contains_schematic, contains_subterm, \
     goal_free_variables
@@ -59,12 +59,13 @@ class CandidateStream:
     def _generate(self) -> Iterator[Candidate]:
         names = self.variables
         rules: list[str | None] = [None, *self.rule_names]
+        subsets = [frozenset(arb) for j in range(len(names) + 1)
+                   for arb in itertools.combinations(names, j)]
         for k in range(len(names) + 1):
             for seq in itertools.permutations(names, k):
-                for j in range(len(names) + 1):
-                    for arb in itertools.combinations(names, j):
-                        for rule in rules:
-                            yield Candidate(seq, frozenset(arb), rule)
+                for arb in subsets:
+                    for rule in rules:
+                        yield Candidate(seq, arb, rule)
 
 
 def enumerate_candidates(goal: Goal, thy: Theory,
@@ -72,8 +73,7 @@ def enumerate_candidates(goal: Goal, thy: Theory,
     return CandidateStream(goal, thy, cap)
 
 
-@dataclass(frozen=True)
-class Disposition:
+class Disposition(NamedTuple):
     candidate: Candidate
     status: str                     # kept | stage1 | stage2
     error: str | None = None        # tactic error kind for stage1
@@ -106,19 +106,24 @@ def stage1(goal: Goal, stream: Iterable[Candidate], thy: Theory,
            timeout: float | None = DEFAULT_TIMEOUT,
            ) -> tuple[list[tuple[Candidate, SubgoalSet]], list[Disposition]]:
     """Keep candidates whose tactic application returns subgoals in time,
-    preserving stream order; errors become dispositions."""
-    tactic = InductTactic(goal, thy)
+    preserving stream order; failures become dispositions.
+
+    Never raises for a candidate: it calls `InductTactic.attempt`, which
+    returns failures, so no `TacticError` and no message is built.  One
+    tactic serves the whole stream, so candidates that agree on what the
+    tactic reads share one memoised `SubgoalSet`.
+    """
+    attempt = InductTactic(goal, thy).attempt
     survivors: list[tuple[Candidate, SubgoalSet]] = []
     dispositions: list[Disposition] = []
     for candidate in stream:
-        try:
-            subgoals = tactic.apply(candidate, timeout)
-        except TacticError as err:
+        outcome = attempt(candidate, timeout)
+        if type(outcome) is Failure:
             dispositions.append(
-                Disposition(candidate, "stage1", error=err.kind.value))
-            continue
-        survivors.append((candidate, subgoals))
-        dispositions.append(Disposition(candidate, "kept"))
+                Disposition(candidate, "stage1", error=outcome.kind.value))
+        else:
+            survivors.append((candidate, outcome))
+            dispositions.append(Disposition(candidate, "kept"))
     return survivors, dispositions
 
 
@@ -158,11 +163,19 @@ def _screen(goal: Goal) -> Callable[[SubgoalSet], int | None]:
 def stage2(goal: Goal,
            survivors: list[tuple[Candidate, SubgoalSet]],
            ) -> tuple[list[tuple[Candidate, SubgoalSet]], list[Disposition]]:
+    """Keep the survivors whose subgoals violate no screening condition,
+    preserving order.  The condition is computed once per distinct
+    `SubgoalSet` object: stage 1 shares one among candidates that agree
+    on what the tactic reads."""
     condition = _screen(goal)
+    by_set: dict[int, int | None] = {}  # by id; survivors keep them alive
     finalists: list[tuple[Candidate, SubgoalSet]] = []
     dispositions: list[Disposition] = []
     for candidate, subgoals in survivors:
-        cond = condition(subgoals)
+        key = id(subgoals)
+        if key not in by_set:
+            by_set[key] = condition(subgoals)
+        cond = by_set[key]
         if cond is None:
             finalists.append((candidate, subgoals))
             dispositions.append(Disposition(candidate, "kept"))

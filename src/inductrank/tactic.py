@@ -8,8 +8,8 @@ screening and scoring stages inspect.  No proof search happens here.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
+from time import monotonic
 from typing import NamedTuple
 
 from .schemes import (
@@ -27,6 +27,7 @@ DEFAULT_TIMEOUT = 0.1  # seconds per application
 class TacticErrorKind(enum.Enum):
     NO_ARGUMENTS = "NoArguments"
     ARBITRARY_OVERLAPS_INDUCTION_TERM = "ArbitraryOverlapsInductionTerm"
+    UNKNOWN_VARIABLE = "UnknownVariable"
     NON_DATATYPE_VARIABLE = "NonDatatypeVariable"
     RULE_ARITY_EXCEEDED = "RuleArityExceeded"
     UNKNOWN_RULE = "UnknownRule"
@@ -42,8 +43,7 @@ class TacticError(Exception):
         return f"{self.kind.value}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """One combination of induct arguments: ordered induction terms, the
     set of variables to generalise, and an optional rule name."""
 
@@ -109,6 +109,26 @@ def apply_induct(goal: Goal, candidate: Candidate, thy: Theory,
     return InductTactic(goal, thy).apply(candidate, timeout)
 
 
+class Failure(NamedTuple):
+    """Why an application failed.  An overlap is one shared failure
+    without a detail, so that screening, which reads only `kind`, builds
+    nothing for it; `message` describes it from the candidate."""
+
+    kind: TacticErrorKind
+    detail: str | None = None
+
+    def message(self, candidate: Candidate) -> str:
+        if self.detail is not None:
+            return self.detail
+        overlap = candidate.arbitrary.intersection(candidate.induction_terms)
+        return "generalising an induction term: " + ", ".join(sorted(overlap))
+
+
+_NO_ARGUMENTS = Failure(TacticErrorKind.NO_ARGUMENTS,
+                        "no induction terms and no rule")
+_OVERLAP = Failure(TacticErrorKind.ARBITRARY_OVERLAPS_INDUCTION_TERM)
+
+
 @dataclass(frozen=True)
 class _Case:
     """One case of an application before generalisation: the goal's
@@ -126,22 +146,18 @@ class _Case:
     used: frozenset[str]
 
 
-class _Failure(NamedTuple):
-    """How the cases of an (induction terms, rule) pair failed."""
-
-    kind: TacticErrorKind
-    detail: str
-
-
 class InductTactic:
     """The induct tactic on one goal.
 
     Holds what every application to the goal shares: the goal's free
-    variables, in order and by name, the schemes of the rules and
-    datatypes named so far, and the instantiated cases of each
-    (induction terms, rule) pair applied so far, or how it failed.  The
-    cases do not depend on `arbitrary`, so each candidate pays only for
-    its own generalisation.
+    variables, in order and by name, and the schemes of the rules and
+    datatypes named so far.  It memoises two things.  The instantiated
+    cases of each (induction terms, rule) pair applied so far, or how
+    they failed: the cases do not depend on `arbitrary`.  And the
+    `SubgoalSet` of each (induction terms read, rule, `arbitrary`)
+    applied so far, where structural mode reads only the first term:
+    candidates that agree on these get the same object.  An application
+    that exceeded its timeout is not memoised.
     """
 
     def __init__(self, goal: Goal, thy: Theory):
@@ -151,7 +167,8 @@ class InductTactic:
         self.by_name = {v.name: v for v in self.variables}
         self._rules: dict[str, InductionScheme | None] = {}
         self._structural: dict[str, InductionScheme] = {}
-        self._cases: dict[tuple, tuple[_Case, ...] | _Failure] = {}
+        self._cases: dict[tuple, tuple[_Case, ...] | Failure] = {}
+        self._subgoals: dict[tuple, SubgoalSet] = {}
 
     def apply(self, candidate: Candidate,
               timeout: float | None = DEFAULT_TIMEOUT) -> SubgoalSet:
@@ -171,58 +188,62 @@ class InductTactic:
         and the original premises share one fresh renaming, and every
         induction hypothesis gets its own fresh copies.
 
-        Raises TacticError; `timeout` is wall-clock seconds (None = no
-        limit).
+        Raises TacticError for what `attempt` returns as a `Failure`;
+        `timeout` is wall-clock seconds (None = no limit).
         """
-        started = time.monotonic()
-        if not candidate.induction_terms and candidate.rule is None:
-            raise TacticError(TacticErrorKind.NO_ARGUMENTS,
-                              "no induction terms and no rule")
-        overlap = candidate.arbitrary & set(candidate.induction_terms)
-        if overlap:
-            raise TacticError(
-                TacticErrorKind.ARBITRARY_OVERLAPS_INDUCTION_TERM,
-                "generalising an induction term: "
-                + ", ".join(sorted(overlap)))
-        for name in candidate.induction_terms:
-            if name not in self.by_name:
-                raise TacticError(
-                    TacticErrorKind.NON_DATATYPE_VARIABLE,
-                    f"{name} is not a free variable of the goal")
+        outcome = self.attempt(candidate, timeout)
+        if type(outcome) is Failure:
+            raise TacticError(outcome.kind, outcome.message(candidate))
+        return outcome
 
-        terms, rule = candidate.induction_terms, candidate.rule
+    def attempt(self, candidate: Candidate,
+                timeout: float | None = DEFAULT_TIMEOUT,
+                ) -> SubgoalSet | Failure:
+        """`apply` without raising: the subgoals, or why there are none.
+        Reads the clock only when a timeout is set.  A memoised
+        `SubgoalSet` is returned without a timeout check."""
+        if timeout is not None:
+            started = monotonic()
+        terms, arbitrary, rule = candidate
+        if not terms and rule is None:
+            return _NO_ARGUMENTS
+        if not arbitrary.isdisjoint(terms):
+            return _OVERLAP
+        for name in terms:
+            if name not in self.by_name:
+                return Failure(TacticErrorKind.UNKNOWN_VARIABLE,
+                               f"{name} is not a free variable of the goal")
+
         if rule is None:
             terms = terms[:1]  # structural mode reads only the first one
+        key = (terms, rule, arbitrary)
+        result = self._subgoals.get(key)
+        if result is not None:
+            return result
         cases = self._cases.get((terms, rule))
         if cases is None:
-            try:
-                cases = self._structural_mode(terms[0]) if rule is None \
-                    else self._functional_mode(terms, rule)
-            except TacticError as err:
-                cases = _Failure(err.kind, err.detail)
-            self._cases[terms, rule] = cases
-        if isinstance(cases, _Failure):
-            # a fresh error each time: re-raising one instance would grow
-            # its traceback with every candidate
-            raise TacticError(cases.kind, cases.detail)
+            cases = self._cases[terms, rule] = \
+                self._structural_mode(terms[0]) if rule is None \
+                else self._functional_mode(terms, rule)
+        if type(cases) is Failure:
+            return cases
 
-        generalised = [v for v in self.variables
-                       if v.name in candidate.arbitrary]
+        generalised = [v for v in self.variables if v.name in arbitrary]
         result = SubgoalSet(tuple(c.name for c in cases),
                             tuple(self._subgoal(c, generalised)
                                   for c in cases))
-
-        if timeout is not None and time.monotonic() - started > timeout:
-            raise TacticError(TacticErrorKind.TIMEOUT,
-                              f"exceeded {timeout * 1000:.0f} ms")
+        if timeout is not None and monotonic() - started > timeout:
+            return Failure(TacticErrorKind.TIMEOUT,
+                           f"exceeded {timeout * 1000:.0f} ms")
+        self._subgoals[key] = result
         return result
 
-    def _structural_mode(self, name: str) -> tuple[_Case, ...]:
+    def _structural_mode(self, name: str) -> tuple[_Case, ...] | Failure:
         first = self.by_name[name]
         dt = None if first.type.is_var() else self.thy.datatype(
             first.type.name)
         if dt is None:
-            raise TacticError(
+            return Failure(
                 TacticErrorKind.NON_DATATYPE_VARIABLE,
                 f"{first.name} has type {first.type}, which is not a "
                 "datatype")
@@ -251,16 +272,16 @@ class InductTactic:
         return tuple(cases)
 
     def _functional_mode(self, terms: tuple[str, ...],
-                         rule: str) -> tuple[_Case, ...]:
+                         rule: str) -> tuple[_Case, ...] | Failure:
         if rule not in self._rules:
             self._rules[rule] = scheme_for_rule_name(rule, self.thy)
         scheme = self._rules[rule]
         if scheme is None:
-            raise TacticError(TacticErrorKind.UNKNOWN_RULE,
-                              f"no induction rule named {rule}")
+            return Failure(TacticErrorKind.UNKNOWN_RULE,
+                           f"no induction rule named {rule}")
         supplied = [self.by_name[n] for n in terms]
         if len(supplied) > scheme.arity:
-            raise TacticError(
+            return Failure(
                 TacticErrorKind.RULE_ARITY_EXCEEDED,
                 f"{rule} has {scheme.arity} position(s), "
                 f"got {len(supplied)} induction terms")
@@ -268,7 +289,7 @@ class InductTactic:
         tymap: dict[str, SimpleType] = {}
         for k, var in enumerate(supplied):
             if not match_type(scheme.positions[k], var.type, tymap):
-                raise TacticError(
+                return Failure(
                     TacticErrorKind.NON_DATATYPE_VARIABLE,
                     f"{var.name} : {var.type} does not fit position "
                     f"{k + 1} of {rule} ({scheme.positions[k]})")

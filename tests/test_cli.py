@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import inductrank
 from inductrank.cli import main
 
 
@@ -225,13 +231,13 @@ class TestEval:
         assert [line.split("   [")[1] for line in out.splitlines()
                 if "snoc_append" in line] == [
             "filtered: condition 3 (schematic variable introduced)]",
-            "filtered: stage 1 (NonDatatypeVariable)]"]
+            "filtered: stage 1 (UnknownVariable)]"]
         code, out, err = run_cli(capsys, "eval", str(corpus_dir),
                                  "--annotations", str(ann), "--json")
         assert [r["disposition"] for r in map(json.loads, out.splitlines())
                 if r["kind"] == "goal"] == [
             "filtered: condition 3 (schematic variable introduced)",
-            "filtered: stage 1 (NonDatatypeVariable)"]
+            "filtered: stage 1 (UnknownVariable)"]
 
     def test_unresolvable_annotation(self, capsys, corpus_dir, tmp_path):
         ann = tmp_path / "ann.txt"
@@ -247,3 +253,44 @@ class TestEval:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedPipe:
+    """A reader that closes the pipe early, as `eval | head -n 1` does,
+    ends the run quietly with a nonzero exit code."""
+
+    def test_in_process(self, capsys, monkeypatch, corpus_dir):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        code = main(["eval", str(corpus_dir), "--annotations",
+                     str(corpus_dir / "annotations.txt")])
+        assert code != 0
+        assert capsys.readouterr().err == ""
+
+    def test_reader_closes_after_first_line(self, tmp_path,
+                                            scaled_definitions):
+        # about 110 KB of output, more than a pipe holds, so the run is
+        # still writing when the reader goes away
+        path = tmp_path / "g4.thy"
+        path.write_text(scaled_definitions + 'lemma g4: "itadd (len (itrev '
+                        'xs ys)) m = itadd (len (rev zs)) n"\n')
+        src = str(Path(inductrank.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "inductrank.cli", "recommend", str(path),
+             "--goal", "g4", "--top", "100000", "--timeout-ms", "0",
+             "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+            env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) != 0
+        assert json.loads(first)["rank"] == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import inductrank.pipeline as pipeline_module
+import inductrank.tactic as tactic_module
 from inductrank.parser import parse_theory
 from inductrank.pipeline import (
-    enumerate_candidates, expected_candidate_count, screen, stage1, stage2,
-    stage2_condition,
+    Disposition, enumerate_candidates, expected_candidate_count, screen,
+    stage1, stage2, stage2_condition,
 )
-from inductrank.tactic import Candidate, SubgoalSet, parse_candidate
+from inductrank.tactic import (
+    Candidate, SubgoalSet, TacticError, parse_candidate,
+)
 from inductrank.terms import (
     TYPE_BOOL, Const, FreeVar, Goal, SchematicVar, SimpleType, TYPE_NAT,
     check_term, fun_type, list_of, mk_app, mk_eq, subterms_with_paths,
@@ -53,6 +59,13 @@ class TestEnumeration:
     def test_cap_must_be_positive(self, running_goal, running_theory):
         with pytest.raises(ValueError):
             enumerate_candidates(running_goal, running_theory, cap=0)
+
+    def test_one_frozenset_per_arbitrary_subset(self, g4_theory):
+        goal = g4_theory.goal_named("g4")
+        cands = list(enumerate_candidates(goal, g4_theory))
+        assert len(cands) == 10000
+        assert len({c.arbitrary for c in cands}) \
+            == len({id(c.arbitrary) for c in cands}) == 2 ** 5
 
 
 def _goal_with_vars(n):
@@ -102,6 +115,35 @@ class TestStage1:
                               timeout=None)
         indices = [stream.index(c) for c, _ in survivors]
         assert indices == sorted(indices)
+
+    def test_builds_no_error_and_reads_no_clock(self, monkeypatch,
+                                                g4_theory):
+        def forbidden(what):
+            def fail(*args, **kwargs):
+                raise AssertionError(f"stage 1 {what}")
+            return fail
+
+        monkeypatch.setattr(TacticError, "__init__",
+                            forbidden("built a TacticError"))
+        monkeypatch.setattr(tactic_module, "monotonic",
+                            forbidden("read the clock without a timeout"))
+        goal = g4_theory.goal_named("g4")
+        survivors, dispositions = stage1(
+            goal, enumerate_candidates(goal, g4_theory), g4_theory,
+            timeout=None)
+        failed = Counter(d.error for d in dispositions
+                         if d.status == "stage1")
+        assert set(failed) == {"NoArguments",
+                               "ArbitraryOverlapsInductionTerm",
+                               "NonDatatypeVariable", "RuleArityExceeded"}
+        assert len(survivors) + sum(failed.values()) == 10000
+
+    def test_disposition_repr_and_defaults(self):
+        d = Disposition(Candidate(("xs",)), "kept")
+        assert repr(d) == (
+            "Disposition(candidate=Candidate(induction_terms=('xs',), "
+            "arbitrary=frozenset(), rule=None), status='kept', error=None, "
+            "condition=None)")
 
 
 class TestStage2:
@@ -154,6 +196,28 @@ class TestStage2:
             goal, [(Candidate(("b",)), subgoals)])
         assert finalists == []
         assert dispositions[0].condition == 1
+
+    def test_condition_once_per_subgoal_set(self, monkeypatch, g4_theory):
+        goal = g4_theory.goal_named("g4")
+        survivors, _ = stage1(goal, enumerate_candidates(goal, g4_theory),
+                              g4_theory, timeout=None)
+        expected = [stage2_condition(goal, s) for _, s in survivors]
+        screened = []
+        screen_for = pipeline_module._screen
+
+        def counting(goal):
+            condition = screen_for(goal)
+
+            def counted(subgoals):
+                screened.append(subgoals)
+                return condition(subgoals)
+            return counted
+
+        monkeypatch.setattr(pipeline_module, "_screen", counting)
+        _, dispositions = stage2(goal, survivors)
+        assert [d.condition for d in dispositions] == expected
+        assert len(screened) == len({id(s) for _, s in survivors}) \
+            < len(survivors)
 
 
 class TestScreenReport:

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
+import inductrank.tactic as tactic_module
 from inductrank.parser import parse_goal_expr, parse_theory
 from inductrank.pipeline import enumerate_candidates
 from inductrank.tactic import (
-    Candidate, InductTactic, TacticError, TacticErrorKind, apply_induct,
-    parse_candidate,
+    Candidate, Failure, InductTactic, SubgoalSet, TacticError,
+    TacticErrorKind, apply_induct, parse_candidate,
 )
 from inductrank.terms import (
     App, FreeVar, Goal, SchematicVar, contains_schematic, goal_free_variables,
@@ -138,7 +141,7 @@ class TestErrors:
         with pytest.raises(TacticError) as err:
             apply_induct(running_goal, parse_candidate("induct zz"),
                          running_theory, timeout=None)
-        assert err.value.kind is TacticErrorKind.NON_DATATYPE_VARIABLE
+        assert err.value.kind is TacticErrorKind.UNKNOWN_VARIABLE
 
     def test_rule_arity_exceeded(self, corpus_dir):
         thy = parse_theory((corpus_dir / "lists.thy").read_text(), "lists")
@@ -205,6 +208,12 @@ class TestCandidateSyntax:
         with pytest.raises(ValueError):
             parse_candidate("apply auto")
 
+    def test_repr_and_defaults(self):
+        assert repr(Candidate(("xs",))) == (
+            "Candidate(induction_terms=('xs',), arbitrary=frozenset(), "
+            "rule=None)")
+        assert Candidate(("xs",)) == parse_candidate("induct xs")
+
 
 # ---------------------------------------------------------------------------
 # One tactic shared by every candidate of a goal
@@ -218,17 +227,21 @@ def _outcome(apply, candidate):
         return err.kind
 
 
+def _corpus_and_g4_goals(corpus_dir, g4_theory):
+    goals = [(thy, goal) for path in sorted(corpus_dir.glob("*.thy"))
+             for thy in [parse_theory(path.read_text(encoding="utf-8"),
+                                      path.name)]
+             for goal in thy.goals]
+    goals.append((g4_theory, g4_theory.goal_named("g4")))
+    assert len(goals) == 16
+    return goals
+
+
 class TestSharedTactic:
     def test_shared_tactic_equals_fresh_application(self, corpus_dir,
                                                     g4_theory):
-        goals = [(thy, goal) for path in sorted(corpus_dir.glob("*.thy"))
-                 for thy in [parse_theory(path.read_text(encoding="utf-8"),
-                                          path.name)]
-                 for goal in thy.goals]
-        goals.append((g4_theory, g4_theory.goal_named("g4")))
-        assert len(goals) == 16
         kinds = set()
-        for thy, goal in goals:
+        for thy, goal in _corpus_and_g4_goals(corpus_dir, g4_theory):
             shared = InductTactic(goal, thy)
             # backwards, so the shared cases are made in another order
             # than stage 1 makes them
@@ -239,8 +252,81 @@ class TestSharedTactic:
                     candidate), (goal.name, candidate.tactic_text())
                 kinds.add(got if isinstance(got, TacticErrorKind)
                           else "subgoals")
+        # enumeration names only rules it found and the goal's variables
         assert kinds == {"subgoals", *TacticErrorKind} - {
-            TacticErrorKind.UNKNOWN_RULE, TacticErrorKind.TIMEOUT}
+            TacticErrorKind.UNKNOWN_RULE, TacticErrorKind.UNKNOWN_VARIABLE,
+            TacticErrorKind.TIMEOUT}
+
+    def test_attempt_agrees_with_apply(self, corpus_dir, g4_theory):
+        for thy, goal in _corpus_and_g4_goals(corpus_dir, g4_theory):
+            shared = InductTactic(goal, thy)
+            for candidate in enumerate_candidates(goal, thy):
+                outcome = shared.attempt(candidate, None)
+                where = (goal.name, candidate.tactic_text())
+                try:
+                    fresh = apply_induct(goal, candidate, thy, timeout=None)
+                except TacticError as err:
+                    assert type(outcome) is Failure, where
+                    assert (outcome.kind, outcome.message(candidate)) \
+                        == (err.kind, err.detail), where
+                    with pytest.raises(TacticError) as again:
+                        shared.apply(candidate, None)
+                    assert str(again.value) == str(err), where
+                else:
+                    assert outcome == fresh, where
+                    assert shared.apply(candidate, None) is outcome, where
+
+    @pytest.mark.parametrize("text, message", [
+        ("induct", "NoArguments: no induction terms and no rule"),
+        ("induct ys xs arbitrary: xs ys",
+         "ArbitraryOverlapsInductionTerm: generalising an induction term: "
+         "xs, ys"),
+        ("induct xs zz", "UnknownVariable: zz is not a free variable of "
+                         "the goal"),
+        ("induct xs rule: nosuch.induct",
+         "UnknownRule: no induction rule named nosuch.induct"),
+    ])
+    def test_error_messages(self, running_goal, running_theory, text,
+                            message):
+        with pytest.raises(TacticError) as err:
+            apply_induct(running_goal, parse_candidate(text), running_theory,
+                         timeout=None)
+        assert str(err.value) == message
+
+    def test_structural_candidates_share_one_subgoal_set(self, g4_theory):
+        goal = g4_theory.goal_named("g4")
+        tactic = InductTactic(goal, g4_theory)
+        same = [tactic.attempt(parse_candidate(text), None) for text in (
+            "induct xs arbitrary: zs", "induct xs ys arbitrary: zs",
+            "induct xs n m arbitrary: zs")]
+        assert same[0] is same[1] is same[2]
+        fresh = apply_induct(goal, parse_candidate("induct xs ys "
+                                                   "arbitrary: zs"),
+                             g4_theory, timeout=None)
+        assert same[0] == fresh and same[0] is not fresh
+        # another `arbitrary`, a rule, or another term under a rule is
+        # another application
+        others = [tactic.attempt(parse_candidate(text), None) for text in (
+            "induct xs ys arbitrary: m", "induct xs ys rule: itrev.induct",
+            "induct ys xs rule: itrev.induct")]
+        assert all(type(o) is SubgoalSet for o in others)
+        assert len({id(o) for o in [same[0], *others]}) == 4
+
+    def test_timed_out_application_is_not_memoised(self, monkeypatch,
+                                                   running_goal,
+                                                   running_theory):
+        ticks = itertools.count()  # one second passes per reading
+        monkeypatch.setattr(tactic_module, "monotonic",
+                            lambda: float(next(ticks)))
+        tactic = InductTactic(running_goal, running_theory)
+        candidate = parse_candidate("induct xs arbitrary: ys")
+        for _ in range(2):
+            assert tactic.attempt(candidate, 0.5).kind \
+                is TacticErrorKind.TIMEOUT
+        done = tactic.attempt(candidate, None)
+        assert type(done) is SubgoalSet
+        # now memoised: answered without a timeout check
+        assert tactic.attempt(candidate, 0.5) is done
 
     def test_shared_failure_raises_a_fresh_error(self, running_goal,
                                                  running_theory):
