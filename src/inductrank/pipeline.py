@@ -59,9 +59,17 @@ class CandidateStream:
     def _generate(self) -> Iterator[Candidate]:
         names = self.variables
         rules: list[str | None] = [None, *self.rule_names]
-        subsets = [frozenset(arb) for j in range(len(names) + 1)
-                   for arb in itertools.combinations(names, j)]
-        for k in range(len(names) + 1):
+        # One frozenset per arbitrary subset, built while the empty
+        # sequence walks the subsets and reused by every later sequence,
+        # so a cap still stops enumeration early.
+        subsets: list[frozenset[str]] = []
+        for j in range(len(names) + 1):
+            for combination in itertools.combinations(names, j):
+                arb = frozenset(combination)
+                subsets.append(arb)
+                for rule in rules:
+                    yield Candidate((), arb, rule)
+        for k in range(1, len(names) + 1):
             for seq in itertools.permutations(names, k):
                 for arb in subsets:
                     for rule in rules:

@@ -67,6 +67,25 @@ class TestEnumeration:
         assert len({c.arbitrary for c in cands}) \
             == len({id(c.arbitrary) for c in cands}) == 2 ** 5
 
+    def test_small_cap_stops_enumeration_early(self, monkeypatch):
+        # 2^30 arbitrary subsets: building them all up front would exhaust
+        # memory, so frozenset construction is counted and cut off early
+        built = []
+
+        def counting_frozenset(items=()):
+            built.append(None)
+            if len(built) > 100:
+                raise AssertionError("enumeration is not lazy")
+            return frozenset(items)
+
+        monkeypatch.setattr(pipeline_module, "frozenset", counting_frozenset,
+                            raising=False)
+        goal = _goal_with_vars(30)
+        cands = list(enumerate_candidates(goal, parse_theory(""), cap=10))
+        assert len(cands) == 10
+        assert cands[0] == Candidate((), frozenset(), None)
+        assert all(c.induction_terms == () for c in cands)
+
 
 def _goal_with_vars(n):
     vars_ = [FreeVar(f"v{i}", TYPE_NAT) for i in range(n)]
