@@ -18,8 +18,8 @@ from .dsl import (
 from .parser import ParseError, SourceSpan, parse_goal_expr, parse_theory, \
     print_theory
 from .pipeline import (
-    CandidateStream, Disposition, ScreenReport, ScreeningResult,
-    enumerate_candidates, screen, stage1, stage2, stage2_condition,
+    Disposition, ScreenReport, enumerate_candidates, screen, stage1, stage2,
+    stage2_condition,
 )
 from .schemes import (
     InductionScheme, SchemeCase, SchemeError, format_scheme,
@@ -30,8 +30,8 @@ from .scoring import (
     shortlist,
 )
 from .tactic import (
-    Candidate, Failure, InductTactic, SubgoalSet, TacticError,
-    TacticErrorKind, apply_induct, parse_candidate,
+    Candidate, Failure, InductTactic, SubgoalSet, TacticErrorKind,
+    apply_induct, parse_candidate,
 )
 from .terms import (
     App, Const, Constructor, DatatypeDef, Equation, FreeVar, FunDef, Goal,

@@ -13,14 +13,16 @@ from typing import NoReturn
 from .dsl import GoalIndex, make_context
 from .parser import ParseError, parse_goal_expr, parse_theory
 from .pipeline import (
-    CONDITION_NAMES, DEFAULT_CAP, ScreeningResult, screen, stage2_condition,
+    CONDITION_NAMES, DEFAULT_CAP, ScreenReport, enumerate_candidates, screen,
+    stage2_condition,
 )
 from .scoring import (
     Heuristic, ScoredCandidate, default_suite, load_suite, score_all,
     shortlist,
 )
 from .tactic import (
-    Candidate, DEFAULT_TIMEOUT, TacticError, apply_induct, parse_candidate,
+    Candidate, DEFAULT_TIMEOUT, Failure, TacticErrorKind, apply_induct,
+    parse_candidate,
 )
 from .terms import Goal, Theory, format_goal, split_implications
 
@@ -151,14 +153,13 @@ def _timeout(ms: int) -> float | None:
 
 
 def _run_goal(goal: Goal, thy: Theory, suite, cap: int,
-              timeout: float | None) -> tuple[ScreeningResult,
+              timeout: float | None) -> tuple[ScreenReport,
                                               list[ScoredCandidate]]:
-    result = screen(goal, thy, cap=cap, timeout=timeout)
+    report = screen(goal, thy, cap=cap, timeout=timeout)
     index = GoalIndex(goal, thy)
-    scored = score_all(
-        [c for c, _ in result.finalists], suite,
-        lambda c: make_context(goal, c, thy, index=index))
-    return result, scored
+    scored = score_all(report.finalists, suite,
+                       lambda c: make_context(goal, c, thy, index=index))
+    return report, scored
 
 
 def cmd_recommend(args) -> int:
@@ -174,12 +175,12 @@ def cmd_recommend(args) -> int:
         premises, conclusion = split_implications(term)
         goal = Goal("expr", premises, conclusion)
     suite = _suite_from(args.heuristics)
-    result, scored = _run_goal(goal, thy, suite, args.max_candidates,
+    report, scored = _run_goal(goal, thy, suite, args.max_candidates,
                                _timeout(args.timeout_ms))
     top = shortlist(scored, args.top)
     if not scored:
         print(f"goal {goal.name}: no candidate survives screening "
-              f"({result.report.summary()})", file=sys.stderr)
+              f"({report.summary()})", file=sys.stderr)
         return 2
     if args.as_json:
         for sc in top:
@@ -191,7 +192,7 @@ def cmd_recommend(args) -> int:
             }))
         return 0
     print(f"goal {goal.name}: {format_goal(goal)}")
-    print(f"screening: {result.report.summary()}")
+    print(f"screening: {report.summary()}")
     print(f"top {len(top)} of {len(scored)} finalists:")
     width = max(len(sc.candidate.tactic_text()) for sc in top)
     for sc in top:
@@ -209,16 +210,14 @@ def cmd_explain(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     suite = _suite_from(args.heuristics)
-    result, scored = _run_goal(goal, thy, suite, DEFAULT_CAP, None)
+    _, scored = _run_goal(goal, thy, suite, DEFAULT_CAP, None)
 
     print(f"goal {goal.name}: {format_goal(goal)}")
     print(f"candidate: {candidate.tactic_text()}")
-    disposition = _disposition_of(candidate, goal, thy, result)
-    if disposition is not None:
-        print(disposition)
-        return 0
     entry = next((sc for sc in scored if sc.candidate == candidate), None)
-    assert entry is not None
+    if entry is None:
+        print(_disposition_of(candidate, goal, thy, DEFAULT_CAP))
+        return 0
     width = max(len(h.name) for h in suite) if suite else 0
     for h, verdict in zip(suite, entry.verdicts):
         print(f"  {h.name:<{width}}  {'T' if verdict else 'F'}")
@@ -228,23 +227,18 @@ def cmd_explain(args) -> int:
 
 
 def _disposition_of(candidate: Candidate, goal: Goal, thy: Theory,
-                    result: ScreeningResult) -> str | None:
-    for d in result.report.dispositions:
-        if d.candidate == candidate:
-            if d.status == "kept":
-                return None
-            if d.status == "stage1":
-                return f"filtered: stage 1 ({d.error})"
-            return (f"filtered: condition {d.condition} "
-                    f"({CONDITION_NAMES[d.condition]})")
-    # not enumerated (e.g. capped out); screen it directly
-    try:
-        subgoals = apply_induct(goal, candidate, thy, timeout=None)
-    except TacticError as err:
-        return f"filtered: stage 1 ({err.kind.value})"
-    cond = stage2_condition(goal, subgoals)
+                    cap: int) -> str:
+    """Why a candidate that was not ranked was dropped, from screening it
+    alone without a timeout.  If it passes both stages, it timed out in
+    stage 1 or lies beyond the first `cap` enumerated."""
+    outcome = apply_induct(goal, candidate, thy, timeout=None)
+    if type(outcome) is Failure:
+        return f"filtered: stage 1 ({outcome.kind.value})"
+    cond = stage2_condition(goal, outcome)
     if cond is not None:
         return f"filtered: condition {cond} ({CONDITION_NAMES[cond]})"
+    if candidate in enumerate_candidates(goal, thy, cap):
+        return f"filtered: stage 1 ({TacticErrorKind.TIMEOUT.value})"
     return "not enumerated (raise --max-candidates)"
 
 
@@ -320,12 +314,12 @@ def cmd_eval(args) -> int:
         label: CoincidenceRow(label) for label, _ in theories}
     for ann in annotations:
         label, thy, goal = goal_index[ann.goal_name]
-        result, scored = _run_goal(goal, thy, suite, DEFAULT_CAP,
+        report, scored = _run_goal(goal, thy, suite, DEFAULT_CAP,
                                    DEFAULT_TIMEOUT)
         rank, score = _rank_of(ann, scored, args.terms_only)
-        counts = result.report.counts()
+        counts = report.counts()
         disposition = "ranked" if rank is not None else \
-            _disposition_of(ann.candidate, goal, thy, result)
+            _disposition_of(ann.candidate, goal, thy, DEFAULT_CAP)
         goal_rows.append({
             "theory": label,
             "goal": ann.goal_name,

@@ -667,7 +667,7 @@ def _parser(source: str, file: str) -> _DslParser:
             alias = _ALIASES[tok.text]
             tokens[i] = tok._replace(
                 kind="ident" if alias.isalpha() else "sym", text=alias)
-    return _DslParser(tokens, file, end="found ''")
+    return _DslParser(tokens, file)
 
 
 def parse_formula(source: str, file: str = "<formula>") -> Formula:

@@ -132,17 +132,12 @@ def scan(source: str, file: str, line: int = 1, column: int = 1,
 
 
 class Cursor:
-    """A position in a token list, with errors spanned in `file`.  `end`
-    is what an error says on reaching the end of the list; inside quotes
-    and in heuristic formulas that is the empty end token itself
-    (``found ''``)."""
+    """A position in a token list, with errors spanned in `file`."""
 
-    def __init__(self, tokens: list[Token], file: str,
-                 end: str = "unexpected end of input"):
+    def __init__(self, tokens: list[Token], file: str):
         self.tokens = tokens
         self.pos = 0
         self.file = file
-        self.end = end
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -173,17 +168,19 @@ class Cursor:
             return self.next()
         raise self.unexpected(what)
 
-    def unexpected(self, what: str, end: str | None = None) -> ParseError:
-        """The error for the next token where `what` was expected."""
+    def unexpected(self, what: str,
+                   end: str = "unexpected end of input") -> ParseError:
+        """The error for the next token where `what` was expected; `end`
+        is what it says at the end of the list."""
         tok = self.peek()
-        return self.fail(f"found {tok.text!r}" if tok.kind != "eof"
-                         else end or self.end, tok, expected=(what,))
+        return self.fail(f"found {tok.text!r}" if tok.kind != "eof" else end,
+                         tok, expected=(what,))
 
 
 def _quoted(text: str, file: str, line: int, column: int) -> Cursor:
     """A cursor over the terms or types of quoted text starting at
     `line`:`column`."""
-    return Cursor(scan(text, file, line, column), file, end="found ''")
+    return Cursor(scan(text, file, line, column), file)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +665,8 @@ def _parse_ctor_arg(p: Cursor, known: dict[str, int], params: list[str],
             if depth == 0:
                 break
         parts.append(t)
-    ts = Cursor(parts + [Token("eof", "", tok.line, tok.column)], p.file)
+    # the type ends at the closing parenthesis `t`
+    ts = Cursor(parts + [Token("eof", "", t.line, t.column)], p.file)
     ty = _parse_type(ts, known)
     if ts.peek().kind != "eof":
         raise ts.fail("trailing tokens in type")

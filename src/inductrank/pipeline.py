@@ -10,6 +10,9 @@ candidate when
   2. every subgoal's conclusion embeds the original conclusion while no
      subgoal gained a new premise, or
   3. a subgoal contains a schematic variable although the goal had none.
+
+Each stage returns its survivors and a `Disposition` for each candidate
+it drops; `screen` keeps only the counts and the finalists' candidates.
 """
 
 from __future__ import annotations
@@ -34,56 +37,44 @@ CONDITION_NAMES = {
 }
 
 
-@dataclass
-class CandidateStream:
-    """Lazy, deterministically ordered candidate sequence for one goal.
+def enumerate_candidates(goal: Goal, thy: Theory,
+                         cap: int = DEFAULT_CAP) -> Iterator[Candidate]:
+    """The first `cap` candidates for `goal`, lazily.
 
     Order: by induction-term count ascending (the empty sequence first),
     then by variable order within the goal, then by arbitrary-subset size
     ascending, then rule (absent first, then collected-rule order).
     """
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    return itertools.islice(_generate(goal, thy), cap)
 
-    goal: Goal
-    thy: Theory
-    cap: int
 
-    def __post_init__(self) -> None:
-        if self.cap < 1:
-            raise ValueError("cap must be positive")
-        self.variables = [v.name for v in goal_free_variables(self.goal)]
-        self.rule_names = [r.name for r in rules_for(self.goal, self.thy)]
-
-    def __iter__(self) -> Iterator[Candidate]:
-        return itertools.islice(self._generate(), self.cap)
-
-    def _generate(self) -> Iterator[Candidate]:
-        names = self.variables
-        rules: list[str | None] = [None, *self.rule_names]
-        # One frozenset per arbitrary subset, built while the empty
-        # sequence walks the subsets and reused by every later sequence,
-        # so a cap still stops enumeration early.
-        subsets: list[frozenset[str]] = []
-        for j in range(len(names) + 1):
-            for combination in itertools.combinations(names, j):
-                arb = frozenset(combination)
-                subsets.append(arb)
+def _generate(goal: Goal, thy: Theory) -> Iterator[Candidate]:
+    names = [v.name for v in goal_free_variables(goal)]
+    rules: list[str | None] = [None, *(r.name for r in rules_for(goal, thy))]
+    # One frozenset per arbitrary subset, built while the empty sequence
+    # walks the subsets and reused by every later sequence, so a cap
+    # still stops enumeration early.
+    subsets: list[frozenset[str]] = []
+    for j in range(len(names) + 1):
+        for combination in itertools.combinations(names, j):
+            arb = frozenset(combination)
+            subsets.append(arb)
+            for rule in rules:
+                yield Candidate((), arb, rule)
+    for k in range(1, len(names) + 1):
+        for seq in itertools.permutations(names, k):
+            for arb in subsets:
                 for rule in rules:
-                    yield Candidate((), arb, rule)
-        for k in range(1, len(names) + 1):
-            for seq in itertools.permutations(names, k):
-                for arb in subsets:
-                    for rule in rules:
-                        yield Candidate(seq, arb, rule)
-
-
-def enumerate_candidates(goal: Goal, thy: Theory,
-                         cap: int = DEFAULT_CAP) -> CandidateStream:
-    return CandidateStream(goal, thy, cap)
+                    yield Candidate(seq, arb, rule)
 
 
 class Disposition(NamedTuple):
+    """A candidate a screening stage dropped, and why."""
+
     candidate: Candidate
-    status: str                     # kept | stage1 | stage2
+    status: str                     # stage1 | stage2
     error: str | None = None        # tactic error kind for stage1
     condition: int | None = None    # screening condition id for stage2
 
@@ -94,7 +85,7 @@ class ScreenReport:
     stage1_survivors: int
     stage2a_survivors: int          # after conditions 1 and 2
     stage2_survivors: int           # after condition 3 as well
-    dispositions: tuple[Disposition, ...]
+    finalists: tuple[Candidate, ...]  # in pipeline order
 
     def counts(self) -> dict[str, int]:
         return {
@@ -116,22 +107,19 @@ def stage1(goal: Goal, stream: Iterable[Candidate], thy: Theory,
     """Keep candidates whose tactic application returns subgoals in time,
     preserving stream order; failures become dispositions.
 
-    Never raises for a candidate: it calls `InductTactic.attempt`, which
-    returns failures, so no `TacticError` and no message is built.  One
-    tactic serves the whole stream, so candidates that agree on what the
-    tactic reads share one memoised `SubgoalSet`.
+    One tactic serves the whole stream, so candidates that agree on what
+    the tactic reads share one memoised `SubgoalSet`.
     """
-    attempt = InductTactic(goal, thy).attempt
+    apply = InductTactic(goal, thy).apply
     survivors: list[tuple[Candidate, SubgoalSet]] = []
     dispositions: list[Disposition] = []
     for candidate in stream:
-        outcome = attempt(candidate, timeout)
+        outcome = apply(candidate, timeout)
         if type(outcome) is Failure:
             dispositions.append(
                 Disposition(candidate, "stage1", error=outcome.kind.value))
         else:
             survivors.append((candidate, outcome))
-            dispositions.append(Disposition(candidate, "kept"))
     return survivors, dispositions
 
 
@@ -172,9 +160,9 @@ def stage2(goal: Goal,
            survivors: list[tuple[Candidate, SubgoalSet]],
            ) -> tuple[list[tuple[Candidate, SubgoalSet]], list[Disposition]]:
     """Keep the survivors whose subgoals violate no screening condition,
-    preserving order.  The condition is computed once per distinct
-    `SubgoalSet` object: stage 1 shares one among candidates that agree
-    on what the tactic reads."""
+    preserving order; the others become dispositions.  The condition is
+    computed once per distinct `SubgoalSet` object: stage 1 shares one
+    among candidates that agree on what the tactic reads."""
     condition = _screen(goal)
     by_set: dict[int, int | None] = {}  # by id; survivors keep them alive
     finalists: list[tuple[Candidate, SubgoalSet]] = []
@@ -186,41 +174,26 @@ def stage2(goal: Goal,
         cond = by_set[key]
         if cond is None:
             finalists.append((candidate, subgoals))
-            dispositions.append(Disposition(candidate, "kept"))
         else:
             dispositions.append(
                 Disposition(candidate, "stage2", condition=cond))
     return finalists, dispositions
 
 
-@dataclass
-class ScreeningResult:
-    finalists: list[tuple[Candidate, SubgoalSet]]
-    report: ScreenReport
-
-
 def screen(goal: Goal, thy: Theory, cap: int = DEFAULT_CAP,
-           timeout: float | None = DEFAULT_TIMEOUT) -> ScreeningResult:
+           timeout: float | None = DEFAULT_TIMEOUT) -> ScreenReport:
     """Run enumeration plus both screening stages."""
-    stream = enumerate_candidates(goal, thy, cap)
-    survivors, disp1 = stage1(goal, stream, thy, timeout)
-    finalists, disp2 = stage2(goal, survivors)
-
-    # stage 2 disposes of each stage-1 survivor once, in stage-1 order
-    stage2_of_kept = iter(disp2)
-    merged = [next(stage2_of_kept) if d.status == "kept" else d
-              for d in disp1]
-    stage2a = sum(1 for d in merged
-                  if d.status == "kept"
-                  or (d.status == "stage2" and d.condition == 3))
-    report = ScreenReport(
-        generated=len(merged),
+    survivors, dropped1 = stage1(goal, enumerate_candidates(goal, thy, cap),
+                                 thy, timeout)
+    finalists, dropped2 = stage2(goal, survivors)
+    return ScreenReport(
+        generated=len(survivors) + len(dropped1),
         stage1_survivors=len(survivors),
-        stage2a_survivors=stage2a,
+        stage2a_survivors=len(finalists) + sum(d.condition == 3
+                                               for d in dropped2),
         stage2_survivors=len(finalists),
-        dispositions=tuple(merged),
+        finalists=tuple(c for c, _ in finalists),
     )
-    return ScreeningResult(finalists, report)
 
 
 def expected_candidate_count(n_vars: int, n_rules: int) -> int:

@@ -2,7 +2,8 @@
 
 This is the desk-scale stand-in for a proof assistant's `induct` tactic:
 it instantiates an induction scheme and returns the subgoals that the
-screening and scoring stages inspect.  No proof search happens here.
+screening and scoring stages inspect, or a `Failure` saying why there are
+none.  Nothing here raises for a candidate.  No proof search happens here.
 """
 
 from __future__ import annotations
@@ -32,15 +33,6 @@ class TacticErrorKind(enum.Enum):
     RULE_ARITY_EXCEEDED = "RuleArityExceeded"
     UNKNOWN_RULE = "UnknownRule"
     TIMEOUT = "Timeout"
-
-
-@dataclass
-class TacticError(Exception):
-    kind: TacticErrorKind
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{self.kind.value}: {self.detail}"
 
 
 class Candidate(NamedTuple):
@@ -103,30 +95,26 @@ class SubgoalSet:
 
 
 def apply_induct(goal: Goal, candidate: Candidate, thy: Theory,
-                 timeout: float | None = DEFAULT_TIMEOUT) -> SubgoalSet:
+                 timeout: float | None = DEFAULT_TIMEOUT,
+                 ) -> SubgoalSet | Failure:
     """Apply an induction candidate to a goal; see `InductTactic.apply`.
     To apply many candidates to one goal, make one `InductTactic`."""
     return InductTactic(goal, thy).apply(candidate, timeout)
 
 
 class Failure(NamedTuple):
-    """Why an application failed.  An overlap is one shared failure
-    without a detail, so that screening, which reads only `kind`, builds
-    nothing for it; `message` describes it from the candidate."""
+    """Why an application failed.  The failures that depend only on the
+    candidate's shape are shared constants, so that screening builds
+    nothing for them."""
 
     kind: TacticErrorKind
-    detail: str | None = None
-
-    def message(self, candidate: Candidate) -> str:
-        if self.detail is not None:
-            return self.detail
-        overlap = candidate.arbitrary.intersection(candidate.induction_terms)
-        return "generalising an induction term: " + ", ".join(sorted(overlap))
+    detail: str
 
 
 _NO_ARGUMENTS = Failure(TacticErrorKind.NO_ARGUMENTS,
                         "no induction terms and no rule")
-_OVERLAP = Failure(TacticErrorKind.ARBITRARY_OVERLAPS_INDUCTION_TERM)
+_OVERLAP = Failure(TacticErrorKind.ARBITRARY_OVERLAPS_INDUCTION_TERM,
+                   "generalising an induction term")
 
 
 @dataclass(frozen=True)
@@ -171,8 +159,10 @@ class InductTactic:
         self._subgoals: dict[tuple, SubgoalSet] = {}
 
     def apply(self, candidate: Candidate,
-              timeout: float | None = DEFAULT_TIMEOUT) -> SubgoalSet:
-        """Apply an induction candidate to the goal.
+              timeout: float | None = DEFAULT_TIMEOUT,
+              ) -> SubgoalSet | Failure:
+        """Apply an induction candidate to the goal: the subgoals, or the
+        `Failure` saying why there are none.
 
         Structural mode (no rule): the first induction term drives the
         structural scheme of its datatype; further induction terms are left
@@ -188,20 +178,10 @@ class InductTactic:
         and the original premises share one fresh renaming, and every
         induction hypothesis gets its own fresh copies.
 
-        Raises TacticError for what `attempt` returns as a `Failure`;
-        `timeout` is wall-clock seconds (None = no limit).
+        `timeout` is wall-clock seconds (None = no limit).  The clock is
+        read only when a timeout is set, and a memoised `SubgoalSet` is
+        returned without a timeout check.
         """
-        outcome = self.attempt(candidate, timeout)
-        if type(outcome) is Failure:
-            raise TacticError(outcome.kind, outcome.message(candidate))
-        return outcome
-
-    def attempt(self, candidate: Candidate,
-                timeout: float | None = DEFAULT_TIMEOUT,
-                ) -> SubgoalSet | Failure:
-        """`apply` without raising: the subgoals, or why there are none.
-        Reads the clock only when a timeout is set.  A memoised
-        `SubgoalSet` is returned without a timeout check."""
         if timeout is not None:
             started = monotonic()
         terms, arbitrary, rule = candidate

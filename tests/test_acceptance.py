@@ -14,7 +14,7 @@ from _reference import random_formula, ref_evaluate
 from inductrank.cli import main as cli_main
 from inductrank.dsl import evaluate, make_context
 from inductrank.parser import parse_theory
-from inductrank.pipeline import enumerate_candidates, screen, stage2
+from inductrank.pipeline import enumerate_candidates, screen, stage1, stage2
 from inductrank.schemes import functional_scheme, structural_scheme
 from inductrank.scoring import default_suite, score_all, shortlist
 from inductrank.tactic import (
@@ -46,11 +46,10 @@ def test_criterion_2_expert_candidates_survive_and_rank(running_goal,
     started = time.monotonic()
     result = screen(running_goal, running_theory, timeout=None)
     factory = lambda c: make_context(running_goal, c, running_theory)  # noqa: E731
-    scored = score_all([c for c, _ in result.finalists], default_suite(),
-                       factory)
+    scored = score_all(result.finalists, default_suite(), factory)
     top10 = {sc.candidate.tactic_text() for sc in shortlist(scored, 10)}
     elapsed = time.monotonic() - started
-    finalist_texts = {c.tactic_text() for c, _ in result.finalists}
+    finalist_texts = {c.tactic_text() for c in result.finalists}
     assert PRF1 in finalist_texts and PRF2 in finalist_texts
     assert PRF1 in top10 and PRF2 in top10
     assert elapsed < 5.0
@@ -159,15 +158,17 @@ def test_criterion_6_screening_fixtures(running_goal, running_theory):
     # condition 2: identity-like non-recursive function goal
     thy2 = parse_theory('fun id2 :: "\'a => \'a" where "id2 x = x"\n'
                         'lemma i: "id2 y = y"')
-    result2 = screen(thy2.goals[0], thy2, timeout=None)
-    cond2 = [d.candidate for d in result2.report.dispositions
-             if d.condition == 2]
+    goal2 = thy2.goals[0]
+    _, dispositions = stage2(goal2, stage1(
+        goal2, enumerate_candidates(goal2, thy2), thy2, timeout=None)[0])
+    cond2 = [d.candidate for d in dispositions if d.condition == 2]
     assert Candidate((), frozenset(), "id2.induct") in cond2
 
     # condition 3: rule applied with zero induction terms
-    result3 = screen(running_goal, running_theory, timeout=None)
-    cond3 = [d.candidate for d in result3.report.dispositions
-             if d.condition == 3]
+    _, dispositions = stage2(running_goal, stage1(
+        running_goal, enumerate_candidates(running_goal, running_theory),
+        running_theory, timeout=None)[0])
+    cond3 = [d.candidate for d in dispositions if d.condition == 3]
     assert Candidate((), frozenset(), "itrev.induct") in cond3
     report(6, "each stage-2 condition fires on its fixture")
 
@@ -194,8 +195,7 @@ def test_criterion_8_score_bounds(corpus_dir):
         for goal in thy.goals:
             result = screen(goal, thy, timeout=None)
             factory = lambda c: make_context(goal, c, thy)  # noqa: E731
-            for sc in score_all([c for c, _ in result.finalists], suite,
-                                factory):
+            for sc in score_all(result.finalists, suite, factory):
                 assert 0 <= sc.score <= 20
                 assert sc.score == sum(sc.verdicts)
                 checked += 1

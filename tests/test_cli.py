@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +11,13 @@ from pathlib import Path
 import pytest
 
 import inductrank
+import inductrank.tactic as tactic_module
+from inductrank import cli
 from inductrank.cli import main
+from inductrank.parser import parse_theory, print_theory
+from inductrank.pipeline import (
+    CONDITION_NAMES, DEFAULT_CAP, enumerate_candidates, stage1, stage2,
+)
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +166,68 @@ class TestExplain:
         assert code == 0
         assert "stage 1" in out
         assert "ArbitraryOverlapsInductionTerm" in out
+
+
+    def test_candidate_beyond_the_cap(self, capsys, tmp_path, g4_theory):
+        path = tmp_path / "g4.thy"
+        path.write_text(print_theory(g4_theory))
+        code, out, err = run_cli(
+            capsys, "explain", str(path), "--goal", "g4",
+            "--tactic", "induct xs ys zs m n")
+        assert code == 0
+        assert out.splitlines()[-1] \
+            == "not enumerated (raise --max-candidates)"
+
+
+class TestDispositionNotes:
+    """`explain` and `eval` name a candidate's fate by screening it alone."""
+
+    def test_notes_equal_the_stage_dispositions(self, corpus_dir,
+                                                g4_theory):
+        goals = [(thy, goal) for path in sorted(corpus_dir.glob("*.thy"))
+                 for thy in [parse_theory(path.read_text(encoding="utf-8"),
+                                          path.name)]
+                 for goal in thy.goals]
+        goals.append((g4_theory, g4_theory.goal_named("g4")))
+        assert len(goals) == 16
+        for thy, goal in goals:
+            candidates = list(enumerate_candidates(goal, thy))
+            survivors, dropped1 = stage1(goal, candidates, thy, timeout=None)
+            finalists, dropped2 = stage2(goal, survivors)
+            notes = {d.candidate: f"filtered: stage 1 ({d.error})"
+                     for d in dropped1}
+            notes.update(
+                (d.candidate, f"filtered: condition {d.condition} "
+                              f"({CONDITION_NAMES[d.condition]})")
+                for d in dropped2)
+            # a finalist that was not ranked can only have timed out
+            notes.update((c, "filtered: stage 1 (Timeout)")
+                         for c, _ in finalists)
+            assert len(notes) == len(candidates)
+            for candidate in candidates:
+                assert cli._disposition_of(candidate, goal, thy,
+                                           DEFAULT_CAP) \
+                    == notes[candidate], (goal.name, candidate.tactic_text())
+
+    def test_eval_note_for_a_timed_out_expert(self, capsys, monkeypatch,
+                                              corpus_dir, tmp_path):
+        # a second passes per clock reading, so every application that
+        # sets a timeout exceeds it
+        ticks = itertools.count()
+        monkeypatch.setattr(tactic_module, "monotonic",
+                            lambda: float(next(ticks)))
+        ann = tmp_path / "ann.txt"
+        ann.write_text("itrev_rev | induct xs arbitrary: ys | rule:no | "
+                       "arb:yes\n")
+        args = ["eval", str(corpus_dir), "--annotations", str(ann)]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0
+        assert out.splitlines()[1].endswith(
+            "   [filtered: stage 1 (Timeout)]")
+        code, out, err = run_cli(capsys, *args, "--json")
+        row = json.loads(out.splitlines()[0])
+        assert (row["1st"], row["nth"], row["disposition"]) \
+            == (0, None, "filtered: stage 1 (Timeout)")
 
 
 class TestEval:

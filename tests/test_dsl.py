@@ -110,7 +110,7 @@ class TestParsing:
          "heuristic h: True\n  (* outer (* inner *) still open",
          "<heuristics>:2:3: unterminated comment"),
         (parse_formula, "EX t : term. (is_constant (t)",
-         "<formula>:1:30: found '' (expected ')')"),
+         "<formula>:1:30: unexpected end of input (expected ')')"),
         (parse_formula, "True &",
          "<formula>:1:7: unexpected end of formula (expected formula)"),
         (parse_formula, "True -->\n\n",
@@ -130,7 +130,7 @@ class TestParsing:
          "  ALL t : term. is_constant (u)",
          "<heuristics>:4:30: unbound variable u"),
         (parse_formula, "True\r\n& (True\r\n",
-         "<formula>:3:1: found '' (expected ')')"),
+         "<formula>:3:1: unexpected end of input (expected ')')"),
         (parse_formula,
          "∀ t : term ∈ induction_term. ¬ is_constant (t) ∧ "
          "is_free_variable (u)",

@@ -358,11 +358,13 @@ class TestSpans:
         ("datatype t = C (nat => foo)",
          "bad.thy:1:24: unknown type foo"),
         ("datatype t = C (nat =>)",
-         "bad.thy:1:16: unexpected end of type (expected type)"),
+         "bad.thy:1:23: unexpected end of type (expected type)"),
+        ("datatype t = C (nat\n  =>\n )",
+         "bad.thy:3:2: unexpected end of type (expected type)"),
         ("datatype t = C nat (nat list, nat)",
          "bad.thy:1:29: trailing tokens in type"),
         ('fun f :: "nat => nat" where "f x"',
-         "bad.thy:1:33: found '' (expected '=')"),
+         "bad.thy:1:33: unexpected end of input (expected '=')"),
         ('lemma a: "x = y',
          "bad.thy:1:10: unterminated quote"),
         ('lemma a: "x"\n  (* a (* b *) c',

@@ -12,9 +12,7 @@ from inductrank.pipeline import (
     Disposition, enumerate_candidates, expected_candidate_count, screen,
     stage1, stage2, stage2_condition,
 )
-from inductrank.tactic import (
-    Candidate, SubgoalSet, TacticError, parse_candidate,
-)
+from inductrank.tactic import Candidate, SubgoalSet, parse_candidate
 from inductrank.terms import (
     TYPE_BOOL, Const, FreeVar, Goal, SchematicVar, SimpleType, TYPE_NAT,
     check_term, fun_type, list_of, mk_app, mk_eq, subterms_with_paths,
@@ -125,7 +123,9 @@ class TestStage1:
                     if d.error == "ArbitraryOverlapsInductionTerm"]
         assert all(set(d.candidate.induction_terms) & d.candidate.arbitrary
                    for d in overlaps)
-        kept = [d.candidate for d in dispositions if d.status == "kept"]
+        assert len(survivors) + len(dispositions) == 40
+        assert all(d.status == "stage1" for d in dispositions)
+        kept = [c for c, _ in survivors]
         assert parse_candidate("induct xs arbitrary: ys") in kept
 
     def test_order_preserved(self, running_goal, running_theory):
@@ -135,49 +135,50 @@ class TestStage1:
         indices = [stream.index(c) for c, _ in survivors]
         assert indices == sorted(indices)
 
-    def test_builds_no_error_and_reads_no_clock(self, monkeypatch,
-                                                g4_theory):
-        def forbidden(what):
-            def fail(*args, **kwargs):
-                raise AssertionError(f"stage 1 {what}")
-            return fail
+    def test_reads_no_clock_without_timeout(self, monkeypatch, g4_theory):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("stage 1 read the clock without a timeout")
 
-        monkeypatch.setattr(TacticError, "__init__",
-                            forbidden("built a TacticError"))
-        monkeypatch.setattr(tactic_module, "monotonic",
-                            forbidden("read the clock without a timeout"))
+        monkeypatch.setattr(tactic_module, "monotonic", forbidden)
         goal = g4_theory.goal_named("g4")
         survivors, dispositions = stage1(
             goal, enumerate_candidates(goal, g4_theory), g4_theory,
             timeout=None)
-        failed = Counter(d.error for d in dispositions
-                         if d.status == "stage1")
+        assert all(d.status == "stage1" for d in dispositions)
+        failed = Counter(d.error for d in dispositions)
         assert set(failed) == {"NoArguments",
                                "ArbitraryOverlapsInductionTerm",
                                "NonDatatypeVariable", "RuleArityExceeded"}
         assert len(survivors) + sum(failed.values()) == 10000
 
     def test_disposition_repr_and_defaults(self):
-        d = Disposition(Candidate(("xs",)), "kept")
+        d = Disposition(Candidate(("xs",)), "stage1")
         assert repr(d) == (
             "Disposition(candidate=Candidate(induction_terms=('xs',), "
-            "arbitrary=frozenset(), rule=None), status='kept', error=None, "
-            "condition=None)")
+            "arbitrary=frozenset(), rule=None), status='stage1', "
+            "error=None, condition=None)")
+
+
+def _dropped_in_stage2(goal, thy, condition):
+    """The candidates stage 2 drops for `condition`."""
+    survivors, _ = stage1(goal, enumerate_candidates(goal, thy), thy,
+                          timeout=None)
+    _, dispositions = stage2(goal, survivors)
+    assert all(d.status == "stage2" for d in dispositions)
+    return [d.candidate for d in dispositions if d.condition == condition]
 
 
 class TestStage2:
     def test_zero_term_rule_candidates_hit_condition_3(
             self, running_goal, running_theory):
-        result = screen(running_goal, running_theory, timeout=None)
-        cond3 = [d.candidate for d in result.report.dispositions
-                 if d.condition == 3]
+        cond3 = _dropped_in_stage2(running_goal, running_theory, 3)
         zero_term = [c for c in cond3 if not c.induction_terms]
         assert len(zero_term) == 4  # one per arbitrary subset
         assert all(c.rule == "itrev.induct" for c in zero_term)
 
     def test_prf2_survives(self, running_goal, running_theory):
-        result = screen(running_goal, running_theory, timeout=None)
-        finalists = [c for c, _ in result.finalists]
+        finalists = screen(running_goal, running_theory,
+                           timeout=None).finalists
         assert parse_candidate("induct xs ys rule: itrev.induct") in finalists
         assert parse_candidate("induct xs arbitrary: ys") in finalists
 
@@ -188,18 +189,14 @@ class TestStage2:
             '  "konst x = B0"\n'
             '| "konst x = B0"\n'
             'lemma k: "konst y = B0"')
-        result = screen(thy.goals[0], thy, timeout=None)
-        cond1 = [d.candidate for d in result.report.dispositions
-                 if d.condition == 1]
+        cond1 = _dropped_in_stage2(thy.goals[0], thy, 1)
         assert parse_candidate("induct y rule: konst.induct") in cond1
 
     def test_identity_function_hits_condition_2(self):
         thy = parse_theory(
             'fun id2 :: "\'a => \'a" where "id2 x = x"\n'
             'lemma i: "id2 y = y"')
-        result = screen(thy.goals[0], thy, timeout=None)
-        cond2 = [d.candidate for d in result.report.dispositions
-                 if d.condition == 2]
+        cond2 = _dropped_in_stage2(thy.goals[0], thy, 2)
         assert Candidate((), frozenset(), "id2.induct") in cond2
 
     def test_constant_goal_same_subgoals_condition_1(self):
@@ -233,16 +230,25 @@ class TestStage2:
             return counted
 
         monkeypatch.setattr(pipeline_module, "_screen", counting)
-        _, dispositions = stage2(goal, survivors)
-        assert [d.condition for d in dispositions] == expected
+        finalists, dispositions = stage2(goal, survivors)
+        assert_stage2_outcome(survivors, expected, finalists, dispositions)
         assert len(screened) == len({id(s) for _, s in survivors}) \
             < len(survivors)
 
 
+def assert_stage2_outcome(survivors, conditions, finalists, dispositions):
+    """`stage2` kept the survivors whose condition is None, in order, and
+    dropped the others, in order, with their conditions."""
+    assert finalists == [s for s, cond in zip(survivors, conditions)
+                         if cond is None]
+    assert [(d.candidate, d.condition) for d in dispositions] == [
+        (c, cond) for (c, _), cond in zip(survivors, conditions)
+        if cond is not None]
+
+
 class TestScreenReport:
     def test_counts_and_monotonicity(self, running_goal, running_theory):
-        result = screen(running_goal, running_theory, timeout=None)
-        c = result.report.counts()
+        c = screen(running_goal, running_theory, timeout=None).counts()
         assert c == {"total": 40, "1st": 16, "2nd-a": 16, "2nd-b": 8}
         assert c["2nd-b"] <= c["2nd-a"] <= c["1st"] <= c["total"]
 
@@ -250,21 +256,37 @@ class TestScreenReport:
                                                running_theory):
         result = screen(running_goal, running_theory, timeout=None)
         generated = list(enumerate_candidates(running_goal, running_theory))
-        finalist_candidates = [c for c, _ in result.finalists]
         it = iter(generated)
-        assert all(c in it for c in finalist_candidates)
+        assert all(c in it for c in result.finalists)
 
     def test_deterministic(self, running_goal, running_theory):
         a = screen(running_goal, running_theory, timeout=None)
         b = screen(running_goal, running_theory, timeout=None)
-        assert a.report == b.report
-        assert a.finalists == b.finalists
+        assert a == b
+
+    def test_report_matches_the_stages(self, corpus_dir, g4_theory):
+        conditions = Counter()
+        for thy, goal in _test_goals(corpus_dir, g4_theory):
+            generated = list(enumerate_candidates(goal, thy))
+            survivors, dropped1 = stage1(goal, generated, thy, timeout=None)
+            assert len(survivors) + len(dropped1) == len(generated)
+            finalists, dropped2 = stage2(goal, survivors)
+            conditions.update(d.condition for d in dropped2)
+            report = screen(goal, thy, timeout=None)
+            assert report.finalists == tuple(c for c, _ in finalists)
+            assert report.counts() == {
+                "total": len(generated),
+                "1st": len(survivors),
+                "2nd-a": len(finalists) + sum(d.condition == 3
+                                              for d in dropped2),
+                "2nd-b": len(finalists)}, goal.name
+        assert set(conditions) == {1, 2, 3}
 
 
 def test_cap_bounds_generated(running_goal, running_theory):
     for cap in (1, 2, 7, 39, 40, 41, 100):
         result = screen(running_goal, running_theory, cap=cap, timeout=None)
-        assert result.report.generated == min(cap, 40)
+        assert result.generated == min(cap, 40)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +344,9 @@ def _test_goals(corpus_dir, g4_theory):
 def _checked_regions(goal, thy) -> int:
     """Run `check_term` on every region of every finalist's subgoals."""
     regions = 0
-    for _, subgoals in screen(goal, thy, timeout=None).finalists:
+    survivors, _ = stage1(goal, enumerate_candidates(goal, thy), thy,
+                          timeout=None)
+    for _, subgoals in stage2(goal, survivors)[0]:
         for sg in subgoals.subgoals:
             for _, root in sg.regions():
                 check_term(root, thy)
@@ -356,8 +380,9 @@ class TestStage2Reference:
             survivors, _ = stage1(goal, enumerate_candidates(goal, thy), thy,
                                   timeout=None)
             expected = [reference_condition(goal, s) for _, s in survivors]
-            _, dispositions = stage2(goal, survivors)
-            assert [d.condition for d in dispositions] == expected, goal.name
+            finalists, dispositions = stage2(goal, survivors)
+            assert_stage2_outcome(survivors, expected, finalists,
+                                  dispositions)
             assert [stage2_condition(goal, s) for _, s in survivors] \
                 == expected, goal.name
             seen.update(expected)

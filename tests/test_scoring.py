@@ -28,7 +28,7 @@ def factory_for(goal, thy):
 @pytest.fixture(scope="module")
 def running_scored(running_goal, running_theory):
     result = screen(running_goal, running_theory, timeout=None)
-    scored = score_all([c for c, _ in result.finalists], default_suite(),
+    scored = score_all(result.finalists, default_suite(),
                        factory_for(running_goal, running_theory))
     return result, scored
 
@@ -48,10 +48,10 @@ class TestScoreAll:
     def test_empty_suite_keeps_pipeline_order(self, running_goal,
                                               running_theory):
         result = screen(running_goal, running_theory, timeout=None)
-        scored = score_all([c for c, _ in result.finalists], (),
+        scored = score_all(result.finalists, (),
                            factory_for(running_goal, running_theory))
         assert [sc.candidate for sc in scored] \
-            == [c for c, _ in result.finalists]
+            == list(result.finalists)
         assert all(sc.score == 0 and sc.verdicts == () for sc in scored)
         assert [sc.rank for sc in scored] == list(range(1, len(scored) + 1))
 
@@ -81,12 +81,10 @@ class TestScoreAll:
                                               running_theory):
         result = screen(running_goal, running_theory, timeout=None)
         factory = factory_for(running_goal, running_theory)
-        straight = score_all([c for c, _ in result.finalists],
-                             default_suite(), factory)
+        straight = score_all(result.finalists, default_suite(), factory)
         shuffled = list(result.finalists)
         random.Random(5).shuffle(shuffled)
-        rescored = score_all([c for c, _ in shuffled], default_suite(),
-                             factory)
+        rescored = score_all(shuffled, default_suite(), factory)
         assert sorted((sc.candidate.tactic_text(), sc.score)
                       for sc in straight) \
             == sorted((sc.candidate.tactic_text(), sc.score)
@@ -125,7 +123,7 @@ class TestDomainIndependence:
             thy = parse_theory(src)
             goal = thy.goal_named(name)
             result = screen(goal, thy, timeout=None)
-            scored = score_all([c for c, _ in result.finalists], suite,
+            scored = score_all(result.finalists, suite,
                                factory_for(goal, thy))
             assert scored  # evaluation never raised on unseen constants
 
@@ -135,7 +133,7 @@ class TestDomainIndependence:
             thy = parse_theory(path.read_text(encoding="utf-8"), path.name)
             for goal in thy.goals:
                 result = screen(goal, thy, timeout=None)
-                scored = score_all([c for c, _ in result.finalists], suite,
+                scored = score_all(result.finalists, suite,
                                    factory_for(goal, thy))
                 for sc in scored:
                     assert 0 <= sc.score <= len(suite)
@@ -168,10 +166,10 @@ SINGLE_READ_HEURISTICS = [
 ]
 
 
-def scored_as_cli(goal, thy, suite, entries):
+def scored_as_cli(goal, thy, suite, candidates):
     """score_all with one shared goal index, the way the CLI scores."""
     index = GoalIndex(goal, thy)
-    return score_all([c for c, _ in entries], suite, lambda c: make_context(
+    return score_all(candidates, suite, lambda c: make_context(
         goal, c, thy, index=index))
 
 
@@ -225,8 +223,7 @@ class TestMemoisedVerdicts:
         candidates = data.draw(st.lists(candidates_over(goal, thy),
                                         min_size=1, max_size=4))
         suite = default_suite()
-        scored = scored_as_cli(goal, thy, suite,
-                               [(c, None) for c in candidates])
+        scored = scored_as_cli(goal, thy, suite, candidates)
         for sc in scored:
             for h, verdict in zip(suite, sc.verdicts):
                 assert verdict == ref_evaluate(
@@ -267,7 +264,7 @@ class TestEvaluateBinding:
             scored_as_cli(goal, thy, suite, finalists)
             misses = Counter({
                 id(h.formula): len({verdict_key(h.formula)(c)
-                                    for c, _ in finalists})
+                                    for c in finalists})
                 for h in suite})
             assert all(any(f is h.formula for h in suite) for f in calls)
             assert Counter(id(f) for f in calls) == misses, goal.name

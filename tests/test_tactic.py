@@ -8,8 +8,8 @@ import inductrank.tactic as tactic_module
 from inductrank.parser import parse_goal_expr, parse_theory
 from inductrank.pipeline import enumerate_candidates
 from inductrank.tactic import (
-    Candidate, Failure, InductTactic, SubgoalSet, TacticError,
-    TacticErrorKind, apply_induct, parse_candidate,
+    Candidate, Failure, InductTactic, SubgoalSet, TacticErrorKind,
+    apply_induct, parse_candidate,
 )
 from inductrank.terms import (
     App, FreeVar, Goal, SchematicVar, contains_schematic, goal_free_variables,
@@ -115,65 +115,57 @@ class TestFunctionalMode:
 
 class TestErrors:
     def test_no_arguments(self, running_theory, running_goal):
-        with pytest.raises(TacticError) as err:
-            apply_induct(running_goal, Candidate(()), running_theory,
-                         timeout=None)
-        assert err.value.kind is TacticErrorKind.NO_ARGUMENTS
+        failure = apply_induct(running_goal, Candidate(()), running_theory,
+                               timeout=None)
+        assert failure.kind is TacticErrorKind.NO_ARGUMENTS
 
     def test_arbitrary_overlaps_induction_term(self, running_theory,
                                                running_goal):
-        with pytest.raises(TacticError) as err:
-            apply_induct(running_goal,
-                         parse_candidate("induct xs arbitrary: xs"),
-                         running_theory, timeout=None)
-        assert err.value.kind \
+        failure = apply_induct(running_goal,
+                               parse_candidate("induct xs arbitrary: xs"),
+                               running_theory, timeout=None)
+        assert failure.kind \
             is TacticErrorKind.ARBITRARY_OVERLAPS_INDUCTION_TERM
 
     def test_non_datatype_variable(self, corpus_dir):
         thy = parse_theory((corpus_dir / "lists.thy").read_text(), "lists")
         goal = thy.goal_named("snoc_append")  # y has a type-variable type
-        with pytest.raises(TacticError) as err:
-            apply_induct(goal, parse_candidate("induct y"), thy,
-                         timeout=None)
-        assert err.value.kind is TacticErrorKind.NON_DATATYPE_VARIABLE
+        failure = apply_induct(goal, parse_candidate("induct y"), thy,
+                               timeout=None)
+        assert failure.kind is TacticErrorKind.NON_DATATYPE_VARIABLE
 
     def test_unknown_variable(self, running_theory, running_goal):
-        with pytest.raises(TacticError) as err:
-            apply_induct(running_goal, parse_candidate("induct zz"),
-                         running_theory, timeout=None)
-        assert err.value.kind is TacticErrorKind.UNKNOWN_VARIABLE
+        failure = apply_induct(running_goal, parse_candidate("induct zz"),
+                               running_theory, timeout=None)
+        assert failure.kind is TacticErrorKind.UNKNOWN_VARIABLE
 
     def test_rule_arity_exceeded(self, corpus_dir):
         thy = parse_theory((corpus_dir / "lists.thy").read_text(), "lists")
         goal = thy.goal_named("map_append")
-        with pytest.raises(TacticError) as err:
-            apply_induct(goal,
-                         parse_candidate("induct f xs ys rule: snoc.induct"),
-                         thy, timeout=None)
-        assert err.value.kind is TacticErrorKind.RULE_ARITY_EXCEEDED
+        failure = apply_induct(
+            goal, parse_candidate("induct f xs ys rule: snoc.induct"),
+            thy, timeout=None)
+        assert failure.kind is TacticErrorKind.RULE_ARITY_EXCEEDED
 
     def test_unknown_rule(self, running_theory, running_goal):
-        with pytest.raises(TacticError) as err:
-            apply_induct(running_goal,
-                         parse_candidate("induct xs rule: rev.induct"),
-                         running_theory, timeout=None)
-        assert err.value.kind is TacticErrorKind.UNKNOWN_RULE
+        failure = apply_induct(running_goal,
+                               parse_candidate("induct xs rule: rev.induct"),
+                               running_theory, timeout=None)
+        assert failure.kind is TacticErrorKind.UNKNOWN_RULE
 
     def test_type_mismatch_against_rule_position(self, corpus_dir):
         thy = parse_theory((corpus_dir / "lists.thy").read_text(), "lists")
         goal = thy.goal_named("len_append")  # xs, ys both element lists
         # snoc's second position is the element type, so a list cannot fit
-        with pytest.raises(TacticError) as err:
-            apply_induct(goal,
-                         Candidate(("xs", "ys"), frozenset(), "snoc.induct"),
-                         thy, timeout=None)
-        assert err.value.kind is TacticErrorKind.NON_DATATYPE_VARIABLE
+        failure = apply_induct(
+            goal, Candidate(("xs", "ys"), frozenset(), "snoc.induct"),
+            thy, timeout=None)
+        assert failure.kind is TacticErrorKind.NON_DATATYPE_VARIABLE
 
     def test_timeout(self, running_theory, running_goal):
-        with pytest.raises(TacticError) as err:
-            apply_induct(running_goal, parse_candidate("induct xs"),
-                         running_theory, timeout=1e-12)
-        assert err.value.kind is TacticErrorKind.TIMEOUT
+        failure = apply_induct(running_goal, parse_candidate("induct xs"),
+                               running_theory, timeout=1e-12)
+        assert failure.kind is TacticErrorKind.TIMEOUT
 
 
 class TestInvariants:
@@ -219,14 +211,6 @@ class TestCandidateSyntax:
 # One tactic shared by every candidate of a goal
 
 
-def _outcome(apply, candidate):
-    """The subgoals of an application, or the kind of error it raised."""
-    try:
-        return apply(candidate)
-    except TacticError as err:
-        return err.kind
-
-
 def _corpus_and_g4_goals(corpus_dir, g4_theory):
     goals = [(thy, goal) for path in sorted(corpus_dir.glob("*.thy"))
              for thy in [parse_theory(path.read_text(encoding="utf-8"),
@@ -240,47 +224,32 @@ def _corpus_and_g4_goals(corpus_dir, g4_theory):
 class TestSharedTactic:
     def test_shared_tactic_equals_fresh_application(self, corpus_dir,
                                                     g4_theory):
+        # in kind and detail, or in subgoals; a repeated application gets
+        # the memoised subgoals
         kinds = set()
         for thy, goal in _corpus_and_g4_goals(corpus_dir, g4_theory):
             shared = InductTactic(goal, thy)
             # backwards, so the shared cases are made in another order
             # than stage 1 makes them
             for candidate in reversed(list(enumerate_candidates(goal, thy))):
-                got = _outcome(lambda c: shared.apply(c, None), candidate)
-                assert got == _outcome(
-                    lambda c: apply_induct(goal, c, thy, timeout=None),
-                    candidate), (goal.name, candidate.tactic_text())
-                kinds.add(got if isinstance(got, TacticErrorKind)
-                          else "subgoals")
+                got = shared.apply(candidate, None)
+                where = (goal.name, candidate.tactic_text())
+                assert got == apply_induct(goal, candidate, thy,
+                                           timeout=None), where
+                if type(got) is Failure:
+                    kinds.add(got.kind)
+                else:
+                    assert shared.apply(candidate, None) is got, where
+                    kinds.add("subgoals")
         # enumeration names only rules it found and the goal's variables
         assert kinds == {"subgoals", *TacticErrorKind} - {
             TacticErrorKind.UNKNOWN_RULE, TacticErrorKind.UNKNOWN_VARIABLE,
             TacticErrorKind.TIMEOUT}
 
-    def test_attempt_agrees_with_apply(self, corpus_dir, g4_theory):
-        for thy, goal in _corpus_and_g4_goals(corpus_dir, g4_theory):
-            shared = InductTactic(goal, thy)
-            for candidate in enumerate_candidates(goal, thy):
-                outcome = shared.attempt(candidate, None)
-                where = (goal.name, candidate.tactic_text())
-                try:
-                    fresh = apply_induct(goal, candidate, thy, timeout=None)
-                except TacticError as err:
-                    assert type(outcome) is Failure, where
-                    assert (outcome.kind, outcome.message(candidate)) \
-                        == (err.kind, err.detail), where
-                    with pytest.raises(TacticError) as again:
-                        shared.apply(candidate, None)
-                    assert str(again.value) == str(err), where
-                else:
-                    assert outcome == fresh, where
-                    assert shared.apply(candidate, None) is outcome, where
-
     @pytest.mark.parametrize("text, message", [
         ("induct", "NoArguments: no induction terms and no rule"),
         ("induct ys xs arbitrary: xs ys",
-         "ArbitraryOverlapsInductionTerm: generalising an induction term: "
-         "xs, ys"),
+         "ArbitraryOverlapsInductionTerm: generalising an induction term"),
         ("induct xs zz", "UnknownVariable: zz is not a free variable of "
                          "the goal"),
         ("induct xs rule: nosuch.induct",
@@ -288,15 +257,14 @@ class TestSharedTactic:
     ])
     def test_error_messages(self, running_goal, running_theory, text,
                             message):
-        with pytest.raises(TacticError) as err:
-            apply_induct(running_goal, parse_candidate(text), running_theory,
-                         timeout=None)
-        assert str(err.value) == message
+        failure = apply_induct(running_goal, parse_candidate(text),
+                               running_theory, timeout=None)
+        assert f"{failure.kind.value}: {failure.detail}" == message
 
     def test_structural_candidates_share_one_subgoal_set(self, g4_theory):
         goal = g4_theory.goal_named("g4")
         tactic = InductTactic(goal, g4_theory)
-        same = [tactic.attempt(parse_candidate(text), None) for text in (
+        same = [tactic.apply(parse_candidate(text), None) for text in (
             "induct xs arbitrary: zs", "induct xs ys arbitrary: zs",
             "induct xs n m arbitrary: zs")]
         assert same[0] is same[1] is same[2]
@@ -306,7 +274,7 @@ class TestSharedTactic:
         assert same[0] == fresh and same[0] is not fresh
         # another `arbitrary`, a rule, or another term under a rule is
         # another application
-        others = [tactic.attempt(parse_candidate(text), None) for text in (
+        others = [tactic.apply(parse_candidate(text), None) for text in (
             "induct xs ys arbitrary: m", "induct xs ys rule: itrev.induct",
             "induct ys xs rule: itrev.induct")]
         assert all(type(o) is SubgoalSet for o in others)
@@ -321,26 +289,25 @@ class TestSharedTactic:
         tactic = InductTactic(running_goal, running_theory)
         candidate = parse_candidate("induct xs arbitrary: ys")
         for _ in range(2):
-            assert tactic.attempt(candidate, 0.5).kind \
+            assert tactic.apply(candidate, 0.5).kind \
                 is TacticErrorKind.TIMEOUT
-        done = tactic.attempt(candidate, None)
+        done = tactic.apply(candidate, None)
         assert type(done) is SubgoalSet
         # now memoised: answered without a timeout check
-        assert tactic.attempt(candidate, 0.5) is done
+        assert tactic.apply(candidate, 0.5) is done
 
-    def test_shared_failure_raises_a_fresh_error(self, running_goal,
-                                                 running_theory):
+    def test_shared_failure_is_one_value(self, running_goal,
+                                         running_theory):
+        # how (induction terms, rule) fails is memoised, whatever the
+        # candidate generalises
         tactic = InductTactic(running_goal, running_theory)
-        errors = []
-        for text in ("induct xs rule: nosuch.induct",
-                     "induct xs arbitrary: ys rule: nosuch.induct"):
-            with pytest.raises(TacticError) as info:
-                tactic.apply(parse_candidate(text), None)
-            errors.append(info.value)
-        first, second = errors
-        assert first.kind == second.kind == TacticErrorKind.UNKNOWN_RULE
-        assert first.detail == second.detail
-        assert second is not first
+        first, second = (
+            tactic.apply(parse_candidate(text), None)
+            for text in ("induct xs rule: nosuch.induct",
+                         "induct xs arbitrary: ys rule: nosuch.induct"))
+        assert first == Failure(TacticErrorKind.UNKNOWN_RULE,
+                                "no induction rule named nosuch.induct")
+        assert second is first
 
     def test_cases_do_not_depend_on_arbitrary(self, running_goal,
                                               running_theory):
