@@ -224,8 +224,7 @@ def _corpus_and_g4_goals(corpus_dir, g4_theory):
 class TestSharedTactic:
     def test_shared_tactic_equals_fresh_application(self, corpus_dir,
                                                     g4_theory):
-        # in kind and detail, or in subgoals; a repeated application gets
-        # the memoised subgoals
+        # in kind and detail, or in subgoals
         kinds = set()
         for thy, goal in _corpus_and_g4_goals(corpus_dir, g4_theory):
             shared = InductTactic(goal, thy)
@@ -233,18 +232,31 @@ class TestSharedTactic:
             # than stage 1 makes them
             for candidate in reversed(list(enumerate_candidates(goal, thy))):
                 got = shared.apply(candidate, None)
-                where = (goal.name, candidate.tactic_text())
                 assert got == apply_induct(goal, candidate, thy,
-                                           timeout=None), where
-                if type(got) is Failure:
-                    kinds.add(got.kind)
-                else:
-                    assert shared.apply(candidate, None) is got, where
-                    kinds.add("subgoals")
+                                           timeout=None), \
+                    (goal.name, candidate.tactic_text())
+                kinds.add(got.kind if type(got) is Failure else "subgoals")
         # enumeration names only rules it found and the goal's variables
         assert kinds == {"subgoals", *TacticErrorKind} - {
             TacticErrorKind.UNKNOWN_RULE, TacticErrorKind.UNKNOWN_VARIABLE,
             TacticErrorKind.TIMEOUT}
+
+    def test_attempt_agrees_with_apply(self, corpus_dir, g4_theory):
+        # each attempt of the shared tactic, in stage 1's order, agrees
+        # with a fresh application; a repeated attempt gets the memoised
+        # subgoals, or a failure of the same kind and detail
+        for thy, goal in _corpus_and_g4_goals(corpus_dir, g4_theory):
+            shared = InductTactic(goal, thy)
+            for candidate in enumerate_candidates(goal, thy):
+                outcome = shared.apply(candidate, None)
+                where = (goal.name, candidate.tactic_text())
+                assert outcome == apply_induct(goal, candidate, thy,
+                                               timeout=None), where
+                again = shared.apply(candidate, None)
+                if type(outcome) is Failure:
+                    assert again == outcome, where
+                else:
+                    assert again is outcome, where
 
     @pytest.mark.parametrize("text, message", [
         ("induct", "NoArguments: no induction terms and no rule"),
