@@ -253,9 +253,10 @@ def _parse_annotations(path: Path) -> list[Annotation]:
         if not line or line.startswith("#"):
             continue
         parts = [p.strip() for p in line.split("|")]
-        if len(parts) != 4:
+        if len(parts) != 4 or parts[2] not in ("rule:yes", "rule:no") \
+                or parts[3] not in ("arb:yes", "arb:no"):
             _fail(f"{path}:{lineno}: expected "
-                  "'goal | tactic | rule:y/n | arb:y/n'")
+                  "'goal | tactic | rule:yes/no | arb:yes/no'")
         goal_name, tactic, rule_flag, arb_flag = parts
         try:
             candidate = parse_candidate(tactic)
@@ -263,8 +264,8 @@ def _parse_annotations(path: Path) -> list[Annotation]:
             _fail(f"{path}:{lineno}: {err}")
         out.append(Annotation(
             goal_name, candidate,
-            rule_used=rule_flag.endswith("yes"),
-            arbitrary_used=arb_flag.endswith("yes")))
+            rule_used=rule_flag == "rule:yes",
+            arbitrary_used=arb_flag == "arb:yes"))
     return out
 
 

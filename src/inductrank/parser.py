@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from operator import is_
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .terms import (
     EXTRA_CONST_SCHEMES, FUN, IMPLIES, PRELUDE_DATATYPES, PRELUDE_FUNDEFS,
@@ -218,11 +218,6 @@ class _Unifier:
             t = self.subst[t.name]
         return t
 
-    def resolve(self, t: SimpleType) -> SimpleType:
-        t = self.head(t)
-        return _with_args(t, tuple(map(self.resolve, t.args))) if t.args \
-            else t
-
     def _occurs(self, name: str, t: SimpleType) -> bool:
         t = self.head(t)
         return t.name == name or any(self._occurs(name, a) for a in t.args)
@@ -261,46 +256,39 @@ class _Unifier:
 _CANON_POOL = [f"'{c}" for c in "abcdefghijklmnopqrstuvwxyz"]
 
 
-def _canonicalise(term: Term, uni: _Unifier) -> Term:
-    """Resolve all inference variables in a term and rename the left-over
-    ones to 'a, 'b, ... in first-occurrence order.  One pass collects the
-    variables, one rewrites the term; each visits a type object once."""
-    order: dict[str, None] = {}
-    used: set[str] = set()
-    seen: set[int] = set()
-
-    def note(ty: SimpleType) -> None:
-        if id(ty) not in seen:
-            seen.add(id(ty))
-            ty = uni.head(ty)
-            if ty.name.startswith("'?"):
-                order.setdefault(ty.name)
-            elif ty.is_var():
-                used.add(ty.name)
-            for a in ty.args:
-                note(a)
-
-    def note_term(t: Term) -> None:
-        if isinstance(t, App):
-            note_term(t.fun)
-            note_term(t.arg)
-        else:
-            note(t.type)
-
-    note_term(term)
-    pool = [v for v in _CANON_POOL if v not in used]
-    renames = {name: SimpleType(pool[i] if i < len(pool) else f"'v{i}")
-               for i, name in enumerate(order)}
+def _renamer(uni: _Unifier) -> Callable[[SimpleType], SimpleType]:
+    """A function that resolves the inference variables of the types it is
+    given and renames the left-over ones to 'a, 'b, ... in the order it
+    first meets them, visiting each type object once.  No declared type
+    variable such as 'a can be met: every type in a parsed term comes from
+    a fresh variable, an instantiated scheme (all of whose variables are
+    replaced) or a ground type."""
+    renames: dict[str, SimpleType] = {}
     done: dict[int, SimpleType] = {}
 
     def canon(ty: SimpleType) -> SimpleType:
         out = done.get(id(ty))
         if out is None:
             t = uni.head(ty)
-            out = _with_args(t, tuple(map(canon, t.args))) if t.args \
-                else renames.get(t.name, t)
+            if t.args:
+                out = _with_args(t, tuple(map(canon, t.args)))
+            elif t.name.startswith("'?"):
+                out = renames.get(t.name)
+                if out is None:
+                    i = len(renames)
+                    out = renames[t.name] = SimpleType(
+                        _CANON_POOL[i] if i < len(_CANON_POOL) else f"'v{i}")
+            else:
+                out = t
             done[id(ty)] = out
         return out
+
+    return canon
+
+
+def _canonicalise(term: Term, uni: _Unifier) -> Term:
+    """`term` with its types resolved and renamed by one `_renamer`."""
+    canon = _renamer(uni)
 
     def rewrite(t: Term) -> Term:
         if isinstance(t, App):
@@ -417,10 +405,8 @@ class _TermParser:
         if self.ts.at_sym("="):
             tok = self.ts.next()
             right, rty = self.parse_eq()
-            ty = self.uni.fresh()
-            self.require(left, lty, ty, tok)
-            self.require(right, rty, ty, tok)
-            term = mk_app(Const("eq", fun_type(ty, ty, TYPE_BOOL)),
+            self.require(right, rty, lty, tok)
+            term = mk_app(Const("eq", fun_type(lty, lty, TYPE_BOOL)),
                           left, right)
             return term, TYPE_BOOL
         return left, lty
@@ -444,16 +430,21 @@ class _TermParser:
         while self._at_atom():
             tok = self.ts.peek()
             arg, arg_ty = self.parse_atom()
-            res = self.uni.fresh()
+            fun_ty = self.uni.head(ty)
             try:
-                self.uni.unify(ty, SimpleType(FUN, (arg_ty, res)))
+                if fun_ty.name == FUN:
+                    # a known arrow: its codomain is the result type
+                    self.uni.unify(fun_ty.args[0], arg_ty)
+                    ty = fun_ty.args[1]
+                else:
+                    ty = self.uni.fresh()
+                    self.uni.unify(fun_ty, SimpleType(FUN, (arg_ty, ty)))
             except _Mismatch:
                 raise self.ts.fail(
                     f"cannot apply {format_term(t)} "
-                    f"(type {format_type(self.uni.resolve(ty))}) "
+                    f"(type {format_type(_renamer(self.uni)(fun_ty))}) "
                     f"to {format_term(arg)}", tok)
             t = mk_app(t, arg)
-            ty = res
         return t, ty
 
     def _at_atom(self) -> bool:
@@ -520,10 +511,11 @@ class _TermParser:
         try:
             self.uni.unify(actual, expected)
         except _Mismatch:
+            name = _renamer(self.uni)
             raise self.ts.fail(
                 f"type mismatch: {format_term(t)} has type "
-                f"{format_type(self.uni.resolve(actual))}, expected "
-                f"{format_type(self.uni.resolve(expected))}", tok)
+                f"{format_type(name(actual))}, expected "
+                f"{format_type(name(expected))}", tok)
 
 
 def _split2(t: SimpleType) -> tuple[tuple[SimpleType, SimpleType], SimpleType]:

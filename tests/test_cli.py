@@ -316,6 +316,24 @@ class TestEval:
         assert code == 1
         assert "ghost_goal" in err
 
+    @pytest.mark.parametrize("flags", [
+        "rule:no | arb:y",
+        "rule:no | arb",
+        "arb:no | rule:no",
+        "rule:maybe | arb:no",
+    ])
+    def test_malformed_annotation_flags(self, capsys, corpus_dir, tmp_path,
+                                        flags):
+        ann = tmp_path / "ann.txt"
+        ann.write_text("len_append | induct xs | rule:no | arb:no\n"
+                       f"itrev_rev | induct xs arbitrary: ys | {flags}\n")
+        code, out, err = run_cli(capsys, "eval", str(corpus_dir),
+                                 "--annotations", str(ann))
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: {ann}:2: expected "
+                       "'goal | tactic | rule:yes/no | arb:yes/no'\n")
+
     def test_eval_deterministic(self, capsys, corpus_dir):
         args = ["eval", str(corpus_dir),
                 "--annotations", str(corpus_dir / "annotations.txt")]

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from inductrank.parser import (
-    ParseError, parse_goal_expr, parse_theory, print_theory,
+    ParseError, _Unifier, parse_goal_expr, parse_theory, print_theory,
 )
 from inductrank.terms import (
-    FreeVar, check_term, goal_free_variables, list_of, SimpleType,
+    App, FreeVar, check_term, free_variables, goal_free_variables, list_of,
+    SimpleType, subterms_with_paths, type_vars,
 )
 
 RUNNING = '''
@@ -292,6 +293,60 @@ def theory_texts(draw):
     return "\n".join(chunks) + "\n"
 
 
+def _has_inference_variable(thy) -> bool:
+    types = [f.type for f in thy.fundefs]
+    types += [a for d in thy.datatypes for c in d.constructors
+              for a in c.arg_types]
+    terms = [t for f in thy.fundefs for e in f.equations
+             for t in (e.lhs, e.rhs)]
+    terms += [t for g in thy.goals for t in (*g.premises, g.conclusion)]
+    types += [s.type for t in terms for _, s in subterms_with_paths(t)
+              if not isinstance(s, App)]
+    return any(v.startswith("'?") for ty in types for v in type_vars(ty))
+
+
+class TestInference:
+    def test_known_arrows_make_no_fresh_variables(self, monkeypatch):
+        thy = parse_theory('fun f :: "nat => nat" where\n'
+                           '  "f 0 = 0"\n| "f (Suc n) = f n"')
+        made = []
+        fresh = _Unifier.fresh
+
+        def counted(self):
+            made.append(1)
+            return fresh(self)
+
+        monkeypatch.setattr(_Unifier, "fresh", counted)
+        parse_goal_expr("f (f (f 0)) = 0", thy)
+        assert made == []
+
+    def test_leftover_variables_named_by_first_occurrence(self, corpus_dir):
+        lists = parse_theory((corpus_dir / "lists.thy").read_text(
+            encoding="utf-8"))
+        # The `=` constant comes first, and its type is the result list,
+        # so the element type of map's result is 'a.
+        equation = lists.fundef("map").equations[1]
+        goal = parse_goal_expr("map f (x # xs) = f x # map f xs", lists)
+        for term in (equation.lhs, goal):
+            assert {v.name: str(v.type) for v in free_variables(term)} == \
+                {"f": "'b => 'a", "x": "'b", "xs": "'b list"}
+        # y's type is the only one left over, though not the first made
+        goal = parse_goal_expr("h 0 y = 0", lists)
+        assert {v.name: str(v.type) for v in free_variables(goal)} == \
+            {"h": "nat => 'a => nat", "y": "'a"}
+
+    def test_corpus_theories_have_no_inference_variables(self, corpus_dir):
+        for path in sorted(corpus_dir.glob("*.thy")):
+            thy = parse_theory(path.read_text(encoding="utf-8"), path.name)
+            assert not _has_inference_variable(thy), path.name
+
+    @settings(max_examples=30, deadline=None)
+    @given(text=theory_texts())
+    def test_generated_theories_have_no_inference_variables(self, text):
+        thy = parse_theory(print_theory(parse_theory(text)))
+        assert not _has_inference_variable(thy)
+
+
 class TestRoundTrip:
     def test_corpus_files_round_trip(self, corpus_dir):
         for path in sorted(corpus_dir.glob("*.thy")):
@@ -371,6 +426,15 @@ class TestSpans:
          "bad.thy:2:3: unterminated comment"),
         ('lemma a: "x"\ndatatype',
          "bad.thy:2:9: unexpected end of input (expected datatype name)"),
+        # left-over inference variables are named as in a parsed term
+        ('lemma a: "x # x = y"',
+         "bad.thy:1:13: type mismatch: x has type 'a, expected 'a list"),
+        ('fun f :: "nat => nat" where "f 0 = 0"\nlemma a: "f xs = []"',
+         "bad.thy:2:16: type mismatch: [] has type 'a list, expected nat"),
+        ('lemma a: "g x = g"',
+         "bad.thy:1:15: type mismatch: g has type 'a => 'b, expected 'b"),
+        ('lemma a: "g g"',
+         "bad.thy:1:13: cannot apply g (type 'a) to g"),
     ])
     def test_exact_error_positions(self, src, error):
         with pytest.raises(ParseError) as err:
