@@ -31,10 +31,11 @@ TOP_BUCKETS = (1, 3, 5, 10)
 
 @dataclass(frozen=True)
 class Annotation:
+    """An expert's tactic for a goal.  Its ``rule:``/``arb:`` columns must
+    agree with the tactic, so they are read from the candidate."""
+
     goal_name: str
     candidate: Candidate
-    rule_used: bool
-    arbitrary_used: bool
 
 
 @dataclass
@@ -262,10 +263,16 @@ def _parse_annotations(path: Path) -> list[Annotation]:
             candidate = parse_candidate(tactic)
         except ValueError as err:
             _fail(f"{path}:{lineno}: {err}")
-        out.append(Annotation(
-            goal_name, candidate,
-            rule_used=rule_flag == "rule:yes",
-            arbitrary_used=arb_flag == "arb:yes"))
+        has_rule = candidate.rule is not None
+        has_arbitrary = bool(candidate.arbitrary)
+        if (rule_flag == "rule:yes") != has_rule:
+            _fail(f"{path}:{lineno}: {rule_flag}, but the tactic gives "
+                  + ("a rule" if has_rule else "no rule"))
+        if (arb_flag == "arb:yes") != has_arbitrary:
+            _fail(f"{path}:{lineno}: {arb_flag}, but the tactic gives "
+                  + ("arbitrary variables" if has_arbitrary
+                     else "no arbitrary variables"))
+        out.append(Annotation(goal_name, candidate))
     return out
 
 
@@ -331,8 +338,8 @@ def cmd_eval(args) -> int:
             "2nd-b": counts["2nd-b"],
             "nth": rank,
             "score": score,
-            "rule": "yes" if ann.rule_used else "no",
-            "arb": "yes" if ann.arbitrary_used else "no",
+            "rule": "yes" if ann.candidate.rule is not None else "no",
+            "arb": "yes" if ann.candidate.arbitrary else "no",
             "disposition": disposition,
         })
         coincidence[label].add(rank)

@@ -17,13 +17,17 @@ Free variables in lemmas are typed by unification; constants are
 instantiated per use, so stored terms are fully monomorphic within each
 declaration (left-over inference variables are canonicalised to 'a, 'b,
 ...).
+
+Equal types and equal terms of one parse are one object: every node of a
+parsed theory or goal is built once and shared wherever it recurs.  The
+tables that find them belong to one `parse_theory` or `parse_goal_expr`
+call and are dropped when it returns, so two parses share nothing.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import is_
 from typing import Callable, NamedTuple
 
 from .terms import (
@@ -31,8 +35,8 @@ from .terms import (
     PRELUDE_NAMES, TYPE_BOOL, TYPE_NAT,
     App, Const, Constructor, DatatypeDef, Equation, FreeVar, FunDef, Goal,
     SchematicVar, SimpleType, Term, Theory,
-    format_goal, format_term, format_type, fun_type, mk_app,
-    spine, split_implications, type_vars,
+    format_goal, format_term, format_type, fun_type, split_implications,
+    type_vars,
 )
 
 
@@ -191,13 +195,6 @@ class _Mismatch(Exception):
     pass
 
 
-def _with_args(t: SimpleType, args: tuple[SimpleType, ...]) -> SimpleType:
-    """`t` with argument types `args`; `t` itself when they are its own."""
-    if all(map(is_, args, t.args)):
-        return t
-    return SimpleType(t.name, args)
-
-
 class _Unifier:
     """Unifier over SimpleType; inference variables are primed names
     starting with ``'?``.  `subst` binds a variable to a type that may
@@ -223,81 +220,180 @@ class _Unifier:
         return t.name == name or any(self._occurs(name, a) for a in t.args)
 
     def unify(self, a: SimpleType, b: SimpleType) -> None:
-        a, b = self.head(a), self.head(b)
+        subst = self.subst
+        while a.name in subst:
+            a = subst[a.name]
+        while b.name in subst:
+            b = subst[b.name]
         if a is b:
             return
-        if a.is_var():
+        if a.name[0] == "'":
             if a.name == b.name:
                 return
             if self._occurs(a.name, b):
                 raise _Mismatch()
-            self.subst[a.name] = b
-        elif b.is_var():
-            self.unify(b, a)
+            subst[a.name] = b
+        elif b.name[0] == "'":
+            if self._occurs(b.name, a):
+                raise _Mismatch()
+            subst[b.name] = a
         elif a.name != b.name or len(a.args) != len(b.args):
             raise _Mismatch()
         else:
             for x, y in zip(a.args, b.args):
                 self.unify(x, y)
 
-    def instantiate(self, scheme: SimpleType) -> SimpleType:
-        mapping: dict[str, SimpleType] = {}
+    def instantiate(self, scheme: SimpleType,
+                    variables: list[str]) -> SimpleType:
+        """`scheme` with its type variables `variables` replaced by fresh
+        ones, made in that order; a scheme without any is its own
+        instance."""
+        if not variables:
+            return scheme
+        mapping = {v: self.fresh() for v in variables}
 
         def walk(t: SimpleType) -> SimpleType:
-            if t.is_var():
-                if t.name not in mapping:
-                    mapping[t.name] = self.fresh()
-                return mapping[t.name]
-            return _with_args(t, tuple(map(walk, t.args))) if t.args else t
+            if t.args:
+                return SimpleType(t.name, tuple(map(walk, t.args)))
+            return mapping.get(t.name, t)
 
         return walk(scheme)
+
+
+class _Tables:
+    """The shared nodes of one parse.  Each distinct type and term is
+    built once and found again here:
+
+    - a type by its name and the ids of its canonical argument types;
+    - a leaf term by its class, name and the id of its canonical type;
+    - an application by the ids of its function and argument.
+
+    Keying by id is sound only because every id is of an object that the
+    table itself keeps alive, as a value or inside one.  `schemes` holds
+    the type variables of each constant scheme met, and `ground` the
+    canonical form of each scheme that has none, both by the id of the
+    scheme object.  One `_Tables` serves one `parse_theory` or
+    `parse_goal_expr` call and is dropped with it."""
+
+    def __init__(self) -> None:
+        self.types: dict[tuple, SimpleType] = {}
+        self.terms: dict[tuple, Term] = {}
+        self.schemes: dict[int, tuple[SimpleType, list[str]]] = {}
+        self.ground: dict[int, tuple[SimpleType, SimpleType]] = {}
+
+    def type(self, name: str, args: tuple[SimpleType, ...] = ()) -> SimpleType:
+        """The shared type `name` over the shared types `args`."""
+        key = (name, *map(id, args))
+        out = self.types.get(key)
+        if out is None:
+            out = self.types[key] = SimpleType(name, args)
+        return out
+
+    def intern(self, t: SimpleType) -> SimpleType:
+        """The shared type equal to `t`, which has no inference
+        variables."""
+        return self.type(t.name, tuple(map(self.intern, t.args)))
+
+    def variables(self, scheme: SimpleType) -> list[str]:
+        """The type variables of `scheme`, listed once per parse."""
+        entry = self.schemes.get(id(scheme))
+        if entry is None:
+            entry = self.schemes[id(scheme)] = (scheme, type_vars(scheme))
+            if not entry[1]:
+                self.ground[id(scheme)] = (scheme, self.intern(scheme))
+        return entry[1]
 
 
 _CANON_POOL = [f"'{c}" for c in "abcdefghijklmnopqrstuvwxyz"]
 
 
-def _renamer(uni: _Unifier) -> Callable[[SimpleType], SimpleType]:
-    """A function that resolves the inference variables of the types it is
-    given and renames the left-over ones to 'a, 'b, ... in the order it
-    first meets them, visiting each type object once.  No declared type
+class _Renamer:
+    """Called on types, it resolves their inference variables and renames
+    the left-over ones to 'a, 'b, ... in the order it first meets them,
+    visiting each type object once.  What it returns is the parse's
+    shared type, from `tables`; a ground scheme's is looked up
+    there whole, not walked again in every declaration.  No declared type
     variable such as 'a can be met: every type in a parsed term comes from
     a fresh variable, an instantiated scheme (all of whose variables are
-    replaced) or a ground type."""
-    renames: dict[str, SimpleType] = {}
-    done: dict[int, SimpleType] = {}
+    replaced) or a ground type.
 
-    def canon(ty: SimpleType) -> SimpleType:
-        out = done.get(id(ty))
+    It is an object, not a recursive closure: a closure that calls itself
+    is a reference cycle, which would keep the tables, and with them the
+    parsed theory, alive until the cycle collector runs."""
+
+    def __init__(self, uni: _Unifier, tables: _Tables) -> None:
+        self.subst = uni.subst
+        self.tables = tables
+        self.renames: dict[str, SimpleType] = {}
+        self.done: dict[int, SimpleType] = {}
+
+    def __call__(self, ty: SimpleType) -> SimpleType:
+        out = self.done.get(id(ty))
         if out is None:
-            t = uni.head(ty)
-            if t.args:
-                out = _with_args(t, tuple(map(canon, t.args)))
+            t, subst, tables = ty, self.subst, self.tables
+            while t.name in subst:
+                t = subst[t.name]
+            known = tables.ground.get(id(t))
+            if known is not None:
+                out = known[1]
+            elif t.args:
+                out = tables.type(t.name, tuple(map(self, t.args)))
             elif t.name.startswith("'?"):
-                out = renames.get(t.name)
+                out = self.renames.get(t.name)
                 if out is None:
-                    i = len(renames)
-                    out = renames[t.name] = SimpleType(
+                    i = len(self.renames)
+                    out = self.renames[t.name] = tables.type(
                         _CANON_POOL[i] if i < len(_CANON_POOL) else f"'v{i}")
             else:
-                out = t
-            done[id(ty)] = out
+                out = tables.type(t.name)
+            self.done[id(ty)] = out
         return out
 
-    return canon
+
+# A term is parsed into raw nodes: an application is a ``(fun, arg)`` pair
+# and a leaf a ``(cls, name, type)`` triple, whose class is `Const`,
+# `FreeVar` or `SchematicVar` and whose type is the unifier's.
+Raw = tuple
 
 
-def _canonicalise(term: Term, uni: _Unifier) -> Term:
-    """`term` with its types resolved and renamed by one `_renamer`."""
-    canon = _renamer(uni)
+def _canonicalise(raw: Raw, canon: _Renamer,
+                  terms: dict[tuple, Term]) -> Term:
+    """The term of `raw`, its types resolved and renamed by `canon`.
+    Every node is the parse's shared one, from `terms`, the table of a
+    `_Tables`."""
+    if len(raw) == 2:
+        fun = _canonicalise(raw[0], canon, terms)
+        arg = _canonicalise(raw[1], canon, terms)
+        key: tuple = (id(fun), id(arg))
+        out = terms.get(key)
+        if out is None:
+            out = terms[key] = App(fun, arg)
+        return out
+    cls, name, ty = raw
+    ty = canon(ty)
+    key = (cls, name, id(ty))
+    out = terms.get(key)
+    if out is None:
+        out = terms[key] = cls(name, ty)
+    return out
 
-    def rewrite(t: Term) -> Term:
-        if isinstance(t, App):
-            fun, arg = rewrite(t.fun), rewrite(t.arg)
-            return t if fun is t.fun and arg is t.arg else App(fun, arg)
-        ty = canon(t.type)
-        return t if ty is t.type else type(t)(t.name, ty)
 
-    return rewrite(term)
+def _term(raw: Raw) -> Term:
+    """The term of `raw` with its types unresolved, for an error message."""
+    if len(raw) == 2:
+        return App(_term(raw[0]), _term(raw[1]))
+    cls, name, ty = raw
+    return cls(name, ty)
+
+
+def _spine(raw: Raw) -> tuple[Raw, list[Raw]]:
+    """The head leaf of `raw` and the arguments it is applied to."""
+    args: list[Raw] = []
+    while len(raw) == 2:
+        args.append(raw[1])
+        raw = raw[0]
+    args.reverse()
+    return raw, args
 
 
 # ---------------------------------------------------------------------------
@@ -368,64 +464,63 @@ def _check_type_name(ts: Cursor, tok: Token, arity: int,
 class _TermParser:
     """Precedence-climbing term parser with on-the-fly type inference.
 
-    Every production returns a ``(term, type)`` pair; the type side lives in
-    the unifier's world and is only written back into the term during
-    canonicalisation.  `bind_unknown` controls what happens to identifiers
+    Every production returns a ``(raw, type)`` pair: a raw node, and its
+    type in the unifier's world, which is only written into a term by
+    `_canonicalise`.  `bind_unknown` controls what happens to identifiers
     that are not declared constants: in goal position they become free
     variables, in the right-hand side of an equation they are an error.
     """
 
     def __init__(self, ts: Cursor, sig: Theory | _Signature,
-                 uni: _Unifier, env: dict[str, SimpleType],
-                 bind_unknown: bool):
+                 uni: _Unifier, tables: _Tables,
+                 env: dict[str, SimpleType], bind_unknown: bool):
         self.ts = ts
         self.sig = sig
         self.uni = uni
+        self.tables = tables
         self.env = env
         self.schem_env: dict[str, SimpleType] = {}
         self.bind_unknown = bind_unknown
 
-    def parse(self) -> tuple[Term, SimpleType]:
+    def parse(self) -> tuple[Raw, SimpleType]:
         return self.parse_implies()
 
-    def parse_implies(self) -> tuple[Term, SimpleType]:
+    def parse_implies(self) -> tuple[Raw, SimpleType]:
         left, lty = self.parse_eq()
         if self.ts.at_sym(IMPLIES):
             tok = self.ts.next()
             right, rty = self.parse_implies()
             self.require(left, lty, TYPE_BOOL, tok)
             self.require(right, rty, TYPE_BOOL, tok)
-            term = mk_app(Const(IMPLIES, EXTRA_CONST_SCHEMES[IMPLIES]),
-                          left, right)
-            return term, TYPE_BOOL
+            imp = (Const, IMPLIES, EXTRA_CONST_SCHEMES[IMPLIES])
+            return ((imp, left), right), TYPE_BOOL
         return left, lty
 
-    def parse_eq(self) -> tuple[Term, SimpleType]:
+    def parse_eq(self) -> tuple[Raw, SimpleType]:
         left, lty = self.parse_cons()
         if self.ts.at_sym("="):
             tok = self.ts.next()
             right, rty = self.parse_eq()
             self.require(right, rty, lty, tok)
-            term = mk_app(Const("eq", fun_type(lty, lty, TYPE_BOOL)),
-                          left, right)
-            return term, TYPE_BOOL
+            eq = (Const, "eq", fun_type(lty, lty, TYPE_BOOL))
+            return ((eq, left), right), TYPE_BOOL
         return left, lty
 
-    def parse_cons(self) -> tuple[Term, SimpleType]:
+    def parse_cons(self) -> tuple[Raw, SimpleType]:
         left, lty = self.parse_app()
         if self.ts.at_sym("#") or self.ts.at_sym("@"):
             tok = self.ts.next()
             right, rty = self.parse_cons()
             scheme = self.sig.const_scheme(tok.text)
             assert scheme is not None
-            inst = self.uni.instantiate(scheme)
+            inst = self.instance(scheme)
             (a_ty, b_ty), result = _split2(inst)
             self.require(left, lty, a_ty, tok)
             self.require(right, rty, b_ty, tok)
-            return mk_app(Const(tok.text, inst), left, right), result
+            return (((Const, tok.text, inst), left), right), result
         return left, lty
 
-    def parse_app(self) -> tuple[Term, SimpleType]:
+    def parse_app(self) -> tuple[Raw, SimpleType]:
         t, ty = self.parse_atom()
         while self._at_atom():
             tok = self.ts.peek()
@@ -440,11 +535,12 @@ class _TermParser:
                     ty = self.uni.fresh()
                     self.uni.unify(fun_ty, SimpleType(FUN, (arg_ty, ty)))
             except _Mismatch:
+                name = _Renamer(self.uni, self.tables)
                 raise self.ts.fail(
-                    f"cannot apply {format_term(t)} "
-                    f"(type {format_type(_renamer(self.uni)(fun_ty))}) "
-                    f"to {format_term(arg)}", tok)
-            t = mk_app(t, arg)
+                    f"cannot apply {format_term(_term(t))} "
+                    f"(type {format_type(name(fun_ty))}) "
+                    f"to {format_term(_term(arg))}", tok)
+            t = (t, arg)
         return t, ty
 
     def _at_atom(self) -> bool:
@@ -452,7 +548,7 @@ class _TermParser:
         return (tok.kind in ("ident", "num", "schem")
                 or (tok.kind == "sym" and tok.text in ("(", "[")))
 
-    def parse_atom(self) -> tuple[Term, SimpleType]:
+    def parse_atom(self) -> tuple[Raw, SimpleType]:
         tok = self.ts.peek()
         if tok.kind == "num":
             self.ts.next()
@@ -463,21 +559,21 @@ class _TermParser:
             if name not in self.schem_env:
                 self.schem_env[name] = self.uni.fresh()
             ty = self.schem_env[name]
-            return SchematicVar(name, ty), ty
+            return (SchematicVar, name, ty), ty
         if tok.kind == "ident":
             self.ts.next()
             scheme = self.sig.const_scheme(tok.text)
             if scheme is not None:
-                inst = self.uni.instantiate(scheme)
-                return Const(tok.text, inst), inst
+                inst = self.instance(scheme)
+                return (Const, tok.text, inst), inst
             if tok.text in self.env:
                 ty = self.env[tok.text]
-                return FreeVar(tok.text, ty), ty
+                return (FreeVar, tok.text, ty), ty
             if not self.bind_unknown:
                 raise self.ts.fail(f"unknown constant {tok.text}", tok)
             ty = self.uni.fresh()
             self.env[tok.text] = ty
-            return FreeVar(tok.text, ty), ty
+            return (FreeVar, tok.text, ty), ty
         if tok.kind == "sym" and tok.text == "(":
             self.ts.next()
             inner = self.parse_implies()
@@ -485,7 +581,7 @@ class _TermParser:
             return inner
         if tok.kind == "sym" and tok.text == "[":
             self.ts.next()
-            items: list[tuple[Term, SimpleType]] = []
+            items: list[tuple[Raw, SimpleType]] = []
             if not self.ts.at_sym("]"):
                 items.append(self.parse_implies())
                 while self.ts.at_sym(","):
@@ -495,25 +591,29 @@ class _TermParser:
             return self._list_literal(items, tok)
         raise self.ts.unexpected("term", "unexpected end of term")
 
-    def _list_literal(self, items: list[tuple[Term, SimpleType]],
-                      tok: Token) -> tuple[Term, SimpleType]:
+    def instance(self, scheme: SimpleType) -> SimpleType:
+        """A fresh instance of the constant scheme `scheme`."""
+        return self.uni.instantiate(scheme, self.tables.variables(scheme))
+
+    def _list_literal(self, items: list[tuple[Raw, SimpleType]],
+                      tok: Token) -> tuple[Raw, SimpleType]:
         elem = self.uni.fresh()
         list_ty = SimpleType("list", (elem,))
-        result: Term = Const("[]", list_ty)
+        cons = (Const, "#", fun_type(elem, list_ty, list_ty))
+        result: Raw = (Const, "[]", list_ty)
         for item, ity in reversed(items):
             self.require(item, ity, elem, tok)
-            result = mk_app(Const("#", fun_type(elem, list_ty, list_ty)),
-                            item, result)
+            result = ((cons, item), result)
         return result, list_ty
 
-    def require(self, t: Term, actual: SimpleType, expected: SimpleType,
+    def require(self, t: Raw, actual: SimpleType, expected: SimpleType,
                 tok: Token) -> None:
         try:
             self.uni.unify(actual, expected)
         except _Mismatch:
-            name = _renamer(self.uni)
+            name = _Renamer(self.uni, self.tables)
             raise self.ts.fail(
-                f"type mismatch: {format_term(t)} has type "
+                f"type mismatch: {format_term(_term(t))} has type "
                 f"{format_type(name(actual))}, expected "
                 f"{format_type(name(expected))}", tok)
 
@@ -525,10 +625,14 @@ def _split2(t: SimpleType) -> tuple[tuple[SimpleType, SimpleType], SimpleType]:
     return (a, b), r
 
 
-def _numeral(n: int) -> Term:
-    t: Term = Const("0", TYPE_NAT)
+_ZERO: Raw = (Const, "0", TYPE_NAT)
+_SUC: Raw = (Const, "Suc", fun_type(TYPE_NAT, TYPE_NAT))
+
+
+def _numeral(n: int) -> Raw:
+    t = _ZERO
     for _ in range(n):
-        t = mk_app(Const("Suc", fun_type(TYPE_NAT, TYPE_NAT)), t)
+        t = (_SUC, t)
     return t
 
 
@@ -569,6 +673,7 @@ def parse_theory(source: str, file: str = "<string>") -> Theory:
     known_types = {"nat": 0, "list": 1, "bool": 0}
     declared = set(PRELUDE_NAMES)
     sig = _Signature()
+    tables = _Tables()
 
     def declare(name: str, tok: Token) -> None:
         if name in declared:
@@ -581,19 +686,20 @@ def parse_theory(source: str, file: str = "<string>") -> Theory:
             raise p.fail(f"found {tok.text!r}", tok,
                          expected=("datatype", "fun", "primrec", "lemma"))
         if tok.text == "datatype":
-            d = _parse_datatype(p, known_types, declare)
+            d = _parse_datatype(p, known_types, tables, declare)
             datatypes.append(d)
             known_types[d.name] = len(d.params)
             sig.add_datatype(d)
         elif tok.text in ("fun", "primrec"):
-            fundefs.append(_parse_fundef(p, sig, known_types, declare))
+            fundefs.append(
+                _parse_fundef(p, sig, tables, known_types, declare))
         else:
-            goals.append(_parse_lemma(p, sig, declare))
+            goals.append(_parse_lemma(p, sig, tables, declare))
     return Theory(tuple(datatypes), tuple(fundefs), tuple(goals))
 
 
 def _parse_datatype(p: Cursor, known_types: dict[str, int],
-                    declare) -> DatatypeDef:
+                    tables: _Tables, declare) -> DatatypeDef:
     p.next()  # 'datatype'
     name_tok = p.expect_ident("datatype name")
     declare(name_tok.text, name_tok)
@@ -614,7 +720,8 @@ def _parse_datatype(p: Cursor, known_types: dict[str, int],
         args: list[SimpleType] = []
         while ((p.peek().kind == "ident" and p.peek().text not in _KEYWORDS)
                or p.peek().kind == "tyvar" or p.at_sym("(")):
-            args.append(_parse_ctor_arg(p, local_types, params, ctor_tok))
+            args.append(tables.intern(
+                _parse_ctor_arg(p, local_types, params, ctor_tok)))
         ctors.append(Constructor(ctor_tok.text, tuple(args)))
         if p.at_sym("|"):
             p.next()
@@ -668,7 +775,7 @@ def _parse_ctor_arg(p: Cursor, known: dict[str, int], params: list[str],
     return ty
 
 
-def _parse_fundef(p: Cursor, sig: _Signature,
+def _parse_fundef(p: Cursor, sig: _Signature, tables: _Tables,
                   known_types: dict[str, int], declare) -> FunDef:
     kw = p.next()  # 'fun' | 'primrec'
     name_tok = p.expect_ident("function name")
@@ -678,7 +785,7 @@ def _parse_fundef(p: Cursor, sig: _Signature,
         raise p.fail("found unquoted type", ty_tok, expected=('"<type>"',))
     p.next()
     ts = _quoted(ty_tok.text, p.file, ty_tok.line, ty_tok.column + 1)
-    declared_ty = _parse_type(ts, known_types)
+    declared_ty = tables.intern(_parse_type(ts, known_types))
     if ts.peek().kind != "eof":
         raise ts.fail("trailing tokens in type")
     declare(name_tok.text, name_tok)
@@ -698,7 +805,7 @@ def _parse_fundef(p: Cursor, sig: _Signature,
             raise p.fail("found unquoted equation", eq_tok,
                          expected=('"<equation>"',))
         p.next()
-        eq = _parse_equation(p, eq_tok, sig, name_tok.text)
+        eq = _parse_equation(p, eq_tok, sig, tables, name_tok.text)
         n_args = len(eq.lhs_args())
         if arity is None:
             arity = n_args
@@ -715,23 +822,23 @@ def _parse_fundef(p: Cursor, sig: _Signature,
 
 
 def _parse_equation(p: Cursor, quoted: Token, sig: _Signature,
-                    fn_name: str) -> Equation:
+                    tables: _Tables, fn_name: str) -> Equation:
     ts = _quoted(quoted.text, p.file, quoted.line, quoted.column + 1)
     uni = _Unifier()
     env: dict[str, SimpleType] = {}
 
     # left-hand side: unknown identifiers become pattern variables
-    lhs_parser = _TermParser(ts, sig, uni, env, bind_unknown=True)
+    lhs_parser = _TermParser(ts, sig, uni, tables, env, bind_unknown=True)
     lhs, lhs_ty = lhs_parser.parse_cons()
     ts.expect_sym("=")
-    rhs_parser = _TermParser(ts, sig, uni, env, bind_unknown=False)
+    rhs_parser = _TermParser(ts, sig, uni, tables, env, bind_unknown=False)
     rhs_parser.schem_env = lhs_parser.schem_env
     rhs, rhs_ty = rhs_parser.parse_cons()
     if ts.peek().kind != "eof":
         raise ts.fail("trailing tokens in equation")
 
-    head, args = spine(lhs)
-    if not (isinstance(head, Const) and head.name == fn_name):
+    head, args = _spine(lhs)
+    if not (head[0] is Const and head[1] == fn_name):
         raise p.fail(f"equation must define {fn_name}", quoted)
     _check_patterns(args, sig, SourceSpan(p.file, quoted.line, quoted.column))
     try:
@@ -739,25 +846,26 @@ def _parse_equation(p: Cursor, quoted: Token, sig: _Signature,
     except _Mismatch:
         raise p.fail("ill-typed equation: left and right sides disagree",
                      quoted)
-    # canonicalise both sides against the same variable pool
-    shell = Const("eq", fun_type(lhs_ty, lhs_ty, TYPE_BOOL))
-    pair = _canonicalise(mk_app(shell, lhs, rhs), uni)
-    _, (lhs2, rhs2) = spine(pair)
-    return Equation(lhs2, rhs2)
+    # both sides share one variable pool, named in the order of the goal
+    # ``lhs = rhs``, whose `=` constant's type comes first
+    canon = _Renamer(uni, tables)
+    canon(lhs_ty)
+    return Equation(_canonicalise(lhs, canon, tables.terms),
+                    _canonicalise(rhs, canon, tables.terms))
 
 
-def _check_patterns(args: tuple[Term, ...], sig: _Signature,
+def _check_patterns(args: list[Raw], sig: _Signature,
                     span: SourceSpan) -> None:
     seen_vars: set[str] = set()
 
-    def walk(t: Term) -> None:
-        if isinstance(t, FreeVar):
-            if t.name in seen_vars:
-                raise ParseError(f"duplicate pattern variable {t.name}", span)
-            seen_vars.add(t.name)
+    def walk(r: Raw) -> None:
+        if r[0] is FreeVar:
+            if r[1] in seen_vars:
+                raise ParseError(f"duplicate pattern variable {r[1]}", span)
+            seen_vars.add(r[1])
             return
-        head, sub = spine(t)
-        if isinstance(head, Const) and head.name in sig.constructors:
+        head, sub = _spine(r)
+        if head[0] is Const and head[1] in sig.constructors:
             for s in sub:
                 walk(s)
             return
@@ -768,7 +876,8 @@ def _check_patterns(args: tuple[Term, ...], sig: _Signature,
         walk(a)
 
 
-def _parse_lemma(p: Cursor, sig: _Signature, declare) -> Goal:
+def _parse_lemma(p: Cursor, sig: _Signature, tables: _Tables,
+                 declare) -> Goal:
     lemma_tok = p.next()  # 'lemma'
     name_tok = p.expect_ident("lemma name")
     declare(name_tok.text, name_tok)
@@ -780,14 +889,15 @@ def _parse_lemma(p: Cursor, sig: _Signature, declare) -> Goal:
     p.next()
     term = _parse_prop(
         _quoted(prop_tok.text, p.file, prop_tok.line, prop_tok.column + 1),
-        sig)
+        sig, tables)
     premises, conclusion = split_implications(term)
     return Goal(name_tok.text, premises, conclusion, line=lemma_tok.line)
 
 
-def _parse_prop(ts: Cursor, sig: Theory | _Signature) -> Term:
+def _parse_prop(ts: Cursor, sig: Theory | _Signature,
+                tables: _Tables) -> Term:
     uni = _Unifier()
-    parser = _TermParser(ts, sig, uni, {}, bind_unknown=True)
+    parser = _TermParser(ts, sig, uni, tables, {}, bind_unknown=True)
     start = ts.peek()
     term, ty = parser.parse()
     if ts.peek().kind != "eof":
@@ -796,13 +906,14 @@ def _parse_prop(ts: Cursor, sig: Theory | _Signature) -> Term:
         uni.unify(ty, TYPE_BOOL)
     except _Mismatch:
         raise ts.fail("goal must be propositional", start)
-    return _canonicalise(term, uni)
+    return _canonicalise(term, _Renamer(uni, tables), tables.terms)
 
 
 def parse_goal_expr(source: str, ctx: Theory,
                     file: str = "<expr>") -> Term:
     """Parse a standalone boolean proposition over `ctx`'s signature."""
-    return _parse_prop(_quoted(source.replace("\r\n", "\n"), file, 1, 1), ctx)
+    ts = _quoted(source.replace("\r\n", "\n"), file, 1, 1)
+    return _parse_prop(ts, ctx, _Tables())
 
 
 # ---------------------------------------------------------------------------

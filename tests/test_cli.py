@@ -334,6 +334,27 @@ class TestEval:
         assert err == (f"error: {ann}:2: expected "
                        "'goal | tactic | rule:yes/no | arb:yes/no'\n")
 
+    @pytest.mark.parametrize("tactic, flags, message", [
+        ("induct xs arbitrary: ys", "rule:no | arb:no",
+         "arb:no, but the tactic gives arbitrary variables"),
+        ("induct xs", "rule:no | arb:yes",
+         "arb:yes, but the tactic gives no arbitrary variables"),
+        ("induct xs ys rule: itrev.induct", "rule:no | arb:no",
+         "rule:no, but the tactic gives a rule"),
+        ("induct xs arbitrary: ys", "rule:yes | arb:yes",
+         "rule:yes, but the tactic gives no rule"),
+    ])
+    def test_annotation_flags_disagreeing_with_the_tactic(
+            self, capsys, corpus_dir, tmp_path, tactic, flags, message):
+        ann = tmp_path / "ann.txt"
+        ann.write_text("len_append | induct xs | rule:no | arb:no\n"
+                       f"itrev_rev | {tactic} | {flags}\n")
+        code, out, err = run_cli(capsys, "eval", str(corpus_dir),
+                                 "--annotations", str(ann))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {ann}:2: {message}\n"
+
     def test_eval_deterministic(self, capsys, corpus_dir):
         args = ["eval", str(corpus_dir),
                 "--annotations", str(corpus_dir / "annotations.txt")]

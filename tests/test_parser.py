@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from inductrank import parser
 from inductrank.parser import (
     ParseError, _Unifier, parse_goal_expr, parse_theory, print_theory,
 )
@@ -293,16 +297,33 @@ def theory_texts(draw):
     return "\n".join(chunks) + "\n"
 
 
-def _has_inference_variable(thy) -> bool:
+def _parts(thy):
+    """The types of `thy`, their argument types among them, and the
+    sub-terms of its equations and goals, each as often as it occurs."""
     types = [f.type for f in thy.fundefs]
     types += [a for d in thy.datatypes for c in d.constructors
               for a in c.arg_types]
     terms = [t for f in thy.fundefs for e in f.equations
              for t in (e.lhs, e.rhs)]
     terms += [t for g in thy.goals for t in (*g.premises, g.conclusion)]
-    types += [s.type for t in terms for _, s in subterms_with_paths(t)
-              if not isinstance(s, App)]
+    nodes = [s for t in terms for _, s in subterms_with_paths(t)]
+    types += [s.type for s in nodes if not isinstance(s, App)]
+    for ty in types:  # grows while it is walked
+        types.extend(ty.args)
+    return types, nodes
+
+
+def _has_inference_variable(thy) -> bool:
+    types, _ = _parts(thy)
     return any(v.startswith("'?") for ty in types for v in type_vars(ty))
+
+
+def _objects_per_value(thy) -> dict:
+    types, nodes = _parts(thy)
+    ids: dict = {}
+    for part in (*types, *nodes):
+        ids.setdefault(part, set()).add(id(part))
+    return ids
 
 
 class TestInference:
@@ -345,6 +366,57 @@ class TestInference:
     def test_generated_theories_have_no_inference_variables(self, text):
         thy = parse_theory(print_theory(parse_theory(text)))
         assert not _has_inference_variable(thy)
+
+
+class TestSharing:
+    """Equal types and terms of one parse are one object, and nothing a
+    parse builds to find them outlives it."""
+
+    def test_corpus_theories_share_equal_parts(self, corpus_dir):
+        for path in sorted(corpus_dir.glob("*.thy")):
+            thy = parse_theory(path.read_text(encoding="utf-8"), path.name)
+            ids = _objects_per_value(thy)
+            assert all(len(v) == 1 for v in ids.values()), path.name
+
+    @settings(max_examples=30, deadline=None)
+    @given(text=theory_texts())
+    def test_generated_theories_share_equal_parts(self, text):
+        ids = _objects_per_value(parse_theory(text))
+        assert all(len(v) == 1 for v in ids.values())
+
+    def test_nothing_outlives_a_parse(self, corpus_dir):
+        def tables():
+            sizes = {}
+            for name, value in vars(parser).items():
+                if isinstance(value, type) and \
+                        value.__module__ == parser.__name__:
+                    sizes.update({(name, k): len(v)
+                                  for k, v in vars(value).items()
+                                  if isinstance(v, (dict, list, set))})
+                elif isinstance(value, (dict, list, set)):
+                    sizes[name] = len(value)
+            return sizes
+
+        text = (corpus_dir / "lists.thy").read_text(encoding="utf-8")
+        before = tables()
+        first, second = parse_theory(text), parse_theory(text)
+        goal = parse_goal_expr("rev (rev xs) = xs", first)
+        assert first == second
+        assert goal == parse_goal_expr("rev (rev xs) = xs", second)
+        apps = [{id(s) for s in _parts(thy)[1] if isinstance(s, App)}
+                for thy in (first, second)]
+        assert apps[0] and not apps[0] & apps[1]
+        assert tables() == before
+        # freed as soon as it is dropped: no reference cycle holds a parse
+        gc.disable()
+        try:
+            thy = parse_theory(text)
+            nodes = [weakref.ref(t) for t in (
+                thy.goals[0].conclusion, parse_goal_expr("x = y", thy))]
+            del thy
+            assert [node() for node in nodes] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestRoundTrip:
@@ -435,6 +507,17 @@ class TestSpans:
          "bad.thy:1:15: type mismatch: g has type 'a => 'b, expected 'b"),
         ('lemma a: "g g"',
          "bad.thy:1:13: cannot apply g (type 'a) to g"),
+        # declaration checks on a parsed equation or goal
+        ('fun f :: "nat => nat" where\n  "g 0 = 0"',
+         "bad.thy:2:3: equation must define f"),
+        ('fun f :: "nat => nat" where\n  "f (f 0) = 0"',
+         "bad.thy:2:3: patterns must be constructor patterns or variables"),
+        ('fun f :: "nat => nat => nat" where\n  "f x x = 0"',
+         "bad.thy:2:3: duplicate pattern variable x"),
+        ('fun f :: "nat => nat" where\n  "f 0 = []"',
+         "bad.thy:2:3: ill-typed equation: left and right sides disagree"),
+        ('lemma a: "Suc 0"',
+         "bad.thy:1:11: goal must be propositional"),
     ])
     def test_exact_error_positions(self, src, error):
         with pytest.raises(ParseError) as err:
