@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .parser import Cursor, Token, scan
 from .schemes import InductionScheme, RULE_SUFFIX, scheme_for_rule_name
@@ -157,6 +157,11 @@ class GoalIndex:
     widest application (the number domain's floor), the goal's free
     variables by name, and the rules and recursive constants looked up so
     far.
+
+    `memo` keeps the verdicts of the candidate-independent quantifiers
+    that `compile_formula` memoises, for every candidate evaluated with
+    this index.  It lives and dies with the index: nothing in it outlives
+    the goal.
     """
 
     def __init__(self, goal: Goal, thy: Theory):
@@ -176,6 +181,7 @@ class GoalIndex:
         self.variables = {v.name: v for v in goal_free_variables(goal)}
         self._schemes: dict[str, InductionScheme | None] = {}
         self._recursive: dict[str, bool] = {}
+        self.memo: dict[tuple, tuple[bool, tuple[Value, ...]]] = {}
 
     def occurrences_of(self, t: Term) -> tuple[Occurrence, ...]:
         """The goal's occurrences of `t`, in occurrence order."""
@@ -258,21 +264,14 @@ def candidate_reads(f: Formula) -> tuple[str, ...]:
     induction terms, so it reads that count; reading the terms themselves
     covers it."""
     read: set[str] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Not):
-            stack.append(node.body)
-        elif isinstance(node, (And, Or, Implies)):
-            stack += (node.left, node.right)
-        elif isinstance(node, (Exists, Forall)):
+    for node in _subformulas(f):
+        if isinstance(node, (Exists, Forall)):
             if node.sort is Sort.RULE:
                 read.add("rule")
             elif node.sort is Sort.NUMBER:
                 read.add("induction_term_count")
             elif isinstance(node.restriction, InductionTerms):
                 read.add("induction_terms")
-            stack.append(node.body)
         elif isinstance(node, Atom):
             if node.name == "is_nth_induction_term":
                 read.add("induction_terms")
@@ -283,12 +282,42 @@ def candidate_reads(f: Formula) -> tuple[str, ...]:
     return tuple(n for n in _CANDIDATE_READS if n in read)
 
 
+def _subformulas(f: Formula) -> Iterator[Formula]:
+    """`f` and every formula inside it."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Not):
+            stack.append(node.body)
+        elif isinstance(node, (And, Or, Implies)):
+            stack += (node.left, node.right)
+        elif isinstance(node, (Exists, Forall)):
+            stack.append(node.body)
+
+
+def _free_variables(f: Formula) -> set[str]:
+    """The variables `f` reads that no quantifier inside it binds."""
+    if isinstance(f, Atom):
+        return {a for a in f.args if isinstance(a, str)}
+    if isinstance(f, Not):
+        return _free_variables(f.body)
+    if isinstance(f, (And, Or, Implies)):
+        return _free_variables(f.left) | _free_variables(f.right)
+    if isinstance(f, (Exists, Forall)):
+        free = _free_variables(f.body) - {f.var}
+        if isinstance(f.restriction, OccurrencesOf):
+            free.add(f.restriction.term_var)
+        return free
+    return set()
+
+
 def verdict_key(f: Formula) -> Callable[[Candidate], tuple]:
     """A key on candidates of one goal such that two candidates with equal
     keys get the same verdict on `f`: the parts of the candidate that `f`
     reads."""
     getters = tuple(_CANDIDATE_READS[n] for n in candidate_reads(f))
-    return lambda c: tuple(get(c) for get in getters)
+    return lambda c: tuple([get(c) for get in getters])
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +337,16 @@ def compile_formula(f: Formula) -> Check:
     so a verdict only walks domains and calls tests.  Every quantifier and
     every numeral gets a slot of its own in one list of values, so binding
     a variable copies nothing, and a nested quantifier that rebinds a name
-    leaves the outer binding's slot as it was."""
+    leaves the outer binding's slot as it was.
+
+    The outermost quantifiers that read of the candidate at most its
+    number of induction terms, that have a free variable, and whose body
+    holds another quantifier are memoised: the verdict is kept in the
+    context's `GoalIndex.memo`, keyed on the compiled quantifier, the ids
+    of its free variables' values and, if it holds a number quantifier,
+    the number bound.  Every candidate of a goal that shares the index
+    then evaluates such a quantifier once per key.  In the shipped suite
+    most are the bodies of ``ALL t2 : term in induction_term. ...``."""
     template: list[Value | None] = []
     node = _compile(f, {}, template)
 
@@ -332,47 +370,83 @@ def _slot(template: list, value: Value | None = None) -> int:
     return len(template) - 1
 
 
-def _compile(f: Formula, scope: dict[str, int], template: list) -> _Node:
+def _compile(f: Formula, scope: dict[str, int], template: list,
+             memoise: bool = True) -> _Node:
     if isinstance(f, TrueF):
         return lambda ctx, env: True
     if isinstance(f, Not):
-        body = _compile(f.body, scope, template)
+        body = _compile(f.body, scope, template, memoise)
         return lambda ctx, env: not body(ctx, env)
     if isinstance(f, (And, Or, Implies)):
-        left = _compile(f.left, scope, template)
-        right = _compile(f.right, scope, template)
+        left = _compile(f.left, scope, template, memoise)
+        right = _compile(f.right, scope, template, memoise)
         if isinstance(f, And):
             return lambda ctx, env: left(ctx, env) and right(ctx, env)
         if isinstance(f, Or):
             return lambda ctx, env: left(ctx, env) or right(ctx, env)
         return lambda ctx, env: (not left(ctx, env)) or right(ctx, env)
     if isinstance(f, (Exists, Forall)):
-        return _compile_quantifier(f, scope, template)
+        return _compile_quantifier(f, scope, template, memoise)
     assert isinstance(f, Atom)
     return _compile_atom(f, scope, template)
 
 
 def _compile_quantifier(f: Exists | Forall, scope: dict[str, int],
-                        template: list) -> _Node:
+                        template: list, memoise: bool) -> _Node:
+    # a quantifier with nothing in scope has no free variable
+    memoised = memoise and bool(scope) and _memoisable(f)
     domain = _domain(f.sort, f.restriction, scope)
     slot = _slot(template)
-    body = _compile(f.body, {**scope, f.var: slot}, template)
+    # inside a memoised quantifier no key of the body recurs while the
+    # outer key is new, so the body is not memoised again
+    body = _compile(f.body, {**scope, f.var: slot}, template,
+                    memoise and not memoised)
     if isinstance(f, Exists):
-        def exists(ctx: EvalContext, env: list) -> bool:
+        def quantifier(ctx: EvalContext, env: list) -> bool:
             for value in domain(ctx, env):
                 env[slot] = value
                 if body(ctx, env):
                     return True
             return False
-        return exists
+    else:
+        def quantifier(ctx: EvalContext, env: list) -> bool:
+            for value in domain(ctx, env):
+                env[slot] = value
+                if not body(ctx, env):
+                    return False
+            return True
+    if memoised:
+        return _memoised(quantifier,
+                         tuple(scope[v] for v in _free_variables(f)),
+                         bounded=bool(candidate_reads(f)))
+    return quantifier
 
-    def forall(ctx: EvalContext, env: list) -> bool:
-        for value in domain(ctx, env):
-            env[slot] = value
-            if not body(ctx, env):
-                return False
-        return True
-    return forall
+
+def _memoisable(f: Exists | Forall) -> bool:
+    """Whether to keep the verdicts of `f` for the goal: it reads nothing
+    of the candidate but the number of induction terms; it has a free
+    variable, so it is evaluated again for each value of that; and its
+    body holds another quantifier, so it costs more than a lookup."""
+    return (any(isinstance(g, (Exists, Forall))
+                for g in _subformulas(f.body))
+            and bool(_free_variables(f))
+            and set(candidate_reads(f)) <= {"induction_term_count"})
+
+
+def _memoised(node: _Node, free: tuple[int, ...], bounded: bool) -> _Node:
+    """`node` with its verdicts kept in the goal index's `memo`, keyed on
+    `node`, the ids of the values in the slots `free` and, if `bounded`,
+    the number bound.  Each entry keeps those values alive, so no id in a
+    key can be reused while the memo lives."""
+    def memoised(ctx: EvalContext, env: list) -> bool:
+        values = tuple([env[s] for s in free])
+        key = (node, ctx.number_bound if bounded else 0, *map(id, values))
+        memo = ctx.index.memo
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = (node(ctx, env), values)
+        return entry[0]
+    return memoised
 
 
 def _domain(sort: Sort, restriction: Restriction, scope: dict[str, int],

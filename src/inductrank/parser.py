@@ -36,7 +36,7 @@ from .terms import (
     App, Const, Constructor, DatatypeDef, Equation, FreeVar, FunDef, Goal,
     SchematicVar, SimpleType, Term, Theory,
     format_goal, format_term, format_type, fun_type, split_implications,
-    type_vars,
+    subst_type, type_vars,
 )
 
 
@@ -250,14 +250,7 @@ class _Unifier:
         instance."""
         if not variables:
             return scheme
-        mapping = {v: self.fresh() for v in variables}
-
-        def walk(t: SimpleType) -> SimpleType:
-            if t.args:
-                return SimpleType(t.name, tuple(map(walk, t.args)))
-            return mapping.get(t.name, t)
-
-        return walk(scheme)
+        return subst_type(scheme, {v: self.fresh() for v in variables})
 
 
 class _Tables:
@@ -857,23 +850,19 @@ def _parse_equation(p: Cursor, quoted: Token, sig: _Signature,
 def _check_patterns(args: list[Raw], sig: _Signature,
                     span: SourceSpan) -> None:
     seen_vars: set[str] = set()
-
-    def walk(r: Raw) -> None:
+    stack = args[::-1]
+    while stack:
+        r = stack.pop()
         if r[0] is FreeVar:
             if r[1] in seen_vars:
                 raise ParseError(f"duplicate pattern variable {r[1]}", span)
             seen_vars.add(r[1])
-            return
+            continue
         head, sub = _spine(r)
-        if head[0] is Const and head[1] in sig.constructors:
-            for s in sub:
-                walk(s)
-            return
-        raise ParseError(
-            "patterns must be constructor patterns or variables", span)
-
-    for a in args:
-        walk(a)
+        if not (head[0] is Const and head[1] in sig.constructors):
+            raise ParseError(
+                "patterns must be constructor patterns or variables", span)
+        stack += sub[::-1]
 
 
 def _parse_lemma(p: Cursor, sig: _Signature, tables: _Tables,

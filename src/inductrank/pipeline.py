@@ -150,7 +150,7 @@ def _screen(goal: Goal) -> Callable[[SubgoalSet], int | None]:
                 contains_subterm(sg.conclusion, goal.conclusion)
                 for sg in gs):
             return 2
-        if schematic_free and any(contains_schematic(sg) for sg in gs):
+        if schematic_free and subgoals.schematic:
             return 3
         return None
     return condition

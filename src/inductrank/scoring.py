@@ -8,7 +8,11 @@ pipeline position (stable), and ranks assigned from 1.
 Scoring is serial.  A verdict depends only on the candidate fields its
 formula reads (`dsl.verdict_key`), so each heuristic is evaluated once
 per distinct value of those fields and the verdict reused for every other
-candidate of the goal that shares it.
+candidate of the goal that shares it.  Heuristics that read the same
+fields share one key, computed once per candidate, and one memo.  These
+memos last for one `score_all` call; the memo of sub-formulas that no
+candidate field but the number of induction terms changes is the goal
+index's (`dsl.GoalIndex.memo`) and lasts as long as that index.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from importlib import resources
 from typing import Callable, Sequence
 
 from .dsl import (
-    Check, EvalContext, Formula, compile_formula, evaluate, parse_heuristics,
-    verdict_key,
+    Check, EvalContext, Formula, candidate_reads, compile_formula, evaluate,
+    parse_heuristics, verdict_key,
 )
 from .tactic import Candidate
 
@@ -68,21 +72,33 @@ def score_all(candidates: Sequence[Candidate],
     candidate fields its formula reads, and a context is built only for a
     candidate with at least one verdict not yet memoised.
     """
-    keys = [verdict_key(h.formula) for h in suite]
-    memos: list[dict] = [{} for _ in suite]
+    # heuristics that read the same candidate fields share one key and
+    # one memo, which maps the key to their verdicts
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for i, h in enumerate(suite):
+        groups.setdefault(candidate_reads(h.formula), []).append(i)
+    plan = [(verdict_key(suite[members[0]].formula),
+             [suite[i] for i in members], {})
+            for members in groups.values()]
+    # a candidate's verdicts come group by group; heuristic i's is at
+    # position[i] among them
+    order = [i for members in groups.values() for i in members]
+    position = sorted(range(len(order)), key=order.__getitem__)
     unranked = []
     for index, candidate in enumerate(candidates):
         ctx = None
-        verdicts = []
-        for h, key_of, memo in zip(suite, keys, memos):
+        found: list[bool] = []
+        for key_of, members, memo in plan:
             key = key_of(candidate)
-            verdict = memo.get(key)
-            if verdict is None:
+            verdicts = memo.get(key)
+            if verdicts is None:
                 if ctx is None:
                     ctx = ctx_factory(candidate)
-                verdict = memo[key] = evaluate(h.formula, ctx, h.check)
-            verdicts.append(verdict)
-        unranked.append((candidate, sum(verdicts), tuple(verdicts), index))
+                verdicts = memo[key] = [evaluate(h.formula, ctx, h.check)
+                                        for h in members]
+            found += verdicts
+        verdicts = tuple([found[p] for p in position])
+        unranked.append((candidate, sum(verdicts), verdicts, index))
     unranked.sort(key=lambda item: (-item[1], item[3]))
     return [
         ScoredCandidate(candidate, score, verdicts, rank, index)

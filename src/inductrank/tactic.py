@@ -18,8 +18,8 @@ from .schemes import (
 )
 from .terms import (
     FreeVar, Goal, SchematicVar, SimpleType, Term, Theory,
-    fresh_name, goal_free_variables, instantiate_term_types, match_type,
-    mk_eq, mk_implies, subst_frees, subst_type,
+    fresh_name, goal_free_variables, has_schematic, instantiate_term_types,
+    match_type, mk_eq, mk_implies, subst_frees, subst_type,
 )
 
 DEFAULT_TIMEOUT = 0.1  # seconds per application
@@ -90,8 +90,12 @@ def parse_candidate(text: str) -> Candidate:
 
 @dataclass(frozen=True)
 class SubgoalSet:
+    """The subgoals of one application, and whether any of them contains
+    a schematic variable, which the tactic knows without walking them."""
+
     case_names: tuple[str, ...]
     subgoals: tuple[Goal, ...]
+    schematic: bool = False
 
 
 def apply_induct(goal: Goal, candidate: Candidate, thy: Theory,
@@ -123,7 +127,9 @@ class _Case:
     conclusion under the case's substitution, under each induction
     hypothesis's, and the goal's premises under the case's; the schematic
     equations to wrap around the conclusion and around each hypothesis,
-    innermost first; and the names a generalised variable must avoid."""
+    innermost first; the names a generalised variable must avoid; and
+    whether any of these terms contains a schematic variable, which
+    generalising, a renaming of free variables, does not change."""
 
     name: str
     conclusion: Term
@@ -132,6 +138,7 @@ class _Case:
     anchors: tuple[Term, ...]
     hyp_anchors: tuple[tuple[Term, ...], ...]
     used: frozenset[str]
+    schematic: bool
 
 
 class InductTactic:
@@ -211,7 +218,8 @@ class InductTactic:
         generalised = [v for v in self.variables if v.name in arbitrary]
         result = SubgoalSet(tuple(c.name for c in cases),
                             tuple(self._subgoal(c, generalised)
-                                  for c in cases))
+                                  for c in cases),
+                            any(c.schematic for c in cases))
         if timeout is not None and monotonic() - started > timeout:
             return Failure(TacticErrorKind.TIMEOUT,
                            f"exceeded {timeout * 1000:.0f} ms")
@@ -318,15 +326,21 @@ class InductTactic:
         def equations(pairs: list[tuple[SchematicVar, Term]]) -> tuple:
             return tuple(mk_eq(schem, t) for schem, t in reversed(pairs))
 
+        conclusion = subst_frees(goal.conclusion, concl_map)
+        hypotheses = tuple(subst_frees(goal.conclusion, m) for m in hyp_maps)
+        premises = tuple(subst_frees(p, concl_map) for p in goal.premises)
         return _Case(
             name=case_name,
-            conclusion=subst_frees(goal.conclusion, concl_map),
-            hypotheses=tuple(subst_frees(goal.conclusion, m)
-                             for m in hyp_maps),
-            premises=tuple(subst_frees(p, concl_map) for p in goal.premises),
+            conclusion=conclusion,
+            hypotheses=hypotheses,
+            premises=premises,
             anchors=equations(anchors),
             hyp_anchors=tuple(equations(pairs) for pairs in hyp_anchors),
             used=frozenset(taken.union(self.by_name)),
+            # an anchor equation holds a schematic variable; a recursive
+            # call's argument in a rule, or the goal itself, may hold one
+            schematic=bool(anchors) or any(
+                map(has_schematic, (conclusion, *hypotheses, *premises))),
         )
 
     def _subgoal(self, case: _Case, generalised: list[FreeVar]) -> Goal:
@@ -335,11 +349,14 @@ class InductTactic:
         premises = case.premises
         if generalised:
             used = set(case.used)
+            # `used` only grows, so the first free name for a variable is
+            # never before the last one it got: the search resumes there
+            last = {var.name: var.name for var in generalised}
 
             def fresh_renaming() -> dict[str, Term]:
                 renaming: dict[str, Term] = {}
                 for var in generalised:
-                    new = fresh_name(var.name, used)
+                    new = last[var.name] = fresh_name(last[var.name], used)
                     used.add(new)
                     renaming[var.name] = FreeVar(new, var.type)
                 return renaming

@@ -60,16 +60,15 @@ def split_fun(t: SimpleType) -> tuple[tuple[SimpleType, ...], SimpleType]:
 
 
 def type_vars(t: SimpleType) -> list[str]:
+    """The type variables of `t`, each once, in order of first occurrence."""
     out: list[str] = []
-
-    def walk(u: SimpleType) -> None:
+    stack = [t]
+    while stack:
+        u = stack.pop()
         if u.is_var():
             if u.name not in out:
                 out.append(u.name)
-        for a in u.args:
-            walk(a)
-
-    walk(t)
+        stack += reversed(u.args)
     return out
 
 

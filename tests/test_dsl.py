@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from _reference import random_formula, ref_evaluate
+from inductrank import dsl
 from inductrank.dsl import (
-    Atom, Exists, Forall, Implies, Not, Sort, TrueF,
+    Atom, Exists, Forall, GoalIndex, Implies, Not, Sort, TrueF,
     compile_formula, evaluate, evaluate_atom, make_context, parse_formula,
     parse_heuristics,
 )
 from inductrank.parser import ParseError, parse_theory
+from inductrank.pipeline import enumerate_candidates
 from inductrank.scoring import default_suite
 from inductrank.tactic import Candidate, parse_candidate
 from inductrank.terms import Occurrence, goal_free_variables, occurrences_of
@@ -324,3 +327,112 @@ class TestCompiledEvaluator:
         ctx = ctx_for(running_goal, running_theory, "induct xs")
         with pytest.raises(ValueError):
             evaluate_atom("frobnicates", (), ctx)
+
+
+def _varied_candidates(goal, thy, rng, per_count=4):
+    """Candidates of `goal` with every induction-term count, drawn with
+    and without `arbitrary` and a rule, the counts shuffled so that the
+    number bound goes up and down while one index serves them all."""
+    by_count: dict[int, list] = {}
+    for c in enumerate_candidates(goal, thy):
+        by_count.setdefault(len(c.induction_terms), []).append(c)
+    drawn = [c for cs in by_count.values()
+             for c in rng.sample(cs, min(per_count, len(cs)))]
+    rng.shuffle(drawn)
+    return drawn
+
+
+class TestSharedMemo:
+    """One `GoalIndex`, and so one memo of candidate-independent
+    sub-formulas, serves every candidate of a goal."""
+
+    @pytest.fixture(scope="class")
+    def goals(self, g4_theory):
+        out = [(goal, thy) for goal, _, thy in _contexts()]
+        return out + [(g4_theory.goal_named("g4"), g4_theory)]
+
+    def _agree(self, formula, goal, thy, candidates):
+        check = compile_formula(formula)
+        index = GoalIndex(goal, thy)
+        verdicts = set()
+        for c in candidates:
+            ctx = make_context(goal, c, thy, index=index)
+            expected = ref_evaluate(formula, goal, c, thy)
+            assert check(ctx) == expected, (formula, c.tactic_text())
+            verdicts.add((ctx.number_bound, expected))
+        return index, verdicts
+
+    def test_random_formulas_agree_with_oracle(self, goals):
+        rng = random.Random(1010)
+        memoised = 0
+        for i in range(40):
+            formula = random_formula(rng, depth=6, max_quantifiers=4)
+            goal, thy = goals[i % len(goals)]
+            index, _ = self._agree(formula, goal, thy,
+                                   _varied_candidates(goal, thy, rng, 2))
+            memoised += bool(index.memo)
+        assert memoised >= 5
+
+    @pytest.mark.parametrize("text", SHADOWING_FORMULAS)
+    def test_shadowing_formulas_agree_with_oracle(self, text, goals):
+        rng = random.Random(text)
+        for goal, thy in goals:
+            self._agree(parse_formula(text), goal, thy,
+                        _varied_candidates(goal, thy, rng))
+
+    def test_memoised_number_quantifier_beyond_arity_bound(self):
+        # The memoised `EX t1` holds `ALL n : number`: m is both arguments
+        # of itadd, so it holds up to the arity bound of 2, and fails once
+        # three induction terms raise the number bound to 3.
+        thy = parse_theory(
+            'fun itadd :: "nat => nat => nat" where\n'
+            '  "itadd 0 n = n"\n'
+            '| "itadd (Suc m) n = itadd m (Suc n)"\n'
+            'lemma g: "itadd m m = itadd k n"')
+        goal = thy.goals[0]
+        formula = parse_formula(
+            "EX t : term. EX t1 : term. ALL n : number. "
+            "EX to1 : term_occurrence in t1 : term. "
+            "EX to : term_occurrence in t : term. "
+            "is_nth_argument_of (to, n, to1)")
+        candidates = [parse_candidate(text) for text in (
+            "induct m", "induct m n k", "induct k n", "induct n k m",
+            "induct m arbitrary: n rule: itadd.induct", "induct k")]
+        index, verdicts = self._agree(formula, goal, thy, candidates)
+        assert verdicts == {(2, True), (3, False)}
+        assert GoalIndex(goal, thy).arity_bound == 2
+        # one entry per term bound to t and number bound, at most
+        assert {key[1] for key in index.memo} == {2, 3}
+        assert len(index.memo) <= 2 * len(index.terms)
+
+    def test_body_runs_once_per_key(self, monkeypatch, g4_theory):
+        # every call of the innermost atom under the memoised `EX t1`
+        # binds the key (t2, number bound) and the inner variables; with
+        # one index shared, no such binding is evaluated twice
+        calls = Counter()
+        test = dsl._ATOMS["is_nth_argument_of"]
+
+        def counted(ctx, to2, n, to1):
+            calls[ctx.number_bound, id(to2), n, id(to1)] += 1
+            return test(ctx, to2, n, to1)
+
+        monkeypatch.setitem(dsl._ATOMS, "is_nth_argument_of", counted)
+        formula = parse_formula(
+            "ALL t2 : term in induction_term. EX t1 : term. "
+            "EX to1 : term_occurrence in t1 : term. (is_constant (t1)) & "
+            "(EX to2 : term_occurrence in t2 : term. EX n : number. "
+            "is_nth_argument_of (to2, n, to1))")
+        check = compile_formula(formula)
+        goal = g4_theory.goal_named("g4")
+        candidates = [c for c in enumerate_candidates(goal, g4_theory)
+                      if not c.arbitrary]
+        index = GoalIndex(goal, g4_theory)
+        shared = [check(make_context(goal, c, g4_theory, index=index))
+                  for c in candidates]
+        assert max(calls.values()) == 1
+        hits = sum(calls.values())
+        calls.clear()
+        fresh = [check(make_context(goal, c, g4_theory))
+                 for c in candidates]
+        assert shared == fresh
+        assert sum(calls.values()) > 10 * hits

@@ -415,6 +415,11 @@ class TestSharing:
                 thy.goals[0].conclusion, parse_goal_expr("x = y", thy))]
             del thy
             assert [node() for node in nodes] == [None, None]
+            # and a parse leaves no cyclic garbage behind
+            gc.collect()
+            for path in sorted(corpus_dir.glob("*.thy")):
+                parse_theory(path.read_text(encoding="utf-8"), path.name)
+                assert gc.collect() == 0, path.name
         finally:
             gc.enable()
 

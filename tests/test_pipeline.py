@@ -388,6 +388,38 @@ class TestStage2Reference:
             seen.update(expected)
         assert seen == {None, 1, 2, 3}
 
+    def test_recorded_schematic_equals_the_walk(self, corpus_dir,
+                                                g4_theory):
+        # Besides an under-supplied rule, a goal with a schematic
+        # variable, and a rule whose recursive call passes one, put
+        # schematic variables into subgoals.
+        goals = _test_goals(corpus_dir, g4_theory)
+        text = (corpus_dir / "running.thy").read_text(encoding="utf-8")
+        thy = parse_theory(text + '\nlemma s: "itrev xs ys = ?x"')
+        goals.append((thy, thy.goal_named("s")))
+        thy = parse_theory(
+            'fun f :: "nat => nat => nat" where\n'
+            '  "f 0 m = m"\n'
+            '| "f (Suc n) m = f ?y m"\n'
+            'lemma a: "f k j = j"')
+        goals.append((thy, thy.goals[0]))
+        recorded = set()
+        for thy, goal in goals:
+            survivors, _ = stage1(goal, enumerate_candidates(goal, thy), thy,
+                                  timeout=None)
+            for candidate, subgoals in survivors:
+                where = (goal.name, candidate.tactic_text())
+                walked = any(isinstance(node, SchematicVar)
+                             for sg in subgoals.subgoals
+                             for _, root in sg.regions()
+                             for _, node in subterms_with_paths(root))
+                assert subgoals.schematic == walked, where
+                assert stage2_condition(goal, subgoals) \
+                    == reference_condition(goal, subgoals), where
+                recorded.add((goal.name, walked))
+        assert {("s", True), ("a", True), ("a", False),
+                ("g4", True), ("g4", False)} <= recorded
+
 
 class TestSubgoalsWellFormed:
     def test_corpus_finalist_subgoals_pass_check_term(self, corpus_dir,

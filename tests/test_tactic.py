@@ -1,19 +1,20 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
 
 import inductrank.tactic as tactic_module
 from inductrank.parser import parse_goal_expr, parse_theory
-from inductrank.pipeline import enumerate_candidates
+from inductrank.pipeline import enumerate_candidates, screen
 from inductrank.tactic import (
     Candidate, Failure, InductTactic, SubgoalSet, TacticErrorKind,
     apply_induct, parse_candidate,
 )
 from inductrank.terms import (
-    App, FreeVar, Goal, SchematicVar, contains_schematic, goal_free_variables,
-    subterms_with_paths,
+    App, FreeVar, Goal, SchematicVar, contains_schematic, format_goal,
+    fresh_name, goal_free_variables, subst_frees, subterms_with_paths,
 )
 
 
@@ -332,3 +333,60 @@ class TestSharedTactic:
         tactic.apply(generalised, None)
         assert tactic.apply(plain, None) == before \
             == apply_induct(running_goal, plain, running_theory, None)
+
+
+class _RestartingTactic(InductTactic):
+    """The tactic with generalised variables named as first written: every
+    search for a fresh name starts again from the variable's own name."""
+
+    def _subgoal(self, case, generalised):
+        if generalised:
+            used = set(case.used)
+
+            def fresh_renaming():
+                renaming = {}
+                for var in generalised:
+                    new = fresh_name(var.name, used)
+                    used.add(new)
+                    renaming[var.name] = FreeVar(new, var.type)
+                return renaming
+
+            renaming = fresh_renaming()
+            case = dataclasses.replace(
+                case, conclusion=subst_frees(case.conclusion, renaming),
+                hypotheses=tuple(subst_frees(h, fresh_renaming())
+                                 for h in case.hypotheses),
+                premises=tuple(subst_frees(p, renaming)
+                               for p in case.premises))
+        return super()._subgoal(case, [])
+
+
+class TestGeneralisedNames:
+    def test_every_finalist_names_as_first_written(self, corpus_dir,
+                                                   g4_theory):
+        generalised = 0
+        for thy, goal in _corpus_and_g4_goals(corpus_dir, g4_theory):
+            tactic = InductTactic(goal, thy)
+            restarting = _RestartingTactic(goal, thy)
+            for candidate in screen(goal, thy, timeout=None).finalists:
+                assert tactic.apply(candidate, None) == restarting.apply(
+                    candidate, None), (goal.name, candidate.tactic_text())
+                generalised += bool(candidate.arbitrary)
+        assert generalised > 100
+
+    def test_primed_variables_generalised_together(self, corpus_dir):
+        # x' is a variable of its own and also a name that the search for
+        # a fresh x passes through
+        text = (corpus_dir / "running.thy").read_text(encoding="utf-8")
+        thy = parse_theory(
+            text + "\nlemma p: \"itrev xs (x @ x') = rev xs @ x @ x'\"")
+        goal = thy.goal_named("p")
+        candidate = parse_candidate("induct xs arbitrary: x x'")
+        assert candidate in screen(goal, thy, timeout=None).finalists
+        got = InductTactic(goal, thy).apply(candidate, None)
+        assert got == _RestartingTactic(goal, thy).apply(candidate, None)
+        assert [format_goal(sg) for sg in got.subgoals] == [
+            "itrev [] (x'' @ x''') = rev [] @ x'' @ x'''",
+            "itrev xs (x''''' @ x'''''') = rev xs @ x''''' @ x'''''' ==> "
+            "itrev (x'' # xs) (x''' @ x'''') = rev (x'' # xs) @ x''' @ x''''",
+        ]
