@@ -460,8 +460,9 @@ class _TermParser:
     Every production returns a ``(raw, type)`` pair: a raw node, and its
     type in the unifier's world, which is only written into a term by
     `_canonicalise`.  `bind_unknown` controls what happens to identifiers
-    that are not declared constants: in goal position they become free
-    variables, in the right-hand side of an equation they are an error.
+    that are not declared constants and to schematic variables: in goal
+    position they become free and schematic variables, in the right-hand
+    side of an equation they are an error.
     """
 
     def __init__(self, ts: Cursor, sig: Theory | _Signature,
@@ -548,6 +549,10 @@ class _TermParser:
             return _numeral(int(tok.text)), TYPE_NAT
         if tok.kind == "schem":
             self.ts.next()
+            if not self.bind_unknown:
+                raise self.ts.fail(
+                    f"schematic variable {tok.text} on the right-hand side",
+                    tok)
             name = tok.text[1:]
             if name not in self.schem_env:
                 self.schem_env[name] = self.uni.fresh()
@@ -825,7 +830,6 @@ def _parse_equation(p: Cursor, quoted: Token, sig: _Signature,
     lhs, lhs_ty = lhs_parser.parse_cons()
     ts.expect_sym("=")
     rhs_parser = _TermParser(ts, sig, uni, tables, env, bind_unknown=False)
-    rhs_parser.schem_env = lhs_parser.schem_env
     rhs, rhs_ty = rhs_parser.parse_cons()
     if ts.peek().kind != "eof":
         raise ts.fail("trailing tokens in equation")

@@ -3,7 +3,10 @@
 This is the desk-scale stand-in for a proof assistant's `induct` tactic:
 it instantiates an induction scheme and returns the subgoals that the
 screening and scoring stages inspect, or a `Failure` saying why there are
-none.  Nothing here raises for a candidate.  No proof search happens here.
+none.  As in Isabelle, structural induction is rule induction with the
+datatype's own one-position rule, so a candidate with a rule and one
+without are instantiated by the same code.  Nothing here raises for a
+candidate.  No proof search happens here.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from .schemes import (
 )
 from .terms import (
     FreeVar, Goal, SchematicVar, SimpleType, Term, Theory,
-    fresh_name, goal_free_variables, has_schematic, instantiate_term_types,
-    match_type, mk_eq, mk_implies, subst_frees, subst_type,
+    contains_schematic, fresh_name, goal_free_variables,
+    instantiate_term_types, match_type, mk_eq, mk_implies, subst_frees,
+    subst_type,
 )
 
 DEFAULT_TIMEOUT = 0.1  # seconds per application
@@ -127,9 +131,7 @@ class _Case:
     conclusion under the case's substitution, under each induction
     hypothesis's, and the goal's premises under the case's; the schematic
     equations to wrap around the conclusion and around each hypothesis,
-    innermost first; the names a generalised variable must avoid; and
-    whether any of these terms contains a schematic variable, which
-    generalising, a renaming of free variables, does not change."""
+    innermost first; and the names a generalised variable must avoid."""
 
     name: str
     conclusion: Term
@@ -138,21 +140,23 @@ class _Case:
     anchors: tuple[Term, ...]
     hyp_anchors: tuple[tuple[Term, ...], ...]
     used: frozenset[str]
-    schematic: bool
 
 
 class InductTactic:
     """The induct tactic on one goal.
 
     Holds what every application to the goal shares: the goal's free
-    variables, in order and by name, and the schemes of the rules and
-    datatypes named so far.  It memoises two things.  The instantiated
-    cases of each (induction terms, rule) pair applied so far, or how
-    they failed: the cases do not depend on `arbitrary`.  And the
-    `SubgoalSet` of each (induction terms read, rule, `arbitrary`)
-    applied so far, where structural mode reads only the first term:
-    candidates that agree on these get the same object.  An application
-    that exceeded its timeout is not memoised.
+    variables, in order and by name, whether the goal has a schematic
+    variable, and the schemes of the rules and datatypes named so far.
+    Both modes find a scheme, a type instantiation and the variables for
+    its first positions, and build the cases by one path, `_instantiate`.
+
+    It memoises two things.  The instantiated cases of each (induction
+    terms, rule) pair applied so far, or how they failed: the cases do not
+    depend on `arbitrary`.  And the `SubgoalSet` of each (induction terms
+    read, rule, `arbitrary`) applied so far, where structural mode reads
+    only the first term: candidates that agree on these get the same
+    object.  An application that exceeded its timeout is not memoised.
     """
 
     def __init__(self, goal: Goal, thy: Theory):
@@ -160,6 +164,7 @@ class InductTactic:
         self.thy = thy
         self.variables = goal_free_variables(goal)
         self.by_name = {v.name: v for v in self.variables}
+        self._schematic_goal = contains_schematic(goal)
         self._rules: dict[str, InductionScheme | None] = {}
         self._structural: dict[str, InductionScheme] = {}
         self._cases: dict[tuple, tuple[_Case, ...] | Failure] = {}
@@ -171,15 +176,16 @@ class InductTactic:
         """Apply an induction candidate to the goal: the subgoals, or the
         `Failure` saying why there are none.
 
-        Structural mode (no rule): the first induction term drives the
-        structural scheme of its datatype; further induction terms are left
-        untouched (no simultaneous product induction).  Functional mode
-        (rule given): the scheme's k-th position is instantiated with the
-        k-th induction term; positions beyond the supplied terms are
-        instantiated with fresh schematic variables, and each case
-        conclusion records the unanchored positions as schematic equations
-        wrapped around it, so the under-determination is visible to the
-        screening stage.
+        The scheme is the rule's in functional mode (rule given).  In
+        structural mode (no rule) it is the one-position structural
+        scheme of the first induction term's datatype; further induction
+        terms are left untouched (no simultaneous product induction).
+        Either way the scheme's k-th position is instantiated with the k-th
+        induction term.  Positions beyond the supplied terms, which only a
+        rule can have, are instantiated with fresh schematic variables, and
+        each case records them as schematic equations wrapped around its
+        conclusion and hypotheses, so the under-determination is visible
+        to the screening stage.
 
         Variables in `arbitrary` are generalised per subgoal: the conclusion
         and the original premises share one fresh renaming, and every
@@ -215,11 +221,15 @@ class InductTactic:
         if type(cases) is Failure:
             return cases
 
+        # No scheme term holds a schematic variable, and generalising is a
+        # renaming of free variables, so a subgoal holds one exactly when
+        # its case has anchor equations or the goal holds one.
         generalised = [v for v in self.variables if v.name in arbitrary]
         result = SubgoalSet(tuple(c.name for c in cases),
                             tuple(self._subgoal(c, generalised)
                                   for c in cases),
-                            any(c.schematic for c in cases))
+                            any(self._schematic_goal or c.anchors
+                                for c in cases))
         if timeout is not None and monotonic() - started > timeout:
             return Failure(TacticErrorKind.TIMEOUT,
                            f"exceeded {timeout * 1000:.0f} ms")
@@ -238,26 +248,8 @@ class InductTactic:
         scheme = self._structural.get(dt.name)
         if scheme is None:
             scheme = self._structural[dt.name] = structural_scheme(dt)
-        tymap = dict(zip(dt.params, first.type.args))
-
-        cases = []
-        for case in scheme.cases:
-            case = _instantiate_case(case, tymap)
-            taken = set(self.by_name) - {first.name}
-            renaming = _rename_case_vars(case, taken)
-            introduced = {v.name for v in renaming.values()
-                          if isinstance(v, FreeVar)}
-            pattern = subst_frees(case.patterns[0], renaming)
-            hyp_args = [subst_frees(h[0], renaming) for h in case.hypotheses]
-            cases.append(self._case(
-                case.name,
-                concl_map={first.name: pattern},
-                hyp_maps=[{first.name: arg} for arg in hyp_args],
-                anchors=[],
-                hyp_anchors=[[] for _ in hyp_args],
-                taken=taken | introduced,
-            ))
-        return tuple(cases)
+        return self._instantiate(scheme, [first],
+                                 dict(zip(dt.params, first.type.args)))
 
     def _functional_mode(self, terms: tuple[str, ...],
                          rule: str) -> tuple[_Case, ...] | Failure:
@@ -281,67 +273,51 @@ class InductTactic:
                     TacticErrorKind.NON_DATATYPE_VARIABLE,
                     f"{var.name} : {var.type} does not fit position "
                     f"{k + 1} of {rule} ({scheme.positions[k]})")
+        return self._instantiate(scheme, supplied, tymap)
 
-        positions = [subst_type(p, tymap) for p in scheme.positions]
-        schematics = {
-            k: SchematicVar(f"x{k + 1}", positions[k])
-            for k in range(len(supplied), scheme.arity)
-        }
-
+    def _instantiate(self, scheme: InductionScheme, supplied: list[FreeVar],
+                     tymap: dict[str, SimpleType]) -> tuple[_Case, ...]:
+        """The cases of `scheme` with its k-th position instantiated by
+        the k-th supplied variable, its type variables by `tymap`, and its
+        case variables renamed apart from the goal's other variables.
+        Each position beyond the supplied ones becomes a schematic
+        variable, anchored to the case's argument there by an equation."""
+        goal = self.goal
+        names = [v.name for v in supplied]
+        schematics = [SchematicVar(f"x{k + 1}",
+                                   subst_type(scheme.positions[k], tymap))
+                      for k in range(len(names), scheme.arity)]
+        taken = set(self.by_name).difference(names)
         cases = []
         for case in scheme.cases:
             case = _instantiate_case(case, tymap)
-            taken = set(self.by_name) - {v.name for v in supplied}
-            renaming = _rename_case_vars(case, taken)
-            introduced = {v.name for v in renaming.values()
-                          if isinstance(v, FreeVar)}
-            patterns = [subst_frees(p, renaming) for p in case.patterns]
-            concl_map = {v.name: patterns[k] for k, v in enumerate(supplied)}
-            anchors = [(schematics[k], patterns[k]) for k in schematics]
-            hyp_maps = []
-            hyp_anchors = []
-            for hyp in case.hypotheses:
-                args = [subst_frees(t, renaming) for t in hyp]
-                hyp_maps.append(
-                    {v.name: args[k] for k, v in enumerate(supplied)})
-                hyp_anchors.append(
-                    [(schematics[k], args[k]) for k in schematics])
-            cases.append(self._case(
-                case.name,
-                concl_map=concl_map,
-                hyp_maps=hyp_maps,
-                anchors=anchors,
-                hyp_anchors=hyp_anchors,
-                taken=taken | introduced,
+            renaming: dict[str, Term] = {}
+            used = set(taken)
+            for v in case.fresh_vars:
+                new = fresh_name(v.name, used)
+                used.add(new)
+                renaming[v.name] = FreeVar(new, v.type)
+            # the conclusion's argument tuple, then each hypothesis's: a
+            # substitution for the supplied variables, and the anchor
+            # equations of the schematic positions, innermost first
+            maps, anchors = [], []
+            for args in (case.patterns, *case.hypotheses):
+                args = [subst_frees(t, renaming) for t in args]
+                maps.append(dict(zip(names, args)))
+                anchors.append(tuple(
+                    map(mk_eq, schematics, args[len(names):]))[::-1])
+            cases.append(_Case(
+                name=case.name,
+                conclusion=subst_frees(goal.conclusion, maps[0]),
+                hypotheses=tuple(subst_frees(goal.conclusion, m)
+                                 for m in maps[1:]),
+                premises=tuple(subst_frees(p, maps[0])
+                               for p in goal.premises),
+                anchors=anchors[0],
+                hyp_anchors=tuple(anchors[1:]),
+                used=frozenset(used.union(self.by_name)),
             ))
         return tuple(cases)
-
-    def _case(self, case_name: str, concl_map: dict[str, Term],
-              hyp_maps: list[dict[str, Term]],
-              anchors: list[tuple[SchematicVar, Term]],
-              hyp_anchors: list[list[tuple[SchematicVar, Term]]],
-              taken: set[str]) -> _Case:
-        goal = self.goal
-
-        def equations(pairs: list[tuple[SchematicVar, Term]]) -> tuple:
-            return tuple(mk_eq(schem, t) for schem, t in reversed(pairs))
-
-        conclusion = subst_frees(goal.conclusion, concl_map)
-        hypotheses = tuple(subst_frees(goal.conclusion, m) for m in hyp_maps)
-        premises = tuple(subst_frees(p, concl_map) for p in goal.premises)
-        return _Case(
-            name=case_name,
-            conclusion=conclusion,
-            hypotheses=hypotheses,
-            premises=premises,
-            anchors=equations(anchors),
-            hyp_anchors=tuple(equations(pairs) for pairs in hyp_anchors),
-            used=frozenset(taken.union(self.by_name)),
-            # an anchor equation holds a schematic variable; a recursive
-            # call's argument in a rule, or the goal itself, may hold one
-            schematic=bool(anchors) or any(
-                map(has_schematic, (conclusion, *hypotheses, *premises))),
-        )
 
     def _subgoal(self, case: _Case, generalised: list[FreeVar]) -> Goal:
         conclusion = case.conclusion
@@ -391,13 +367,3 @@ def _instantiate_case(case: SchemeCase,
                  for h in case.hypotheses)
     pats = tuple(instantiate_term_types(t, tymap) for t in case.patterns)
     return SchemeCase(case.name, fresh, hyps, pats)
-
-
-def _rename_case_vars(case: SchemeCase, taken: set[str]) -> dict[str, Term]:
-    renaming: dict[str, Term] = {}
-    used = set(taken)
-    for v in case.fresh_vars:
-        new = fresh_name(v.name, used)
-        used.add(new)
-        renaming[v.name] = FreeVar(new, v.type)
-    return renaming

@@ -50,15 +50,6 @@ def fun_type(*types: SimpleType) -> SimpleType:
     return result
 
 
-def split_fun(t: SimpleType) -> tuple[tuple[SimpleType, ...], SimpleType]:
-    """Split an arrow type into its argument types and result type."""
-    args: list[SimpleType] = []
-    while t.name == FUN:
-        args.append(t.args[0])
-        t = t.args[1]
-    return tuple(args), t
-
-
 def type_vars(t: SimpleType) -> list[str]:
     """The type variables of `t`, each once, in order of first occurrence."""
     out: list[str] = []

@@ -521,6 +521,9 @@ class TestSpans:
          "bad.thy:2:3: duplicate pattern variable x"),
         ('fun f :: "nat => nat" where\n  "f 0 = []"',
          "bad.thy:2:3: ill-typed equation: left and right sides disagree"),
+        ('fun f :: "nat => nat => nat" where\n  "f 0 m = m"\n'
+         '| "f (Suc n) m = f ?y m"',
+         "bad.thy:3:20: schematic variable ?y on the right-hand side"),
         ('lemma a: "Suc 0"',
          "bad.thy:1:11: goal must be propositional"),
     ])

@@ -199,6 +199,21 @@ class TestStage2:
         cond2 = _dropped_in_stage2(thy.goals[0], thy, 2)
         assert Candidate((), frozenset(), "id2.induct") in cond2
 
+    def test_verdict_can_depend_on_arbitrary(self):
+        # Generalising xs renames it in the conclusion, which then no
+        # longer embeds the goal: condition 2 gives way to condition 3,
+        # so the generalised candidate counts in 2nd-a.
+        thy = parse_theory(
+            'fun tl2 :: "\'a list => \'a list" where\n'
+            '  "tl2 [] = []"\n'
+            '| "tl2 (x # xs) = xs"\n'
+            'lemma g: "tl2 xs = tl2 ys"')
+        goal = thy.goals[0]
+        plain = parse_candidate("induct rule: tl2.induct")
+        general = parse_candidate("induct arbitrary: xs rule: tl2.induct")
+        assert plain in _dropped_in_stage2(goal, thy, 2)
+        assert general in _dropped_in_stage2(goal, thy, 3)
+
     def test_constant_goal_same_subgoals_condition_1(self):
         # two-nullary-constructor datatype applied to a constant goal:
         # both cases produce the very same subgoal
@@ -391,18 +406,11 @@ class TestStage2Reference:
     def test_recorded_schematic_equals_the_walk(self, corpus_dir,
                                                 g4_theory):
         # Besides an under-supplied rule, a goal with a schematic
-        # variable, and a rule whose recursive call passes one, put
-        # schematic variables into subgoals.
+        # variable puts schematic variables into subgoals.
         goals = _test_goals(corpus_dir, g4_theory)
         text = (corpus_dir / "running.thy").read_text(encoding="utf-8")
         thy = parse_theory(text + '\nlemma s: "itrev xs ys = ?x"')
         goals.append((thy, thy.goal_named("s")))
-        thy = parse_theory(
-            'fun f :: "nat => nat => nat" where\n'
-            '  "f 0 m = m"\n'
-            '| "f (Suc n) m = f ?y m"\n'
-            'lemma a: "f k j = j"')
-        goals.append((thy, thy.goals[0]))
         recorded = set()
         for thy, goal in goals:
             survivors, _ = stage1(goal, enumerate_candidates(goal, thy), thy,
@@ -417,8 +425,7 @@ class TestStage2Reference:
                 assert stage2_condition(goal, subgoals) \
                     == reference_condition(goal, subgoals), where
                 recorded.add((goal.name, walked))
-        assert {("s", True), ("a", True), ("a", False),
-                ("g4", True), ("g4", False)} <= recorded
+        assert {("s", True), ("g4", True), ("g4", False)} <= recorded
 
 
 class TestSubgoalsWellFormed:

@@ -13,8 +13,9 @@ from inductrank.tactic import (
     apply_induct, parse_candidate,
 )
 from inductrank.terms import (
-    App, FreeVar, Goal, SchematicVar, contains_schematic, format_goal,
-    fresh_name, goal_free_variables, subst_frees, subterms_with_paths,
+    App, FreeVar, Goal, SchematicVar, TYPE_NAT, check_term,
+    contains_schematic, format_goal, free_variables, fresh_name,
+    goal_free_variables, subst_frees, subterms_with_paths,
 )
 
 
@@ -72,6 +73,68 @@ class TestStructuralMode:
         assert suc.premises[0] == goal.conclusion
         assert suc.premises[1] == expect(thy,
                                          "add (Suc n') m = add (Suc n') n")
+
+
+# A datatype of two type parameters, fixed to (nat, 'a) by `leaves`.
+TREE2 = """\
+datatype tree2 'a 'b = Tip 'a | Node (('a, 'b) tree2) 'b (('a, 'b) tree2)
+fun add :: "nat => nat => nat" where
+  "add 0 n = n"
+| "add (Suc m) n = Suc (add m n)"
+fun leaves :: "(nat, 'b) tree2 => nat" where
+  "leaves (Tip a) = a"
+| "leaves (Node l b r) = add (leaves l) (leaves r)"
+fun mirror :: "('a, 'b) tree2 => ('a, 'b) tree2" where
+  "mirror (Tip a) = Tip a"
+| "mirror (Node l b r) = Node (mirror r) b (mirror l)"
+lemma leaves_mirror: "leaves (mirror t) = leaves t"
+"""
+
+
+class TestTwoParameterDatatype:
+    @pytest.mark.parametrize("text, names, tip, node, hyps", [
+        ("induct t", ("Tip", "Node"), "Tip x", "Node t1 x t2", "t1 t2"),
+        ("induct t rule: leaves.induct", ("1", "2"), "Tip a", "Node l b r",
+         "l r"),
+        ("induct t rule: mirror.induct", ("1", "2"), "Tip a", "Node l b r",
+         "r l"),
+    ])
+    def test_cases_follow_both_type_arguments(self, text, names, tip, node,
+                                              hyps):
+        thy = parse_theory(TREE2)
+        goal = thy.goals[0]
+        sgs = apply_induct(goal, parse_candidate(text), thy, timeout=None)
+        assert sgs.case_names == names
+
+        def instance(pattern):
+            return f"leaves (mirror {pattern}) = leaves {pattern}"
+        # only the recursive arguments get a hypothesis
+        base, step = sgs.subgoals
+        assert format_goal(base) == instance(f"({tip})")
+        assert format_goal(step) == " ==> ".join(
+            [*map(instance, hyps.split()), instance(f"({node})")])
+        # Tip's argument is a nat, Node's middle one has the goal's second
+        # type argument, and its subtrees have the goal's type
+        t, = goal_free_variables(goal)
+        assert [v.type for v in free_variables(base.conclusion)] \
+            == [TYPE_NAT]
+        assert [v.type for v in free_variables(step.conclusion)] \
+            == [t.type, t.type.args[1], t.type]
+
+    def test_every_subgoal_passes_check_term(self):
+        thy = parse_theory(TREE2)
+        goal = thy.goals[0]
+        tactic = InductTactic(goal, thy)
+        applied = set()
+        for candidate in enumerate_candidates(goal, thy):
+            sgs = tactic.apply(candidate, None)
+            if type(sgs) is Failure:
+                continue
+            applied.add(candidate.rule)
+            for sg in sgs.subgoals:
+                for _, root in sg.regions():
+                    check_term(root, thy)
+        assert applied == {None, "leaves.induct", "mirror.induct"}
 
 
 def _substitute(term, name, replacement):
