@@ -16,6 +16,7 @@ from .pipeline import (
     CONDITION_NAMES, DEFAULT_CAP, ScreenReport, enumerate_candidates, screen,
     stage2_condition,
 )
+from .schemes import rules_for
 from .scoring import (
     Heuristic, ScoredCandidate, default_suite, load_suite, score_all,
     shortlist,
@@ -230,14 +231,21 @@ def cmd_explain(args) -> int:
 def _disposition_of(candidate: Candidate, goal: Goal, thy: Theory,
                     cap: int) -> str:
     """Why a candidate that was not ranked was dropped, from screening it
-    alone without a timeout.  If it passes both stages, it timed out in
-    stage 1 or lies beyond the first `cap` enumerated."""
+    alone without a timeout.  If it passes both stages, its rule is not
+    one enumeration collects from the goal, or it timed out in stage 1,
+    or it lies beyond the first `cap` enumerated."""
     outcome = apply_induct(goal, candidate, thy, timeout=None)
     if type(outcome) is Failure:
         return f"filtered: stage 1 ({outcome.kind.value})"
     cond = stage2_condition(goal, outcome)
     if cond is not None:
         return f"filtered: condition {cond} ({CONDITION_NAMES[cond]})"
+    # `apply_induct` has checked that its terms and `arbitrary` are goal
+    # variables
+    rule = candidate.rule
+    if rule is not None and all(r.name != rule for r in rules_for(goal, thy)):
+        return (f"not enumerated (outside the enumerated space: {rule} is "
+                "not the rule of a constant in the goal)")
     if candidate in enumerate_candidates(goal, thy, cap):
         return f"filtered: stage 1 ({TacticErrorKind.TIMEOUT.value})"
     return "not enumerated (raise --max-candidates)"

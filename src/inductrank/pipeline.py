@@ -4,15 +4,20 @@ Enumeration yields every combination of (ordered induction-term sequence,
 arbitrary subset, optional rule), lazily and in a documented deterministic
 order, truncated at a cap.  Stage 1 keeps the candidates for which the
 induct tactic produces subgoals within a timeout.  Stage 2 drops a
-candidate when
+candidate when its subgoals, with its `arbitrary` variables generalised,
+are such that
 
-  1. two of its subgoals are structurally identical, or
-  2. every subgoal's conclusion embeds the original conclusion while no
-     subgoal gained a new premise, or
-  3. a subgoal contains a schematic variable although the goal had none.
+  1. two of them are structurally identical, or
+  2. every one's conclusion embeds the original conclusion while none
+     gained a new premise, or
+  3. one contains a schematic variable although the goal had none.
 
-Each stage returns its survivors and a `Disposition` for each candidate
-it drops; `screen` keeps only the counts and the finalists' candidates.
+Neither stage builds generalised subgoals: stage 1 keeps each survivor's
+subgoals before generalisation, shared by every candidate of its
+(induction terms, rule) case, and stage 2 decides the conditions from
+them and from whether `arbitrary` is empty (see `stage2`).  Each stage
+returns its survivors and a `Disposition` for each candidate it drops;
+`screen` keeps only the counts and the finalists' candidates.
 """
 
 from __future__ import annotations
@@ -107,10 +112,12 @@ def stage1(goal: Goal, stream: Iterable[Candidate], thy: Theory,
     """Keep candidates whose tactic application returns subgoals in time,
     preserving stream order; failures become dispositions.
 
-    One tactic serves the whole stream, so candidates that agree on what
-    the tactic reads share one memoised `SubgoalSet`.
+    Each survivor carries its subgoals before generalisation
+    (`InductTactic.apply_case`).  One tactic serves the whole stream, so
+    the survivors of one (induction terms read, rule) case share one
+    `SubgoalSet`, whatever they generalise.
     """
-    apply = InductTactic(goal, thy).apply
+    apply = InductTactic(goal, thy).apply_case
     survivors: list[tuple[Candidate, SubgoalSet]] = []
     dispositions: list[Disposition] = []
     for candidate in stream:
@@ -124,32 +131,35 @@ def stage1(goal: Goal, stream: Iterable[Candidate], thy: Theory,
 
 
 def stage2_condition(goal: Goal, subgoals: SubgoalSet) -> int | None:
-    """First screening condition a candidate's subgoals violate, if any."""
-    return _screen(goal)(subgoals)
+    """First screening condition a candidate's subgoals violate, if any:
+    all three conditions, decided on the subgoals as given."""
+    return _screen(goal)(subgoals, False)
 
 
-def _screen(goal: Goal) -> Callable[[SubgoalSet], int | None]:
-    """`stage2_condition` for one goal, with what it reads of the goal
-    computed once."""
+def _screen(goal: Goal) -> Callable[[SubgoalSet, bool], int | None]:
+    """The first condition violated by a set of subgoals before
+    generalisation, given whether the candidate generalises any variable,
+    with what it reads of the goal computed once."""
     original = set(goal.premises)
     schematic_free = not contains_schematic(goal)
 
-    def condition(subgoals: SubgoalSet) -> int | None:
+    def condition(subgoals: SubgoalSet, generalised: bool) -> int | None:
         gs = subgoals.subgoals
         for i in range(len(gs)):
             for j in range(i + 1, len(gs)):
                 if (gs[i].premises == gs[j].premises
                         and gs[i].conclusion == gs[j].conclusion):
                     return 1
-        if original:
-            no_new_premise = all(p in original
-                                 for sg in gs for p in sg.premises)
-        else:
-            no_new_premise = not any(sg.premises for sg in gs)
-        if no_new_premise and all(
-                contains_subterm(sg.conclusion, goal.conclusion)
-                for sg in gs):
-            return 2
+        if not generalised:
+            if original:
+                no_new_premise = all(p in original
+                                     for sg in gs for p in sg.premises)
+            else:
+                no_new_premise = not any(sg.premises for sg in gs)
+            if no_new_premise and all(
+                    contains_subterm(sg.conclusion, goal.conclusion)
+                    for sg in gs):
+                return 2
         if schematic_free and subgoals.schematic:
             return 3
         return None
@@ -160,18 +170,40 @@ def stage2(goal: Goal,
            survivors: list[tuple[Candidate, SubgoalSet]],
            ) -> tuple[list[tuple[Candidate, SubgoalSet]], list[Disposition]]:
     """Keep the survivors whose subgoals violate no screening condition,
-    preserving order; the others become dispositions.  The condition is
-    computed once per distinct `SubgoalSet` object: stage 1 shares one
-    among candidates that agree on what the tactic reads."""
+    preserving order; the others become dispositions.
+
+    A survivor carries its case's subgoals before generalisation, and
+    generalising renames each `arbitrary` variable, per subgoal, to fresh
+    names that avoid the goal's and the case's variables.  Each condition
+    reads the same on both forms, except that condition 2 never holds on
+    a generalised one, so a set gets at most two verdicts:
+
+    - Condition 3 reads `SubgoalSet.schematic`, which a renaming keeps.
+    - Condition 1.  Every case variable occurs in its subgoal, which holds
+      the case's argument tuple (`schemes.py`: a constructor's arguments
+      or an equation's left-hand side) at the goal's induction terms or in
+      anchor equations.  So two equal subgoals avoid the same names and get
+      the same renamings.  Conversely a renaming keeps structure and never
+      touches a case variable, so two equal generalised subgoals hold the
+      same argument tuple, hence the same case variables and renamings.
+    - Condition 2.  A generalised variable is a goal variable but not an
+      induction term, so no case variable bears its name.  If it occurs in
+      the goal's conclusion, no generalised conclusion holds the goal's;
+      else each subgoal holds a renamed premise that the goal lacks.
+      Every scheme has a case, so some subgoal fails the condition.
+
+    The verdicts are keyed by the set's identity (the survivors keep it
+    alive), since hashing a set by value would walk every subgoal.
+    """
     condition = _screen(goal)
-    by_set: dict[int, int | None] = {}  # by id; survivors keep them alive
+    verdicts: dict[tuple[int, bool], int | None] = {}
     finalists: list[tuple[Candidate, SubgoalSet]] = []
     dispositions: list[Disposition] = []
     for candidate, subgoals in survivors:
-        key = id(subgoals)
-        if key not in by_set:
-            by_set[key] = condition(subgoals)
-        cond = by_set[key]
+        key = id(subgoals), bool(candidate.arbitrary)
+        if key not in verdicts:
+            verdicts[key] = condition(subgoals, key[1])
+        cond = verdicts[key]
         if cond is None:
             finalists.append((candidate, subgoals))
         else:

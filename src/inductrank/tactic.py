@@ -1,18 +1,19 @@
 """Applying an induction candidate to a goal.
 
 This is the desk-scale stand-in for a proof assistant's `induct` tactic:
-it instantiates an induction scheme and returns the subgoals that the
-screening and scoring stages inspect, or a `Failure` saying why there are
-none.  As in Isabelle, structural induction is rule induction with the
-datatype's own one-position rule, so a candidate with a rule and one
-without are instantiated by the same code.  Nothing here raises for a
-candidate.  No proof search happens here.
+it instantiates an induction scheme and returns the subgoals, or a
+`Failure` saying why there are none.  Screening reads the subgoals before
+generalisation (`InductTactic.apply_case`).  As in Isabelle, structural
+induction is rule induction with the datatype's own one-position rule, so
+a candidate with a rule and one without are instantiated by the same
+code.  Nothing here raises for a candidate.  No proof search happens
+here.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import monotonic
 from typing import NamedTuple
 
@@ -125,6 +126,16 @@ _OVERLAP = Failure(TacticErrorKind.ARBITRARY_OVERLAPS_INDUCTION_TERM,
                    "generalising an induction term")
 
 
+def _unknown(name: str) -> Failure:
+    return Failure(TacticErrorKind.UNKNOWN_VARIABLE,
+                   f"{name} is not a free variable of the goal")
+
+
+def _timed_out(timeout: float) -> Failure:
+    return Failure(TacticErrorKind.TIMEOUT,
+                   f"exceeded {timeout * 1000:.0f} ms")
+
+
 @dataclass(frozen=True)
 class _Case:
     """One case of an application before generalisation: the goal's
@@ -151,12 +162,12 @@ class InductTactic:
     Both modes find a scheme, a type instantiation and the variables for
     its first positions, and build the cases by one path, `_instantiate`.
 
-    It memoises two things.  The instantiated cases of each (induction
-    terms, rule) pair applied so far, or how they failed: the cases do not
-    depend on `arbitrary`.  And the `SubgoalSet` of each (induction terms
-    read, rule, `arbitrary`) applied so far, where structural mode reads
-    only the first term: candidates that agree on these get the same
-    object.  An application that exceeded its timeout is not memoised.
+    It memoises, per (induction terms read, rule) case applied so far,
+    where structural mode reads only the first term: the instantiated
+    cases and their `SubgoalSet` before generalisation, or how the case
+    failed.  Neither depends on `arbitrary`, so `apply_case` gives every
+    candidate of one case the same object.  A case whose application
+    exceeded its timeout is not memoised.
     """
 
     def __init__(self, goal: Goal, thy: Theory):
@@ -164,11 +175,12 @@ class InductTactic:
         self.thy = thy
         self.variables = goal_free_variables(goal)
         self.by_name = {v.name: v for v in self.variables}
+        self._names = frozenset(self.by_name)
         self._schematic_goal = contains_schematic(goal)
         self._rules: dict[str, InductionScheme | None] = {}
         self._structural: dict[str, InductionScheme] = {}
-        self._cases: dict[tuple, tuple[_Case, ...] | Failure] = {}
-        self._subgoals: dict[tuple, SubgoalSet] = {}
+        self._cases: dict[tuple, tuple[tuple[_Case, ...], SubgoalSet]
+                          | Failure] = {}
 
     def apply(self, candidate: Candidate,
               timeout: float | None = DEFAULT_TIMEOUT,
@@ -189,14 +201,35 @@ class InductTactic:
 
         Variables in `arbitrary` are generalised per subgoal: the conclusion
         and the original premises share one fresh renaming, and every
-        induction hypothesis gets its own fresh copies.
+        induction hypothesis gets its own fresh copies.  With `arbitrary`
+        empty the result is `apply_case`'s shared set; otherwise the
+        generalised set is built anew on each call.
 
         `timeout` is wall-clock seconds (None = no limit).  The clock is
-        read only when a timeout is set, and a memoised `SubgoalSet` is
-        returned without a timeout check.
+        read only when a timeout is set, and a memoised case is not
+        checked again.
         """
         if timeout is not None:
             started = monotonic()
+        plain = self.apply_case(candidate, timeout)
+        terms, arbitrary, rule = candidate
+        if type(plain) is Failure or not arbitrary:
+            return plain
+        cases, _ = self._cases[terms[:1] if rule is None else terms, rule]
+        generalised = [v for v in self.variables if v.name in arbitrary]
+        result = replace(plain, subgoals=tuple(
+            self._subgoal(c, generalised) for c in cases))
+        if timeout is not None and monotonic() - started > timeout:
+            return _timed_out(timeout)
+        return result
+
+    def apply_case(self, candidate: Candidate,
+                   timeout: float | None = DEFAULT_TIMEOUT,
+                   ) -> SubgoalSet | Failure:
+        """The subgoals of the candidate's (induction terms read, rule)
+        case before generalisation, or the `Failure` that `apply` returns.
+        Candidates that differ only in `arbitrary`, or in the terms that
+        structural mode does not read, get the same object."""
         terms, arbitrary, rule = candidate
         if not terms and rule is None:
             return _NO_ARGUMENTS
@@ -204,37 +237,31 @@ class InductTactic:
             return _OVERLAP
         for name in terms:
             if name not in self.by_name:
-                return Failure(TacticErrorKind.UNKNOWN_VARIABLE,
-                               f"{name} is not a free variable of the goal")
+                return _unknown(name)
+        if not arbitrary <= self._names:
+            return _unknown(min(arbitrary - self._names))
 
         if rule is None:
             terms = terms[:1]  # structural mode reads only the first one
-        key = (terms, rule, arbitrary)
-        result = self._subgoals.get(key)
-        if result is not None:
-            return result
-        cases = self._cases.get((terms, rule))
-        if cases is None:
-            cases = self._cases[terms, rule] = \
-                self._structural_mode(terms[0]) if rule is None \
-                else self._functional_mode(terms, rule)
-        if type(cases) is Failure:
-            return cases
-
-        # No scheme term holds a schematic variable, and generalising is a
-        # renaming of free variables, so a subgoal holds one exactly when
-        # its case has anchor equations or the goal holds one.
-        generalised = [v for v in self.variables if v.name in arbitrary]
-        result = SubgoalSet(tuple(c.name for c in cases),
-                            tuple(self._subgoal(c, generalised)
-                                  for c in cases),
-                            any(self._schematic_goal or c.anchors
-                                for c in cases))
-        if timeout is not None and monotonic() - started > timeout:
-            return Failure(TacticErrorKind.TIMEOUT,
-                           f"exceeded {timeout * 1000:.0f} ms")
-        self._subgoals[key] = result
-        return result
+        entry = self._cases.get((terms, rule))
+        if entry is None:
+            if timeout is not None:
+                started = monotonic()
+            cases = entry = self._structural_mode(terms[0]) \
+                if rule is None else self._functional_mode(terms, rule)
+            if type(cases) is not Failure:
+                # No scheme term holds a schematic variable, and
+                # generalising is a renaming of free variables, so a
+                # subgoal holds one exactly when its case has anchor
+                # equations or the goal holds one.
+                entry = cases, SubgoalSet(
+                    tuple(c.name for c in cases),
+                    tuple(self._subgoal(c, []) for c in cases),
+                    any(self._schematic_goal or c.anchors for c in cases))
+                if timeout is not None and monotonic() - started > timeout:
+                    return _timed_out(timeout)
+            self._cases[terms, rule] = entry
+        return entry if type(entry) is Failure else entry[1]
 
     def _structural_mode(self, name: str) -> tuple[_Case, ...] | Failure:
         first = self.by_name[name]
@@ -325,14 +352,11 @@ class InductTactic:
         premises = case.premises
         if generalised:
             used = set(case.used)
-            # `used` only grows, so the first free name for a variable is
-            # never before the last one it got: the search resumes there
-            last = {var.name: var.name for var in generalised}
 
             def fresh_renaming() -> dict[str, Term]:
                 renaming: dict[str, Term] = {}
                 for var in generalised:
-                    new = last[var.name] = fresh_name(last[var.name], used)
+                    new = fresh_name(var.name, used)
                     used.add(new)
                     renaming[var.name] = FreeVar(new, var.type)
                 return renaming

@@ -178,6 +178,26 @@ class TestExplain:
         assert out.splitlines()[-1] \
             == "not enumerated (raise --max-candidates)"
 
+    @pytest.mark.parametrize("tactic, note", [
+        ("induct xs arbitrary: zz", "filtered: stage 1 (UnknownVariable)"),
+        ("induct xs rule: tl2.induct",
+         "not enumerated (outside the enumerated space: tl2.induct is not "
+         "the rule of a constant in the goal)"),
+    ])
+    def test_candidate_no_cap_enumerates(self, capsys, tmp_path, corpus_dir,
+                                         tactic, note):
+        # raising --max-candidates can never enumerate these
+        path = tmp_path / "running.thy"
+        path.write_text(
+            (corpus_dir / "running.thy").read_text(encoding="utf-8")
+            + 'fun tl2 :: "\'a list => \'a list" where\n'
+              '  "tl2 [] = []"\n'
+              '| "tl2 (x # xs) = xs"\n')
+        code, out, err = run_cli(capsys, "explain", str(path),
+                                 "--goal", "itrev_rev", "--tactic", tactic)
+        assert code == 0
+        assert out.splitlines()[-1] == note
+
 
 class TestDispositionNotes:
     """`explain` and `eval` name a candidate's fate by screening it alone."""

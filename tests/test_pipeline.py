@@ -12,10 +12,14 @@ from inductrank.pipeline import (
     Disposition, enumerate_candidates, expected_candidate_count, screen,
     stage1, stage2, stage2_condition,
 )
-from inductrank.tactic import Candidate, SubgoalSet, parse_candidate
+from inductrank.tactic import (
+    Candidate, Failure, InductTactic, SubgoalSet, apply_induct,
+    parse_candidate,
+)
 from inductrank.terms import (
     TYPE_BOOL, Const, FreeVar, Goal, SchematicVar, SimpleType, TYPE_NAT,
-    check_term, fun_type, list_of, mk_app, mk_eq, subterms_with_paths,
+    check_term, fun_type, goal_free_variables, list_of, mk_app, mk_eq,
+    subterms_with_paths,
 )
 
 
@@ -203,11 +207,7 @@ class TestStage2:
         # Generalising xs renames it in the conclusion, which then no
         # longer embeds the goal: condition 2 gives way to condition 3,
         # so the generalised candidate counts in 2nd-a.
-        thy = parse_theory(
-            'fun tl2 :: "\'a list => \'a list" where\n'
-            '  "tl2 [] = []"\n'
-            '| "tl2 (x # xs) = xs"\n'
-            'lemma g: "tl2 xs = tl2 ys"')
+        thy = parse_theory(TL2_THEORY)
         goal = thy.goals[0]
         plain = parse_candidate("induct rule: tl2.induct")
         general = parse_candidate("induct arbitrary: xs rule: tl2.induct")
@@ -229,25 +229,32 @@ class TestStage2:
         assert dispositions[0].condition == 1
 
     def test_condition_once_per_subgoal_set(self, monkeypatch, g4_theory):
+        # at most two verdicts per shared set: with and without `arbitrary`
         goal = g4_theory.goal_named("g4")
         survivors, _ = stage1(goal, enumerate_candidates(goal, g4_theory),
                               g4_theory, timeout=None)
-        expected = [stage2_condition(goal, s) for _, s in survivors]
+        expected = [stage2_condition(goal, apply_induct(goal, c, g4_theory,
+                                                        timeout=None))
+                    for c, _ in survivors]
         screened = []
         screen_for = pipeline_module._screen
 
         def counting(goal):
             condition = screen_for(goal)
 
-            def counted(subgoals):
-                screened.append(subgoals)
-                return condition(subgoals)
+            def counted(subgoals, generalised):
+                screened.append((id(subgoals), generalised))
+                return condition(subgoals, generalised)
             return counted
 
         monkeypatch.setattr(pipeline_module, "_screen", counting)
         finalists, dispositions = stage2(goal, survivors)
         assert_stage2_outcome(survivors, expected, finalists, dispositions)
-        assert len(screened) == len({id(s) for _, s in survivors}) \
+        assert len(screened) == len(set(screened)) == len(
+            {(id(s), bool(c.arbitrary)) for c, s in survivors})
+        per_set = Counter(key for key, _ in screened)
+        assert max(per_set.values()) == 2
+        assert len(per_set) == len({id(s) for _, s in survivors}) \
             < len(survivors)
 
 
@@ -318,6 +325,13 @@ CONDITION_THEORIES = [
     'lemma i: "id2 y = y"',
 ]
 
+# A theory where generalising turns condition 2 into condition 3.
+TL2_THEORY = (
+    'fun tl2 :: "\'a list => \'a list" where\n'
+    '  "tl2 [] = []"\n'
+    '| "tl2 (x # xs) = xs"\n'
+    'lemma g: "tl2 xs = tl2 ys"')
+
 
 def reference_condition(goal, subgoals):
     """Stage 2 as first written: every walk lists the paths of all nodes,
@@ -357,11 +371,11 @@ def _test_goals(corpus_dir, g4_theory):
 
 
 def _checked_regions(goal, thy) -> int:
-    """Run `check_term` on every region of every finalist's subgoals."""
+    """Run `check_term` on every region of every finalist's generalised
+    subgoals."""
     regions = 0
-    survivors, _ = stage1(goal, enumerate_candidates(goal, thy), thy,
-                          timeout=None)
-    for _, subgoals in stage2(goal, survivors)[0]:
+    for candidate in screen(goal, thy, timeout=None).finalists:
+        subgoals = apply_induct(goal, candidate, thy, timeout=None)
         for sg in subgoals.subgoals:
             for _, root in sg.regions():
                 check_term(root, thy)
@@ -390,15 +404,18 @@ def scaled_lemmas(draw):
 class TestStage2Reference:
     def test_every_survivor_agrees_with_reference(self, corpus_dir,
                                                   g4_theory):
+        # the reference reads each survivor's generalised subgoals
         seen = set()
         for thy, goal in _test_goals(corpus_dir, g4_theory):
             survivors, _ = stage1(goal, enumerate_candidates(goal, thy), thy,
                                   timeout=None)
-            expected = [reference_condition(goal, s) for _, s in survivors]
+            generalised = [apply_induct(goal, c, thy, timeout=None)
+                           for c, _ in survivors]
+            expected = [reference_condition(goal, s) for s in generalised]
             finalists, dispositions = stage2(goal, survivors)
             assert_stage2_outcome(survivors, expected, finalists,
                                   dispositions)
-            assert [stage2_condition(goal, s) for _, s in survivors] \
+            assert [stage2_condition(goal, s) for s in generalised] \
                 == expected, goal.name
             seen.update(expected)
         assert seen == {None, 1, 2, 3}
@@ -441,3 +458,80 @@ class TestSubgoalsWellFormed:
             self, lemma, scaled_definitions):
         thy = parse_theory(scaled_definitions + lemma)
         assert _checked_regions(thy.goals[0], thy) > 0
+
+
+def _fates(goal, thy):
+    """Each enumerated candidate's fate from `stage1` and `stage2`, and
+    from `stage2_condition` of `apply_induct`'s generalised subgoals."""
+    candidates = list(enumerate_candidates(goal, thy))
+    survivors, dropped1 = stage1(goal, candidates, thy, timeout=None)
+    finalists, dropped2 = stage2(goal, survivors)
+    staged = {c: None for c, _ in finalists}
+    staged.update((d.candidate, d.error) for d in dropped1)
+    staged.update((d.candidate, d.condition) for d in dropped2)
+    for candidate in candidates:
+        outcome = apply_induct(goal, candidate, thy, timeout=None)
+        direct = outcome.kind.value if type(outcome) is Failure \
+            else stage2_condition(goal, outcome)
+        yield candidate, staged[candidate], direct
+
+
+class TestScreeningWithoutGeneralising:
+    """Stage 2 decides from each case's subgoals before generalisation
+    and whether `arbitrary` is empty (see `stage2`)."""
+
+    def _assert_same_fates(self, goals):
+        fates = Counter()
+        for thy, goal in goals:
+            for candidate, staged, direct in _fates(goal, thy):
+                assert staged == direct, (goal.name,
+                                          candidate.tactic_text())
+                fates[staged, bool(candidate.arbitrary)] += 1
+        return fates
+
+    def test_stages_equal_the_generalised_subgoals(self, corpus_dir,
+                                                   g4_theory):
+        tl2 = parse_theory(TL2_THEORY)
+        fates = self._assert_same_fates(
+            _test_goals(corpus_dir, g4_theory) + [(tl2, tl2.goals[0])])
+        # every condition is met with `arbitrary` empty, and 1 and 3
+        # also with it non-empty
+        assert {(c, False) for c in (None, 1, 2, 3)} \
+            | {(c, True) for c in (None, 1, 3)} <= set(fates)
+        assert (2, True) not in fates
+
+    @settings(max_examples=3, deadline=None)
+    @given(lemma=scaled_lemmas())
+    def test_scaled_stages_equal_the_generalised_subgoals(
+            self, lemma, scaled_definitions):
+        thy = parse_theory(scaled_definitions + lemma)
+        fates = self._assert_same_fates([(thy, thy.goals[0])])
+        assert (None, True) in fates
+        assert _case_variables_checked(thy.goals[0], thy) > 0
+
+    def test_every_case_variable_occurs_in_its_subgoal(self, corpus_dir,
+                                                       g4_theory):
+        tl2 = parse_theory(TL2_THEORY)
+        cases = sum(_case_variables_checked(goal, thy) for thy, goal in
+                    _test_goals(corpus_dir, g4_theory) + [(tl2, tl2.goals[0])])
+        assert cases > 100
+
+
+def _case_variables_checked(goal, thy) -> int:
+    """Check that each case's names to avoid are the goal's variables plus
+    its subgoal's before generalisation, so every case variable occurs in
+    it, for every case that stage 1 applies; return the number of cases."""
+    tactic = InductTactic(goal, thy)
+    for candidate in enumerate_candidates(goal, thy):
+        tactic.apply_case(candidate, None)
+    cases = 0
+    for entry in tactic._cases.values():
+        if type(entry) is Failure:
+            continue
+        case_list, subgoals = entry
+        for case, sg in zip(case_list, subgoals.subgoals, strict=True):
+            names = {v.name for v in goal_free_variables(sg)}
+            assert case.used == names.union(tactic.by_name), \
+                (goal.name, sg.name)
+            cases += 1
+    return cases

@@ -307,8 +307,8 @@ class TestSharedTactic:
 
     def test_attempt_agrees_with_apply(self, corpus_dir, g4_theory):
         # each attempt of the shared tactic, in stage 1's order, agrees
-        # with a fresh application; a repeated attempt gets the memoised
-        # subgoals, or a failure of the same kind and detail
+        # with a fresh application; a repeated attempt at a case gets the
+        # memoised subgoals, or a failure of the same kind and detail
         for thy, goal in _corpus_and_g4_goals(corpus_dir, g4_theory):
             shared = InductTactic(goal, thy)
             for candidate in enumerate_candidates(goal, thy):
@@ -316,11 +316,14 @@ class TestSharedTactic:
                 where = (goal.name, candidate.tactic_text())
                 assert outcome == apply_induct(goal, candidate, thy,
                                                timeout=None), where
-                again = shared.apply(candidate, None)
+                case = shared.apply_case(candidate, None)
+                again = shared.apply_case(candidate, None)
                 if type(outcome) is Failure:
-                    assert again == outcome, where
+                    assert case == again == outcome, where
                 else:
-                    assert again is outcome, where
+                    assert again is case, where
+                    assert (outcome is case) == (not candidate.arbitrary), \
+                        where
 
     @pytest.mark.parametrize("text, message", [
         ("induct", "NoArguments: no induction terms and no rule"),
@@ -328,6 +331,10 @@ class TestSharedTactic:
          "ArbitraryOverlapsInductionTerm: generalising an induction term"),
         ("induct xs zz", "UnknownVariable: zz is not a free variable of "
                          "the goal"),
+        ("induct xs arbitrary: zz", "UnknownVariable: zz is not a free "
+                                    "variable of the goal"),
+        ("induct ww arbitrary: zz", "UnknownVariable: ww is not a free "
+                                    "variable of the goal"),
         ("induct xs rule: nosuch.induct",
          "UnknownRule: no induction rule named nosuch.induct"),
     ])
@@ -340,21 +347,24 @@ class TestSharedTactic:
     def test_structural_candidates_share_one_subgoal_set(self, g4_theory):
         goal = g4_theory.goal_named("g4")
         tactic = InductTactic(goal, g4_theory)
-        same = [tactic.apply(parse_candidate(text), None) for text in (
-            "induct xs arbitrary: zs", "induct xs ys arbitrary: zs",
-            "induct xs n m arbitrary: zs")]
-        assert same[0] is same[1] is same[2]
-        fresh = apply_induct(goal, parse_candidate("induct xs ys "
-                                                   "arbitrary: zs"),
-                             g4_theory, timeout=None)
-        assert same[0] == fresh and same[0] is not fresh
-        # another `arbitrary`, a rule, or another term under a rule is
-        # another application
-        others = [tactic.apply(parse_candidate(text), None) for text in (
-            "induct xs ys arbitrary: m", "induct xs ys rule: itrev.induct",
+        texts = ("induct xs arbitrary: zs", "induct xs ys arbitrary: zs",
+                 "induct xs n m arbitrary: ys zs", "induct xs ys")
+        same = [tactic.apply_case(parse_candidate(text), None)
+                for text in texts]
+        assert same[0] is same[1] is same[2] is same[3]
+        assert tactic.apply(parse_candidate(texts[3]), None) is same[0]
+        # a generalised set is built on each application
+        fresh = apply_induct(goal, parse_candidate(texts[1]), g4_theory,
+                             timeout=None)
+        again = tactic.apply(parse_candidate(texts[1]), None)
+        assert again == fresh and again is not fresh
+        assert again != same[0]
+        # a rule, or another term under a rule, is another case
+        others = [tactic.apply_case(parse_candidate(text), None) for text in (
+            "induct xs ys rule: itrev.induct",
             "induct ys xs rule: itrev.induct")]
         assert all(type(o) is SubgoalSet for o in others)
-        assert len({id(o) for o in [same[0], *others]}) == 4
+        assert len({id(o) for o in [same[0], *others]}) == 3
 
     def test_timed_out_application_is_not_memoised(self, monkeypatch,
                                                    running_goal,
@@ -363,7 +373,8 @@ class TestSharedTactic:
         monkeypatch.setattr(tactic_module, "monotonic",
                             lambda: float(next(ticks)))
         tactic = InductTactic(running_goal, running_theory)
-        candidate = parse_candidate("induct xs arbitrary: ys")
+        candidate = parse_candidate("induct xs")
+        generalised = parse_candidate("induct xs arbitrary: ys")
         for _ in range(2):
             assert tactic.apply(candidate, 0.5).kind \
                 is TacticErrorKind.TIMEOUT
@@ -371,6 +382,9 @@ class TestSharedTactic:
         assert type(done) is SubgoalSet
         # now memoised: answered without a timeout check
         assert tactic.apply(candidate, 0.5) is done
+        assert tactic.apply_case(generalised, 0.5) is done
+        # generalising is not memoised, so it is checked each time
+        assert tactic.apply(generalised, 0.5).kind is TacticErrorKind.TIMEOUT
 
     def test_shared_failure_is_one_value(self, running_goal,
                                          running_theory):
