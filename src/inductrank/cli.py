@@ -66,12 +66,19 @@ def main(argv: list[str] | None = None) -> int:
     group = rec.add_mutually_exclusive_group(required=True)
     group.add_argument("--goal", help="goal name in the theory file")
     group.add_argument("--goal-expr", help="ad-hoc goal proposition")
-    rec.add_argument("--top", type=int, default=10)
-    rec.add_argument("--max-candidates", type=int, default=DEFAULT_CAP)
+    rec.add_argument("--top", type=int, default=10,
+                     help="how many ranked finalists to print (default 10)")
+    rec.add_argument("--max-candidates", type=int, default=DEFAULT_CAP,
+                     help="enumerate at most this many candidates (default "
+                          f"{DEFAULT_CAP:,}); the cap counts every "
+                          "enumerated candidate, including those stage 1 "
+                          "rejects for their shape")
     rec.add_argument("--timeout-ms", type=int, default=100,
                      help="per-application timeout; 0 disables it")
-    rec.add_argument("--heuristics", type=Path)
-    rec.add_argument("--json", action="store_true", dest="as_json")
+    rec.add_argument("--heuristics", type=Path,
+                     help="heuristic suite file (default: the bundled suite)")
+    rec.add_argument("--json", action="store_true", dest="as_json",
+                     help="print one JSON object per ranked candidate")
     rec.set_defaults(func=cmd_recommend)
 
     ev = sub.add_parser("eval", help="coincidence rates against expert "
@@ -169,6 +176,8 @@ def cmd_recommend(args) -> int:
         _fail("--top must be at least 1")
     if args.max_candidates < 1:
         _fail("--max-candidates must be at least 1")
+    if args.timeout_ms < 0:
+        _fail("--timeout-ms must be at least 0")
     thy = _load_theory(args.file)
     if args.goal is not None:
         goal = _find_goal(thy, args.goal)

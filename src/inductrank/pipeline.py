@@ -2,10 +2,14 @@
 
 Enumeration yields every combination of (ordered induction-term sequence,
 arbitrary subset, optional rule), lazily and in a documented deterministic
-order, truncated at a cap.  Stage 1 keeps the candidates for which the
-induct tactic produces subgoals within a timeout.  Stage 2 drops a
-candidate when its subgoals, with its `arbitrary` variables generalised,
-are such that
+order, truncated at a cap; past the empty sequence, C iterators build the
+candidates.  Stage 1 keeps the candidates for which the induct tactic
+produces subgoals within a timeout.  It rejects a candidate that
+generalises one of its own induction terms by one set test, without
+calling the tactic, since that rejection depends on nothing but the
+candidate's shape (most candidates of a many-variable goal).  Stage 2
+drops a candidate when its subgoals, with its `arbitrary` variables
+generalised, are such that
 
   1. two of them are structurally identical, or
   2. every one's conclusion embeds the original conclusion while none
@@ -29,11 +33,14 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .schemes import rules_for
 from .tactic import (
     DEFAULT_TIMEOUT, Candidate, Failure, InductTactic, SubgoalSet,
+    TacticErrorKind,
 )
 from .terms import Goal, Theory, contains_schematic, contains_subterm, \
     goal_free_variables
 
 DEFAULT_CAP = 10000
+
+_new = tuple.__new__  # a NamedTuple from all its fields, without a frame
 
 CONDITION_NAMES = {
     1: "identical subgoals",
@@ -56,23 +63,36 @@ def enumerate_candidates(goal: Goal, thy: Theory,
 
 
 def _generate(goal: Goal, thy: Theory) -> Iterator[Candidate]:
+    """Every candidate for `goal`, in `enumerate_candidates`' order.
+
+    The empty induction-term sequence is a generator that builds one
+    frozenset per arbitrary subset and records it, so that a small cap
+    stops enumeration before the subsets of a many-variable goal are all
+    built.  Every later sequence reuses those frozensets: its candidates
+    are the C-level product of (sequence, subset, rule), each made a
+    `Candidate` by `tuple.__new__`, which is `Candidate._make` without a
+    Python frame.
+    """
     names = [v.name for v in goal_free_variables(goal)]
     rules: list[str | None] = [None, *(r.name for r in rules_for(goal, thy))]
-    # One frozenset per arbitrary subset, built while the empty sequence
-    # walks the subsets and reused by every later sequence, so a cap
-    # still stops enumeration early.
     subsets: list[frozenset[str]] = []
-    for j in range(len(names) + 1):
-        for combination in itertools.combinations(names, j):
-            arb = frozenset(combination)
-            subsets.append(arb)
-            for rule in rules:
-                yield Candidate((), arb, rule)
-    for k in range(1, len(names) + 1):
-        for seq in itertools.permutations(names, k):
-            for arb in subsets:
+
+    def empty_sequence() -> Iterator[Candidate]:
+        for j in range(len(names) + 1):
+            for combination in itertools.combinations(names, j):
+                arb = frozenset(combination)
+                subsets.append(arb)
                 for rule in rules:
-                    yield Candidate(seq, arb, rule)
+                    yield Candidate((), arb, rule)
+
+    sequences = itertools.chain.from_iterable(
+        itertools.permutations(names, k) for k in range(1, len(names) + 1))
+    # each product is made only once the empty sequence has filled `subsets`
+    later = itertools.chain.from_iterable(
+        itertools.product((seq,), subsets, rules) for seq in sequences)
+    return itertools.chain(
+        empty_sequence(),
+        map(_new, itertools.repeat(Candidate), later))
 
 
 class Disposition(NamedTuple):
@@ -82,6 +102,9 @@ class Disposition(NamedTuple):
     status: str                     # stage1 | stage2
     error: str | None = None        # tactic error kind for stage1
     condition: int | None = None    # screening condition id for stage2
+
+
+_OVERLAP_ERROR = TacticErrorKind.ARBITRARY_OVERLAPS_INDUCTION_TERM.value
 
 
 @dataclass(frozen=True)
@@ -116,15 +139,28 @@ def stage1(goal: Goal, stream: Iterable[Candidate], thy: Theory,
     (`InductTactic.apply_case`).  One tactic serves the whole stream, so
     the survivors of one (induction terms read, rule) case share one
     `SubgoalSet`, whatever they generalise.
+
+    A candidate that generalises one of its induction terms is rejected
+    here, without a tactic call, with the failure `apply_case` would
+    return.  The order of checks is the tactic's: a candidate without
+    induction terms never overlaps, so its `NoArguments` comes first, and
+    `apply_case` tests the overlap before any name is looked up or the
+    clock is read.
     """
     apply = InductTactic(goal, thy).apply_case
     survivors: list[tuple[Candidate, SubgoalSet]] = []
     dispositions: list[Disposition] = []
     for candidate in stream:
+        terms, arbitrary, _ = candidate
+        if not arbitrary.isdisjoint(terms):
+            dispositions.append(_new(Disposition, (
+                candidate, "stage1", _OVERLAP_ERROR, None)))
+            continue
         outcome = apply(candidate, timeout)
         if type(outcome) is Failure:
-            dispositions.append(
-                Disposition(candidate, "stage1", error=outcome.kind.value))
+            # `_value_` is a plain attribute; `value` is a Python property
+            dispositions.append(_new(Disposition, (
+                candidate, "stage1", outcome.kind._value_, None)))
         else:
             survivors.append((candidate, outcome))
     return survivors, dispositions

@@ -235,9 +235,8 @@ class InductTactic:
             return _NO_ARGUMENTS
         if not arbitrary.isdisjoint(terms):
             return _OVERLAP
-        for name in terms:
-            if name not in self.by_name:
-                return _unknown(name)
+        if not self._names.issuperset(terms):
+            return _unknown(next(n for n in terms if n not in self._names))
         if not arbitrary <= self._names:
             return _unknown(min(arbitrary - self._names))
 

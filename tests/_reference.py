@@ -9,6 +9,7 @@ actual tree instead of doing path arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from inductrank.dsl import (
@@ -16,10 +17,36 @@ from inductrank.dsl import (
     OccurrencesOf, Or, Sort, TrueF, ATOM_SIGNATURES,
     INDUCTION_TERMS, UNRESTRICTED,
 )
+from inductrank.schemes import rules_for
+from inductrank.tactic import Candidate
 from inductrank.terms import (
-    App, Const, FreeVar, Goal, Occurrence, SimpleType, Theory, spine,
-    term_type,
+    App, Const, FreeVar, Goal, Occurrence, SimpleType, Theory,
+    goal_free_variables, spine, term_type,
 )
+
+
+# ---------------------------------------------------------------------------
+# Reference enumeration
+
+
+def reference_candidates(goal: Goal, thy: Theory):
+    """Every candidate for `goal` in the documented order, by nested loops:
+    the empty induction-term sequence with each arbitrary subset, then
+    every later sequence with the same subsets, each with each rule."""
+    names = [v.name for v in goal_free_variables(goal)]
+    rules = [None, *(r.name for r in rules_for(goal, thy))]
+    subsets = []
+    for j in range(len(names) + 1):
+        for combination in itertools.combinations(names, j):
+            arb = frozenset(combination)
+            subsets.append(arb)
+            for rule in rules:
+                yield Candidate((), arb, rule)
+    for k in range(1, len(names) + 1):
+        for seq in itertools.permutations(names, k):
+            for arb in subsets:
+                for rule in rules:
+                    yield Candidate(seq, arb, rule)
 
 
 # ---------------------------------------------------------------------------

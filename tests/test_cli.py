@@ -104,6 +104,12 @@ class TestRecommend:
         assert err.startswith("error:") and flag in err
         assert err.count("\n") == 1
 
+    def test_negative_timeout_is_an_error(self, capsys, running_path):
+        code, out, err = run_cli(capsys, "recommend", running_path,
+                                 "--goal", "itrev_rev", "--timeout-ms", "-5")
+        assert (code, out) == (1, "")
+        assert err == "error: --timeout-ms must be at least 0\n"
+
     def test_missing_theory_file(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "recommend",
                                  str(tmp_path / "absent.thy"), "--goal", "x")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import random
 from collections import Counter
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import inductrank.pipeline as pipeline_module
 import inductrank.tactic as tactic_module
+from _reference import reference_candidates
 from inductrank.parser import parse_theory
 from inductrank.pipeline import (
     Disposition, enumerate_candidates, expected_candidate_count, screen,
@@ -99,6 +102,41 @@ def _goal_with_vars(n):
     return Goal(f"g{n}", (), mk_eq(t, Const("[]", nats)))
 
 
+# Two recursive functions over nat lists, each with an induction rule.
+_RULE_FUNCTIONS = (
+    'fun f :: "nat list => nat list" where "f [] = []" | "f (x # xs) = f xs"',
+    'fun h :: "nat list => nat list" where "h [] = []" | "h (x # xs) = h xs"',
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _theory_with(n_vars, n_rules):
+    """A theory whose goal has `n_vars` variables and `n_rules` rules."""
+    term = "".join(f"v{i} # " for i in range(n_vars)) + "[]"
+    for name in "fh"[:n_rules]:
+        term = f"{name} ({term})"
+    return parse_theory("\n".join(
+        [*_RULE_FUNCTIONS[:n_rules], f'lemma g: "{term} = []"']))
+
+
+class TestEnumerationOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 2), st.data())
+    def test_agrees_with_nested_loops(self, n_vars, n_rules, data):
+        thy = _theory_with(n_vars, n_rules)
+        goal = thy.goals[0]
+        full = expected_candidate_count(n_vars, n_rules)
+        cap = data.draw(st.integers(1, full), label="cap")
+        cands = list(enumerate_candidates(goal, thy, cap))
+        reference = list(reference_candidates(goal, thy))
+        assert len(reference) == full
+        assert cands == reference[:cap]
+        assert all(type(c) is Candidate for c in cands)
+        # one frozenset object per arbitrary subset
+        assert len({c.arbitrary for c in cands}) \
+            == len({id(c.arbitrary) for c in cands})
+
+
 class TestCountFormula:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_matches_direct_enumeration(self, n):
@@ -154,6 +192,102 @@ class TestStage1:
                                "ArbitraryOverlapsInductionTerm",
                                "NonDatatypeVariable", "RuleArityExceeded"}
         assert len(survivors) + sum(failed.values()) == 10000
+
+    def test_g4_histogram(self, g4_theory):
+        goal = g4_theory.goal_named("g4")
+        survivors, dispositions = stage1(
+            goal, enumerate_candidates(goal, g4_theory, cap=10000),
+            g4_theory, timeout=None)
+        assert Counter(d.error for d in dispositions) == {
+            "ArbitraryOverlapsInductionTerm": 8350, "NoArguments": 32,
+            "NonDatatypeVariable": 368, "RuleArityExceeded": 556}
+        assert len(survivors) == 694
+        finalists, _ = stage2(goal, survivors)
+        assert len(finalists) == 550
+
+    # hand-built candidates for the running example, by what they exercise
+    _HAND_BUILT = {
+        "overlap with an unknown term": [
+            "induct zz arbitrary: zz", "induct zz xs arbitrary: xs"],
+        "overlap with an unknown rule": [
+            "induct xs arbitrary: xs rule: nosuch.induct"],
+        "unknown rule": ["induct xs rule: nosuch.induct"],
+        "no terms": [
+            "induct", "induct arbitrary: ys", "induct rule: itrev.induct",
+            "induct arbitrary: xs rule: itrev.induct"],
+        "unknown arbitrary name": [
+            "induct xs arbitrary: zz", "induct arbitrary: zz rule: "
+            "itrev.induct", "induct ys zz arbitrary: aa"],
+    }
+
+    def _streams(self, running_goal, running_theory):
+        pool = [parse_candidate(text) for texts in self._HAND_BUILT.values()
+                for text in texts]
+        pool += enumerate_candidates(running_goal, running_theory)
+        rng = random.Random(13)
+        for _ in range(5):
+            yield rng.sample(pool, len(pool))
+
+    def _assert_stage1_is_the_tactic(self, goal, thy, stream, timeout,
+                                     monkeypatch):
+        # stage 1 and the loop share one tactic, so that a survivor's set
+        # can be compared by identity
+        tactic = InductTactic(goal, thy)
+        monkeypatch.setattr(pipeline_module, "InductTactic",
+                            lambda goal, thy: tactic)
+        expected_survivors, expected_dispositions = [], []
+        for candidate in stream:
+            outcome = tactic.apply_case(candidate, timeout)
+            if type(outcome) is Failure:
+                expected_dispositions.append(Disposition(
+                    candidate, "stage1", error=outcome.kind.value))
+            else:
+                expected_survivors.append((candidate, outcome))
+        survivors, dispositions = stage1(goal, stream, thy, timeout)
+        assert [c for c, _ in survivors] \
+            == [c for c, _ in expected_survivors]
+        assert all(s is e for (_, s), (_, e)
+                   in zip(survivors, expected_survivors))
+        assert dispositions == expected_dispositions
+        assert all(type(d) is Disposition for d in dispositions)
+        return dispositions
+
+    def test_fast_path_equals_the_tactic(self, monkeypatch, running_goal,
+                                         running_theory):
+        errors = Counter()
+        for stream in self._streams(running_goal, running_theory):
+            dispositions = self._assert_stage1_is_the_tactic(
+                running_goal, running_theory, stream, None, monkeypatch)
+            errors.update(d.error for d in dispositions)
+        assert set(errors) == {"NoArguments",
+                               "ArbitraryOverlapsInductionTerm",
+                               "UnknownVariable", "UnknownRule"}
+
+    def test_overlap_reads_no_clock(self, monkeypatch, running_goal,
+                                    running_theory):
+        # every read advances the clock by a second, so every case that is
+        # applied times out
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return float(len(reads))
+
+        monkeypatch.setattr(tactic_module, "monotonic", clock)
+        for stream in self._streams(running_goal, running_theory):
+            dispositions = self._assert_stage1_is_the_tactic(
+                running_goal, running_theory, stream, 0.5, monkeypatch)
+            assert "Timeout" in {d.error for d in dispositions}
+        for candidate in next(self._streams(running_goal, running_theory)):
+            reads.clear()
+            _, dispositions = stage1(running_goal, [candidate],
+                                     running_theory, 0.5)
+            overlap = [d.error for d in dispositions] \
+                == ["ArbitraryOverlapsInductionTerm"]
+            assert overlap == (not candidate.arbitrary.isdisjoint(
+                candidate.induction_terms))
+            if overlap:
+                assert reads == [], candidate
 
     def test_disposition_repr_and_defaults(self):
         d = Disposition(Candidate(("xs",)), "stage1")

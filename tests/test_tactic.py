@@ -331,6 +331,8 @@ class TestSharedTactic:
          "ArbitraryOverlapsInductionTerm: generalising an induction term"),
         ("induct xs zz", "UnknownVariable: zz is not a free variable of "
                          "the goal"),
+        ("induct xs zz aa", "UnknownVariable: zz is not a free variable "
+                            "of the goal"),
         ("induct xs arbitrary: zz", "UnknownVariable: zz is not a free "
                                     "variable of the goal"),
         ("induct ww arbitrary: zz", "UnknownVariable: ww is not a free "
