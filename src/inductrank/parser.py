@@ -8,15 +8,22 @@ A theory file is a sequence of declarations::
     lemma   <name>: "<prop>"
 
 Comments are ``(* ... *)`` and may nest.  Inside quotes, terms use curried
-application, list literals ``[a, b]``, numerals, and the fixed infix table
-``==>`` (implication), ``=``, ``#`` and ``@`` (both right-associative).
-Constants defined with ``fun`` carry a derived induction rule; ``primrec``
-constants do not.
+application, list literals ``[a, b]``, numerals up to `MAX_NUMERAL`, and
+the fixed infix table ``==>`` (implication), ``=``, ``#`` and ``@`` (both
+right-associative).  Constants defined with ``fun`` carry a derived
+induction rule; ``primrec`` constants do not.
+
+The scanner makes one regular-expression match per token and the spaces
+before it; a newline starts a whitespace match of its own.  A quoted text
+is scanned when the parser reaches it, so a file's tokens are never all
+held at once.
 
 Free variables in lemmas are typed by unification; constants are
 instantiated per use, so stored terms are fully monomorphic within each
 declaration (left-over inference variables are canonicalised to 'a, 'b,
-...).
+...).  Each scheme is compiled once per parse into the steps that build
+an instance, and an instance is written out by the types of its
+variables, not walked.
 
 Equal types and equal terms of one parse are one object: every node of a
 parsed theory or goal is built once and shared wherever it recurs.  The
@@ -28,15 +35,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from operator import itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 from .terms import (
     EXTRA_CONST_SCHEMES, FUN, IMPLIES, PRELUDE_DATATYPES, PRELUDE_FUNDEFS,
-    PRELUDE_NAMES, TYPE_BOOL, TYPE_NAT,
+    PRELUDE_NAMES,
     App, Const, Constructor, DatatypeDef, Equation, FreeVar, FunDef, Goal,
     SchematicVar, SimpleType, Term, Theory,
-    format_goal, format_term, format_type, fun_type, split_implications,
-    subst_type, type_vars,
+    format_goal, format_term, format_type, split_implications,
+    type_vars,
 )
 
 
@@ -81,6 +89,18 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
+def _lexer(token_re: re.Pattern) -> re.Pattern:
+    """`token_re` after the spaces before a token, so that these cost no
+    match of their own; a newline still starts a ``ws`` match."""
+    return re.compile(r"[^\S\n]*(?:" + token_re.pattern + ")", token_re.flags)
+
+
+_LEXER = _lexer(_TOKEN_RE)
+_new = tuple.__new__
+# the match kinds that are not plain tokens
+_SKIPPED = {"ws", "comment", "quoted", "unterminated"}
+
+
 class Token(NamedTuple):
     kind: str       # tyvar | schem | ident | num | sym | quoted | eof
     text: str       # for quoted tokens: the text between the quotes
@@ -94,43 +114,50 @@ def scan(source: str, file: str, line: int = 1, column: int = 1,
     Each group of `token_re` is a token kind.  Whitespace (``ws``) and
     comments, which open with a ``comment`` match and nest, are skipped.
 
-    A token's column is its distance from the last newline before it;
-    `nl` is that newline's index (before the first one, -`column`)."""
+    A `finditer` pass reads the matches of `_lexer(token_re)`; one that
+    does not start at `pos` leaves a character no group matches there,
+    and a comment restarts the pass after its end.  A token's column is
+    its distance from the last newline before it; `nl` is that newline's
+    index (before the first one, -`column`)."""
+    lexer = _LEXER if token_re is _TOKEN_RE else _lexer(token_re)
     tokens: list[Token] = []
     nl = -column
-    i, n = 0, len(source)
-    while i < n:
-        m = token_re.match(source, i)
-        if m is None:
-            raise ParseError(f"unexpected character {source[i]!r}",
-                             SourceSpan(file, line, i - nl))
-        kind, j = m.lastgroup, m.end()
-        if kind == "comment":
-            depth = 1
-            while depth:
-                close = source.find("*)", j)
-                if close < 0:
-                    raise ParseError("unterminated comment",
-                                     SourceSpan(file, line, i - nl))
-                inner = source.find("(*", j)
-                if 0 <= inner < close:
-                    depth, j = depth + 1, inner + 2
-                else:
-                    depth, j = depth - 1, close + 2
-        elif kind == "quoted":
-            tokens.append(Token(kind, source[i + 1:j - 1], line, i - nl))
-        elif kind == "unterminated":
-            raise ParseError("unterminated quote",
-                             SourceSpan(file, line, i - nl))
-        elif kind != "ws":
-            tokens.append(Token(kind, m.group(), line, i - nl))
-            i = j
-            continue
-        newlines = source.count("\n", i, j)
-        if newlines:
-            line += newlines
-            nl = source.rfind("\n", i, j)
-        i = j
+    pos, n = 0, len(source)
+    while pos < n:
+        for m in lexer.finditer(source, pos):
+            if m.start() != pos:
+                break
+            kind = m.lastgroup
+            i, pos = m.span(m.lastindex)
+            if kind not in _SKIPPED:
+                tokens.append(_new(Token, (kind, source[i:pos], line, i - nl)))
+                continue
+            if kind == "comment":
+                depth = 1
+                while depth:
+                    close = source.find("*)", pos)
+                    if close < 0:
+                        raise ParseError("unterminated comment",
+                                         SourceSpan(file, line, i - nl))
+                    inner = source.find("(*", pos)
+                    if 0 <= inner < close:
+                        depth, pos = depth + 1, inner + 2
+                    else:
+                        depth, pos = depth - 1, close + 2
+            elif kind == "quoted":
+                tokens.append(Token(kind, source[i + 1:pos - 1], line, i - nl))
+            elif kind == "unterminated":
+                raise ParseError("unterminated quote",
+                                 SourceSpan(file, line, i - nl))
+            newlines = source.count("\n", i, pos)
+            if newlines:
+                line += newlines
+                nl = source.rfind("\n", i, pos)
+            if kind == "comment":
+                break
+        if pos < n and token_re.match(source, pos) is None:
+            raise ParseError(f"unexpected character {source[pos]!r}",
+                             SourceSpan(file, line, pos - nl))
     tokens.append(Token("eof", "", line, n - nl))
     return tokens
 
@@ -181,10 +208,9 @@ class Cursor:
                          tok, expected=(what,))
 
 
-def _quoted(text: str, file: str, line: int, column: int) -> Cursor:
-    """A cursor over the terms or types of quoted text starting at
-    `line`:`column`."""
-    return Cursor(scan(text, file, line, column), file)
+def _quoted(tok: Token, file: str) -> list[Token]:
+    """The tokens of the text between the quotes of `tok`."""
+    return scan(tok.text, file, tok.line, tok.column + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,29 +221,38 @@ class _Mismatch(Exception):
     pass
 
 
+class _Ty(NamedTuple):
+    """A type the unifier made, read like a `SimpleType` but cheaper to
+    build."""
+    name: str
+    args: Sequence = ()
+
+
 class _Unifier:
-    """Unifier over SimpleType; inference variables are primed names
-    starting with ``'?``.  `subst` binds a variable to a type that may
-    mention other bound variables; bindings are followed one level at a
-    time, and a type is resolved in full only where it is written out."""
+    """Unifier over `_Ty`s and the parse's shared `SimpleType`s; inference
+    variables are primed names starting with ``'?``.  `subst` binds a
+    variable to a type that may mention other bound variables; bindings
+    are followed one level at a time, and a type is resolved in full only
+    where it is written out."""
 
     def __init__(self) -> None:
-        self.subst: dict[str, SimpleType] = {}
+        self.subst: dict[str, SimpleType | _Ty] = {}
         self.counter = 0
 
-    def fresh(self) -> SimpleType:
+    def fresh(self) -> _Ty:
         self.counter += 1
-        return SimpleType(f"'?{self.counter}")
-
-    def head(self, t: SimpleType) -> SimpleType:
-        """`t` with the bindings at its root followed."""
-        while t.name in self.subst:
-            t = self.subst[t.name]
-        return t
+        return _new(_Ty, (f"'?{self.counter}", ()))
 
     def _occurs(self, name: str, t: SimpleType) -> bool:
-        t = self.head(t)
-        return t.name == name or any(self._occurs(name, a) for a in t.args)
+        subst, stack = self.subst, [t]
+        while stack:
+            t = stack.pop()
+            while t.name in subst:
+                t = subst[t.name]
+            if t.name == name:
+                return True
+            stack += t.args
+        return False
 
     def unify(self, a: SimpleType, b: SimpleType) -> None:
         subst = self.subst
@@ -230,27 +265,19 @@ class _Unifier:
         if a.name[0] == "'":
             if a.name == b.name:
                 return
-            if self._occurs(a.name, b):
+            if b.args and self._occurs(a.name, b):
                 raise _Mismatch()
             subst[a.name] = b
         elif b.name[0] == "'":
-            if self._occurs(b.name, a):
+            if a.args and self._occurs(b.name, a):
                 raise _Mismatch()
             subst[b.name] = a
         elif a.name != b.name or len(a.args) != len(b.args):
             raise _Mismatch()
         else:
             for x, y in zip(a.args, b.args):
-                self.unify(x, y)
-
-    def instantiate(self, scheme: SimpleType,
-                    variables: list[str]) -> SimpleType:
-        """`scheme` with its type variables `variables` replaced by fresh
-        ones, made in that order; a scheme without any is its own
-        instance."""
-        if not variables:
-            return scheme
-        return subst_type(scheme, {v: self.fresh() for v in variables})
+                if x is not y:
+                    self.unify(x, y)
 
 
 class _Tables:
@@ -258,21 +285,24 @@ class _Tables:
     built once and found again here:
 
     - a type by its name and the ids of its canonical argument types;
+    - an instance of a `_Scheme` by the ids of the scheme and of the
+      canonical images of its type variables;
     - a leaf term by its class, name and the id of its canonical type;
     - an application by the ids of its function and argument.
 
     Keying by id is sound only because every id is of an object that the
     table itself keeps alive, as a value or inside one.  `schemes` holds
-    the type variables of each constant scheme met, and `ground` the
-    canonical form of each scheme that has none, both by the id of the
-    scheme object.  One `_Tables` serves one `parse_theory` or
-    `parse_goal_expr` call and is dropped with it."""
+    each constant's `_Scheme` by name and by the id of its scheme.
+    One `_Tables` serves one `parse_theory` or `parse_goal_expr` call and
+    is dropped with it."""
 
     def __init__(self) -> None:
         self.types: dict[tuple, SimpleType] = {}
+        self.instances: dict[tuple, SimpleType] = {}
         self.terms: dict[tuple, Term] = {}
-        self.schemes: dict[int, tuple[SimpleType, list[str]]] = {}
-        self.ground: dict[int, tuple[SimpleType, SimpleType]] = {}
+        self.schemes: dict[str | int, _Scheme] = {}
+        self.declared: dict[str, SimpleType] = {}
+        self.bool = self.type("bool")
 
     def type(self, name: str, args: tuple[SimpleType, ...] = ()) -> SimpleType:
         """The shared type `name` over the shared types `args`."""
@@ -287,14 +317,61 @@ class _Tables:
         variables."""
         return self.type(t.name, tuple(map(self.intern, t.args)))
 
-    def variables(self, scheme: SimpleType) -> list[str]:
-        """The type variables of `scheme`, listed once per parse."""
-        entry = self.schemes.get(id(scheme))
+    def scheme(self, name: str, sig: Theory | _Signature) -> _Scheme | None:
+        """The `_Scheme` of `sig`'s constant `name`; a name is declared
+        once, so it keeps the scheme it has."""
+        entry = self.schemes.get(name)
         if entry is None:
-            entry = self.schemes[id(scheme)] = (scheme, type_vars(scheme))
-            if not entry[1]:
-                self.ground[id(scheme)] = (scheme, self.intern(scheme))
-        return entry[1]
+            scheme = sig.const_scheme(name)
+            if scheme is None:
+                return None
+            entry = self.schemes.get(id(scheme))
+            if entry is None:
+                variables = type_vars(scheme)
+                slots: dict = {v: i for i, v in enumerate(variables)}
+                steps: list[tuple] = []
+                if variables:
+                    self._compile(scheme, slots, steps)
+                entry = self.schemes[id(scheme)] = _Scheme(
+                    scheme, len(variables), tuple(steps),
+                    None if variables else self.intern(scheme))
+            self.schemes[name] = entry
+        return entry
+
+    def _compile(self, t: SimpleType, slots: dict, steps: list[tuple]) -> int:
+        """The slot of `t`'s image: its variable's, or that of the step
+        that builds it, added unless an equal one is in `steps`."""
+        if t.is_var():
+            return slots[t.name]
+        refs = tuple([self._compile(a, slots, steps) for a in t.args])
+        if (t.name, refs) not in slots:
+            slots[t.name, refs] = len(slots)
+            # a tuple of the slots `refs`, or a list of the one or none
+            args = itemgetter(*refs) if len(refs) > 1 else itemgetter(
+                slice(refs[0], refs[0] + 1) if refs else slice(0))
+            steps.append((t.name, args))
+        return slots[t.name, refs]
+
+
+class _Scheme(NamedTuple):
+    """A scheme compiled into the steps that build an instance from the
+    images of its `arity` type variables (in order of first occurrence),
+    or its `ground` type; it keeps `scheme` alive.  The images are the
+    first slots; a step appends the type `name` over the slots `args`
+    takes, and the last slot is the instance, whose equal parts are one
+    object."""
+    scheme: SimpleType
+    arity: int
+    steps: tuple[tuple[str, Callable[[list], Sequence]], ...]
+    ground: SimpleType | None
+
+    def build(self, images: list) -> SimpleType | _Ty:
+        if self.ground is not None:
+            return self.ground
+        slots = list(images)
+        for name, args in self.steps:
+            slots.append(_new(_Ty, (name, args(slots))))
+        return slots[-1]
 
 
 _CANON_POOL = [f"'{c}" for c in "abcdefghijklmnopqrstuvwxyz"]
@@ -304,11 +381,10 @@ class _Renamer:
     """Called on types, it resolves their inference variables and renames
     the left-over ones to 'a, 'b, ... in the order it first meets them,
     visiting each type object once.  What it returns is the parse's
-    shared type, from `tables`; a ground scheme's is looked up
-    there whole, not walked again in every declaration.  No declared type
-    variable such as 'a can be met: every type in a parsed term comes from
-    a fresh variable, an instantiated scheme (all of whose variables are
-    replaced) or a ground type.
+    shared type, from `tables`, as is each `SimpleType` it meets.
+    `instance` meets an instance's images in the order a walk would.  No
+    declared type variable such as 'a can be met: every type in a parsed
+    term comes from a fresh variable, an instance or a ground type.
 
     It is an object, not a recursive closure: a closure that calls itself
     is a reference cycle, which would keep the tables, and with them the
@@ -317,35 +393,50 @@ class _Renamer:
     def __init__(self, uni: _Unifier, tables: _Tables) -> None:
         self.subst = uni.subst
         self.tables = tables
-        self.renames: dict[str, SimpleType] = {}
+        self.renamed = 0
         self.done: dict[int, SimpleType] = {}
 
     def __call__(self, ty: SimpleType) -> SimpleType:
-        out = self.done.get(id(ty))
+        done = self.done
+        out = done.get(id(ty))
         if out is None:
             t, subst, tables = ty, self.subst, self.tables
             while t.name in subst:
                 t = subst[t.name]
-            known = tables.ground.get(id(t))
-            if known is not None:
-                out = known[1]
-            elif t.args:
-                out = tables.type(t.name, tuple(map(self, t.args)))
-            elif t.name.startswith("'?"):
-                out = self.renames.get(t.name)
-                if out is None:
-                    i = len(self.renames)
-                    out = self.renames[t.name] = tables.type(
-                        _CANON_POOL[i] if i < len(_CANON_POOL) else f"'v{i}")
-            else:
-                out = tables.type(t.name)
-            self.done[id(ty)] = out
+            out = done.get(id(t))
+            if out is None:
+                if type(t) is SimpleType:
+                    out = t
+                elif t.args:
+                    out = tables.type(t.name, tuple(map(self, t.args)))
+                elif t.name.startswith("'?"):
+                    i = self.renamed
+                    self.renamed += 1
+                    out = tables.type(_CANON_POOL[i] if i < len(_CANON_POOL)
+                                      else f"'v{i}")
+                else:
+                    out = tables.type(t.name)
+                done[id(t)] = out
+            done[id(ty)] = out
+        return out
+
+    def instance(self, scheme: _Scheme, images: list) -> SimpleType:
+        """The shared type of the instance of `scheme` over `images`."""
+        if scheme.ground is not None:
+            return scheme.ground
+        images = list(map(self, images))
+        key = (id(scheme), *map(id, images))
+        out = self.tables.instances.get(key)
+        if out is None:
+            out = self.tables.instances[key] = self.tables.intern(
+                scheme.build(images))
         return out
 
 
-# A term is parsed into raw nodes: an application is a ``(fun, arg)`` pair
-# and a leaf a ``(cls, name, type)`` triple, whose class is `Const`,
-# `FreeVar` or `SchematicVar` and whose type is the unifier's.
+# A term is parsed into raw nodes: an application is a ``(fun, arg)`` pair,
+# a variable a ``(FreeVar or SchematicVar, name, type)`` triple whose type
+# is the unifier's, and a constant ``(Const, name, scheme, images)``, at
+# the instance of its `_Scheme` over the unifier's types `images`.
 Raw = tuple
 
 
@@ -354,7 +445,8 @@ def _canonicalise(raw: Raw, canon: _Renamer,
     """The term of `raw`, its types resolved and renamed by `canon`.
     Every node is the parse's shared one, from `terms`, the table of a
     `_Tables`."""
-    if len(raw) == 2:
+    n = len(raw)
+    if n == 2:
         fun = _canonicalise(raw[0], canon, terms)
         arg = _canonicalise(raw[1], canon, terms)
         key: tuple = (id(fun), id(arg))
@@ -362,8 +454,8 @@ def _canonicalise(raw: Raw, canon: _Renamer,
         if out is None:
             out = terms[key] = App(fun, arg)
         return out
-    cls, name, ty = raw
-    ty = canon(ty)
+    cls, name = raw[0], raw[1]
+    ty = canon(raw[2]) if n == 3 else canon.instance(raw[2], raw[3])
     key = (cls, name, id(ty))
     out = terms.get(key)
     if out is None:
@@ -372,11 +464,10 @@ def _canonicalise(raw: Raw, canon: _Renamer,
 
 
 def _term(raw: Raw) -> Term:
-    """The term of `raw` with its types unresolved, for an error message."""
+    """The term of `raw` without types, for an error message."""
     if len(raw) == 2:
         return App(_term(raw[0]), _term(raw[1]))
-    cls, name, ty = raw
-    return cls(name, ty)
+    return raw[0](raw[1], None)
 
 
 def _spine(raw: Raw) -> tuple[Raw, list[Raw]]:
@@ -396,27 +487,29 @@ def _spine(raw: Raw) -> tuple[Raw, list[Raw]]:
 # -- types ------------------------------------------------------------------
 
 
-def _parse_type(ts: Cursor, known: dict[str, int]) -> SimpleType:
-    left = _parse_type_postfix(ts, known)
+def _parse_type(ts: Cursor, known: dict[str, int],
+                tables: _Tables) -> SimpleType:
+    """A type, built of the shared types of `tables`."""
+    left = _parse_type_postfix(ts, known, tables)
     if ts.at_sym(FUN):
         ts.next()
-        right = _parse_type(ts, known)
-        return SimpleType(FUN, (left, right))
+        return tables.type(FUN, (left, _parse_type(ts, known, tables)))
     return left
 
 
-def _parse_type_postfix(ts: Cursor, known: dict[str, int]) -> SimpleType:
+def _parse_type_postfix(ts: Cursor, known: dict[str, int],
+                        tables: _Tables) -> SimpleType:
     args: list[SimpleType]
     tok = ts.peek()
     if tok.kind == "tyvar":
         ts.next()
-        args = [SimpleType(tok.text)]
+        args = [tables.type(tok.text)]
     elif ts.at_sym("("):
         ts.next()
-        args = [_parse_type(ts, known)]
+        args = [_parse_type(ts, known, tables)]
         while ts.at_sym(","):
             ts.next()
-            args.append(_parse_type(ts, known))
+            args.append(_parse_type(ts, known, tables))
         ts.expect_sym(")")
         if len(args) > 1:
             # a tuple of type arguments must feed a postfix constructor
@@ -427,13 +520,13 @@ def _parse_type_postfix(ts: Cursor, known: dict[str, int]) -> SimpleType:
     elif tok.kind == "ident":
         ts.next()
         _check_type_name(ts, tok, 0, known)
-        args = [SimpleType(tok.text)]
+        args = [tables.type(tok.text)]
     else:
         raise ts.unexpected("type", "unexpected end of type")
     while ts.peek().kind == "ident":
         name_tok = ts.next()
         _check_type_name(ts, name_tok, len(args), known)
-        args = [SimpleType(name_tok.text, tuple(args))]
+        args = [tables.type(name_tok.text, tuple(args))]
     result = args[0]
     if len(args) > 1:
         raise ts.fail("dangling type arguments")
@@ -454,8 +547,17 @@ def _check_type_name(ts: Cursor, tok: Token, arity: int,
 # -- terms ------------------------------------------------------------------
 
 
-class _TermParser:
-    """Precedence-climbing term parser with on-the-fly type inference.
+# the binding level of each infix operator, all right-associative
+_INFIX = {IMPLIES: 0, "=": 1, "#": 2, "@": 2}
+# what an argument starts with: a token kind, or a symbol
+_ATOMS = {"ident", "num", "schem", "(", "["}
+# the largest numeral read; a numeral is a term of that many `Suc`s
+MAX_NUMERAL = 10_000
+
+
+class _TermParser(Cursor, _Unifier):
+    """Precedence-climbing term parser with on-the-fly type inference: a
+    cursor over the tokens of one quoted text, and their unifier.
 
     Every production returns a ``(raw, type)`` pair: a raw node, and its
     type in the unifier's world, which is only written into a term by
@@ -465,140 +567,129 @@ class _TermParser:
     side of an equation they are an error.
     """
 
-    def __init__(self, ts: Cursor, sig: Theory | _Signature,
-                 uni: _Unifier, tables: _Tables,
-                 env: dict[str, SimpleType], bind_unknown: bool):
-        self.ts = ts
-        self.sig = sig
-        self.uni = uni
-        self.tables = tables
-        self.env = env
+    def __init__(self, tokens: list[Token], file: str,
+                 sig: Theory | _Signature, tables: _Tables):
+        self.tokens, self.pos, self.file = tokens, 0, file
+        self.sig, self.tables, self.bool = sig, tables, tables.bool
+        _Unifier.__init__(self)
+        self.env: dict[str, SimpleType] = {}
         self.schem_env: dict[str, SimpleType] = {}
-        self.bind_unknown = bind_unknown
+        self.bind_unknown = True
 
-    def parse(self) -> tuple[Raw, SimpleType]:
-        return self.parse_implies()
-
-    def parse_implies(self) -> tuple[Raw, SimpleType]:
-        left, lty = self.parse_eq()
-        if self.ts.at_sym(IMPLIES):
-            tok = self.ts.next()
-            right, rty = self.parse_implies()
-            self.require(left, lty, TYPE_BOOL, tok)
-            self.require(right, rty, TYPE_BOOL, tok)
-            imp = (Const, IMPLIES, EXTRA_CONST_SCHEMES[IMPLIES])
-            return ((imp, left), right), TYPE_BOOL
-        return left, lty
-
-    def parse_eq(self) -> tuple[Raw, SimpleType]:
-        left, lty = self.parse_cons()
-        if self.ts.at_sym("="):
-            tok = self.ts.next()
-            right, rty = self.parse_eq()
-            self.require(right, rty, lty, tok)
-            eq = (Const, "eq", fun_type(lty, lty, TYPE_BOOL))
-            return ((eq, left), right), TYPE_BOOL
-        return left, lty
-
-    def parse_cons(self) -> tuple[Raw, SimpleType]:
+    def parse(self, level: int = 0) -> tuple[Raw, SimpleType]:
+        """A term whose infix operators bind at `level` or tighter."""
         left, lty = self.parse_app()
-        if self.ts.at_sym("#") or self.ts.at_sym("@"):
-            tok = self.ts.next()
-            right, rty = self.parse_cons()
-            scheme = self.sig.const_scheme(tok.text)
-            assert scheme is not None
-            inst = self.instance(scheme)
-            (a_ty, b_ty), result = _split2(inst)
-            self.require(left, lty, a_ty, tok)
-            self.require(right, rty, b_ty, tok)
-            return (((Const, tok.text, inst), left), right), result
-        return left, lty
+        while True:
+            tok = self.tokens[self.pos]
+            op = _INFIX.get(tok.text) if tok.kind == "sym" else None
+            if op is None or op < level:
+                return left, lty
+            self.pos += 1
+            right, rty = self.parse(op)
+            if op == 2:
+                leaf, inst = self.constant(tok.text)
+                self.require(left, lty, inst.args[0], tok)
+                self.require(right, rty, inst.args[1].args[0], tok)
+                lty = inst.args[1].args[1]
+            elif op == 1:
+                self.require(right, rty, lty, tok)
+                leaf = (Const, "eq", self.tables.scheme("eq", self.sig), [lty])
+                lty = self.bool
+            else:
+                self.require(left, lty, self.bool, tok)
+                self.require(right, rty, self.bool, tok)
+                leaf, lty = self.constant(IMPLIES)[0], self.bool
+            left = ((leaf, left), right)
 
     def parse_app(self) -> tuple[Raw, SimpleType]:
         t, ty = self.parse_atom()
-        while self._at_atom():
-            tok = self.ts.peek()
+        tokens, subst = self.tokens, self.subst
+        while True:
+            tok = tokens[self.pos]
+            if (tok.text if tok.kind == "sym" else tok.kind) not in _ATOMS:
+                return t, ty
             arg, arg_ty = self.parse_atom()
-            fun_ty = self.uni.head(ty)
+            fun_ty = ty
+            while fun_ty.name in subst:
+                fun_ty = subst[fun_ty.name]
             try:
                 if fun_ty.name == FUN:
                     # a known arrow: its codomain is the result type
-                    self.uni.unify(fun_ty.args[0], arg_ty)
+                    self.unify(fun_ty.args[0], arg_ty)
                     ty = fun_ty.args[1]
                 else:
-                    ty = self.uni.fresh()
-                    self.uni.unify(fun_ty, SimpleType(FUN, (arg_ty, ty)))
+                    ty = self.fresh()
+                    self.unify(fun_ty, _Ty(FUN, (arg_ty, ty)))
             except _Mismatch:
-                name = _Renamer(self.uni, self.tables)
-                raise self.ts.fail(
+                name = _Renamer(self, self.tables)
+                raise self.fail(
                     f"cannot apply {format_term(_term(t))} "
                     f"(type {format_type(name(fun_ty))}) "
                     f"to {format_term(_term(arg))}", tok)
             t = (t, arg)
-        return t, ty
-
-    def _at_atom(self) -> bool:
-        tok = self.ts.peek()
-        return (tok.kind in ("ident", "num", "schem")
-                or (tok.kind == "sym" and tok.text in ("(", "[")))
 
     def parse_atom(self) -> tuple[Raw, SimpleType]:
-        tok = self.ts.peek()
-        if tok.kind == "num":
-            self.ts.next()
-            return _numeral(int(tok.text)), TYPE_NAT
-        if tok.kind == "schem":
-            self.ts.next()
+        tok = self.tokens[self.pos]
+        kind, text = tok.kind, tok.text
+        if (text if kind == "sym" else kind) not in _ATOMS:
+            raise self.unexpected("term", "unexpected end of term")
+        self.pos += 1
+        if kind == "ident":
+            # a name in `env` is no constant: the signature does not
+            # change while one text is parsed
+            ty = self.env.get(text)
+            if ty is None:
+                scheme = self.tables.schemes.get(text) or \
+                    self.tables.scheme(text, self.sig)
+                if scheme is not None:
+                    return self.constant(text, scheme)
+                if not self.bind_unknown:
+                    raise self.fail(f"unknown constant {text}", tok)
+                ty = self.env[text] = self.fresh()
+            return (FreeVar, text, ty), ty
+        if kind == "num":
+            if len(text.lstrip("0")) > len(str(MAX_NUMERAL)) \
+                    or int(text) > MAX_NUMERAL:
+                raise self.fail(f"numeral {text} is larger than {MAX_NUMERAL}",
+                                tok)
+            t, ty = self.constant("0")
+            suc = self.constant("Suc")[0]
+            for _ in range(int(text)):
+                t = (suc, t)
+            return t, ty
+        if kind == "schem":
             if not self.bind_unknown:
-                raise self.ts.fail(
-                    f"schematic variable {tok.text} on the right-hand side",
-                    tok)
-            name = tok.text[1:]
-            if name not in self.schem_env:
-                self.schem_env[name] = self.uni.fresh()
-            ty = self.schem_env[name]
-            return (SchematicVar, name, ty), ty
-        if tok.kind == "ident":
-            self.ts.next()
-            scheme = self.sig.const_scheme(tok.text)
-            if scheme is not None:
-                inst = self.instance(scheme)
-                return (Const, tok.text, inst), inst
-            if tok.text in self.env:
-                ty = self.env[tok.text]
-                return (FreeVar, tok.text, ty), ty
-            if not self.bind_unknown:
-                raise self.ts.fail(f"unknown constant {tok.text}", tok)
-            ty = self.uni.fresh()
-            self.env[tok.text] = ty
-            return (FreeVar, tok.text, ty), ty
-        if tok.kind == "sym" and tok.text == "(":
-            self.ts.next()
-            inner = self.parse_implies()
-            self.ts.expect_sym(")")
-            return inner
-        if tok.kind == "sym" and tok.text == "[":
-            self.ts.next()
-            items: list[tuple[Raw, SimpleType]] = []
-            if not self.ts.at_sym("]"):
-                items.append(self.parse_implies())
-                while self.ts.at_sym(","):
-                    self.ts.next()
-                    items.append(self.parse_implies())
-            self.ts.expect_sym("]")
-            return self._list_literal(items, tok)
-        raise self.ts.unexpected("term", "unexpected end of term")
+                raise self.fail(
+                    f"schematic variable {text} on the right-hand side", tok)
+            ty = self.schem_env.get(text)
+            if ty is None:
+                ty = self.schem_env[text] = self.fresh()
+            return (SchematicVar, text[1:], ty), ty
+        if text == "[":
+            return self._list_literal(tok)
+        inner = self.parse()
+        self.expect_sym(")")
+        return inner
 
-    def instance(self, scheme: SimpleType) -> SimpleType:
-        """A fresh instance of the constant scheme `scheme`."""
-        return self.uni.instantiate(scheme, self.tables.variables(scheme))
+    def constant(self, name: str, scheme: _Scheme | None = None
+                 ) -> tuple[Raw, SimpleType]:
+        """The constant `name` at a fresh instance of its `scheme`."""
+        scheme = scheme or self.tables.scheme(name, self.sig)
+        images = [self.fresh() for _ in range(scheme.arity)] \
+            if scheme.arity > 1 else [self.fresh()] if scheme.arity else []
+        return (Const, name, scheme, images), scheme.build(images)
 
-    def _list_literal(self, items: list[tuple[Raw, SimpleType]],
-                      tok: Token) -> tuple[Raw, SimpleType]:
-        elem = self.uni.fresh()
-        list_ty = SimpleType("list", (elem,))
-        cons = (Const, "#", fun_type(elem, list_ty, list_ty))
-        result: Raw = (Const, "[]", list_ty)
+    def _list_literal(self, tok: Token) -> tuple[Raw, SimpleType]:
+        items: list[tuple[Raw, SimpleType]] = []
+        if not self.at_sym("]"):
+            items.append(self.parse())
+            while self.at_sym(","):
+                self.pos += 1
+                items.append(self.parse())
+        self.expect_sym("]")
+        result, list_ty = self.constant("[]")
+        elem = list_ty.args[0]
+        cons = (Const, "#", self.tables.scheme("#", self.sig), [elem])
         for item, ity in reversed(items):
             self.require(item, ity, elem, tok)
             result = ((cons, item), result)
@@ -607,31 +698,13 @@ class _TermParser:
     def require(self, t: Raw, actual: SimpleType, expected: SimpleType,
                 tok: Token) -> None:
         try:
-            self.uni.unify(actual, expected)
+            self.unify(actual, expected)
         except _Mismatch:
-            name = _Renamer(self.uni, self.tables)
-            raise self.ts.fail(
+            name = _Renamer(self, self.tables)
+            raise self.fail(
                 f"type mismatch: {format_term(_term(t))} has type "
                 f"{format_type(name(actual))}, expected "
                 f"{format_type(name(expected))}", tok)
-
-
-def _split2(t: SimpleType) -> tuple[tuple[SimpleType, SimpleType], SimpleType]:
-    a = t.args[0]
-    b = t.args[1].args[0]
-    r = t.args[1].args[1]
-    return (a, b), r
-
-
-_ZERO: Raw = (Const, "0", TYPE_NAT)
-_SUC: Raw = (Const, "Suc", fun_type(TYPE_NAT, TYPE_NAT))
-
-
-def _numeral(n: int) -> Raw:
-    t = _ZERO
-    for _ in range(n):
-        t = (_SUC, t)
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +719,7 @@ class _Signature:
 
     def __init__(self) -> None:
         self.schemes: dict[str, SimpleType] = dict(EXTRA_CONST_SCHEMES)
+        self.const_scheme = self.schemes.get
         self.constructors: set[str] = set()
         for f in PRELUDE_FUNDEFS.values():
             self.schemes[f.name] = f.type
@@ -656,9 +730,6 @@ class _Signature:
         for c in d.constructors:
             self.schemes[c.name] = d.constructor_type(c)
             self.constructors.add(c.name)
-
-    def const_scheme(self, name: str) -> SimpleType | None:
-        return self.schemes.get(name)
 
 
 def parse_theory(source: str, file: str = "<string>") -> Theory:
@@ -718,8 +789,7 @@ def _parse_datatype(p: Cursor, known_types: dict[str, int],
         args: list[SimpleType] = []
         while ((p.peek().kind == "ident" and p.peek().text not in _KEYWORDS)
                or p.peek().kind == "tyvar" or p.at_sym("(")):
-            args.append(tables.intern(
-                _parse_ctor_arg(p, local_types, params, ctor_tok)))
+            args.append(_parse_ctor_arg(p, local_types, params, tables))
         ctors.append(Constructor(ctor_tok.text, tuple(args)))
         if p.at_sym("|"):
             p.next()
@@ -731,13 +801,13 @@ def _parse_datatype(p: Cursor, known_types: dict[str, int],
 
 
 def _parse_ctor_arg(p: Cursor, known: dict[str, int], params: list[str],
-                    ctx_tok: Token) -> SimpleType:
+                    tables: _Tables) -> SimpleType:
     tok = p.peek()
     if tok.kind == "tyvar":
         p.next()
         if tok.text not in params:
             raise p.fail(f"type variable {tok.text} is not a parameter", tok)
-        return SimpleType(tok.text)
+        return tables.type(tok.text)
     if tok.kind == "ident":
         p.next()
         if known.get(tok.text) != 0:
@@ -745,7 +815,7 @@ def _parse_ctor_arg(p: Cursor, known: dict[str, int], params: list[str],
                 f"unknown type {tok.text}" if tok.text not in known
                 else f"type {tok.text} needs arguments (use parentheses)",
                 tok)
-        return SimpleType(tok.text)
+        return tables.type(tok.text)
     # parenthesised compound type; re-lex the slice via a tiny trick:
     # collect raw tokens until the matching close paren
     p.expect_sym("(")
@@ -764,7 +834,7 @@ def _parse_ctor_arg(p: Cursor, known: dict[str, int], params: list[str],
         parts.append(t)
     # the type ends at the closing parenthesis `t`
     ts = Cursor(parts + [Token("eof", "", t.line, t.column)], p.file)
-    ty = _parse_type(ts, known)
+    ty = _parse_type(ts, known, tables)
     if ts.peek().kind != "eof":
         raise ts.fail("trailing tokens in type")
     for tv in type_vars(ty):
@@ -782,10 +852,14 @@ def _parse_fundef(p: Cursor, sig: _Signature, tables: _Tables,
     if ty_tok.kind != "quoted":
         raise p.fail("found unquoted type", ty_tok, expected=('"<type>"',))
     p.next()
-    ts = _quoted(ty_tok.text, p.file, ty_tok.line, ty_tok.column + 1)
-    declared_ty = tables.intern(_parse_type(ts, known_types))
-    if ts.peek().kind != "eof":
-        raise ts.fail("trailing tokens in type")
+    # a type text read once reads the same later: types are only added
+    declared_ty = tables.declared.get(ty_tok.text)
+    if declared_ty is None:
+        ts = Cursor(_quoted(ty_tok, p.file), p.file)
+        declared_ty = _parse_type(ts, known_types, tables)
+        if ts.peek().kind != "eof":
+            raise ts.fail("trailing tokens in type")
+        tables.declared[ty_tok.text] = declared_ty
     declare(name_tok.text, name_tok)
     where_tok = p.expect_ident("'where'")
     if where_tok.text != "where":
@@ -803,8 +877,7 @@ def _parse_fundef(p: Cursor, sig: _Signature, tables: _Tables,
             raise p.fail("found unquoted equation", eq_tok,
                          expected=('"<equation>"',))
         p.next()
-        eq = _parse_equation(p, eq_tok, sig, tables, name_tok.text)
-        n_args = len(eq.lhs_args())
+        eq, n_args = _parse_equation(p, eq_tok, sig, tables, name_tok.text)
         if arity is None:
             arity = n_args
         elif arity != n_args:
@@ -820,53 +893,52 @@ def _parse_fundef(p: Cursor, sig: _Signature, tables: _Tables,
 
 
 def _parse_equation(p: Cursor, quoted: Token, sig: _Signature,
-                    tables: _Tables, fn_name: str) -> Equation:
-    ts = _quoted(quoted.text, p.file, quoted.line, quoted.column + 1)
-    uni = _Unifier()
-    env: dict[str, SimpleType] = {}
-
+                    tables: _Tables, fn_name: str) -> tuple[Equation, int]:
+    """An equation of `fn_name` and the number of its arguments."""
+    ts = _TermParser(_quoted(quoted, p.file), p.file, sig, tables)
     # left-hand side: unknown identifiers become pattern variables
-    lhs_parser = _TermParser(ts, sig, uni, tables, env, bind_unknown=True)
-    lhs, lhs_ty = lhs_parser.parse_cons()
+    lhs, lhs_ty = ts.parse(2)
     ts.expect_sym("=")
-    rhs_parser = _TermParser(ts, sig, uni, tables, env, bind_unknown=False)
-    rhs, rhs_ty = rhs_parser.parse_cons()
+    ts.bind_unknown = False
+    rhs, rhs_ty = ts.parse(2)
     if ts.peek().kind != "eof":
         raise ts.fail("trailing tokens in equation")
 
     head, args = _spine(lhs)
     if not (head[0] is Const and head[1] == fn_name):
         raise p.fail(f"equation must define {fn_name}", quoted)
-    _check_patterns(args, sig, SourceSpan(p.file, quoted.line, quoted.column))
+    error = _pattern_error(args, sig)
+    if error:
+        raise p.fail(error, quoted)
     try:
-        uni.unify(lhs_ty, rhs_ty)
+        ts.unify(lhs_ty, rhs_ty)
     except _Mismatch:
         raise p.fail("ill-typed equation: left and right sides disagree",
                      quoted)
     # both sides share one variable pool, named in the order of the goal
     # ``lhs = rhs``, whose `=` constant's type comes first
-    canon = _Renamer(uni, tables)
+    canon = _Renamer(ts, tables)
     canon(lhs_ty)
     return Equation(_canonicalise(lhs, canon, tables.terms),
-                    _canonicalise(rhs, canon, tables.terms))
+                    _canonicalise(rhs, canon, tables.terms)), len(args)
 
 
-def _check_patterns(args: list[Raw], sig: _Signature,
-                    span: SourceSpan) -> None:
+def _pattern_error(args: list[Raw], sig: _Signature) -> str | None:
+    """What is wrong with the argument patterns `args`, if anything."""
     seen_vars: set[str] = set()
     stack = args[::-1]
     while stack:
         r = stack.pop()
         if r[0] is FreeVar:
             if r[1] in seen_vars:
-                raise ParseError(f"duplicate pattern variable {r[1]}", span)
+                return f"duplicate pattern variable {r[1]}"
             seen_vars.add(r[1])
             continue
         head, sub = _spine(r)
         if not (head[0] is Const and head[1] in sig.constructors):
-            raise ParseError(
-                "patterns must be constructor patterns or variables", span)
+            return "patterns must be constructor patterns or variables"
         stack += sub[::-1]
+    return None
 
 
 def _parse_lemma(p: Cursor, sig: _Signature, tables: _Tables,
@@ -881,32 +953,28 @@ def _parse_lemma(p: Cursor, sig: _Signature, tables: _Tables,
                      expected=('"<prop>"',))
     p.next()
     term = _parse_prop(
-        _quoted(prop_tok.text, p.file, prop_tok.line, prop_tok.column + 1),
-        sig, tables)
+        _TermParser(_quoted(prop_tok, p.file), p.file, sig, tables))
     premises, conclusion = split_implications(term)
     return Goal(name_tok.text, premises, conclusion, line=lemma_tok.line)
 
 
-def _parse_prop(ts: Cursor, sig: Theory | _Signature,
-                tables: _Tables) -> Term:
-    uni = _Unifier()
-    parser = _TermParser(ts, sig, uni, tables, {}, bind_unknown=True)
+def _parse_prop(ts: _TermParser) -> Term:
     start = ts.peek()
-    term, ty = parser.parse()
+    term, ty = ts.parse()
     if ts.peek().kind != "eof":
         raise ts.fail("trailing tokens in proposition")
     try:
-        uni.unify(ty, TYPE_BOOL)
+        ts.unify(ty, ts.bool)
     except _Mismatch:
         raise ts.fail("goal must be propositional", start)
-    return _canonicalise(term, _Renamer(uni, tables), tables.terms)
+    return _canonicalise(term, _Renamer(ts, ts.tables), ts.tables.terms)
 
 
 def parse_goal_expr(source: str, ctx: Theory,
                     file: str = "<expr>") -> Term:
     """Parse a standalone boolean proposition over `ctx`'s signature."""
-    ts = _quoted(source.replace("\r\n", "\n"), file, 1, 1)
-    return _parse_prop(ts, ctx, _Tables())
+    return _parse_prop(_TermParser(
+        scan(source.replace("\r\n", "\n"), file), file, ctx, _Tables()))
 
 
 # ---------------------------------------------------------------------------

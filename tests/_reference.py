@@ -17,12 +17,61 @@ from inductrank.dsl import (
     OccurrencesOf, Or, Sort, TrueF, ATOM_SIGNATURES,
     INDUCTION_TERMS, UNRESTRICTED,
 )
+from inductrank.parser import ParseError, SourceSpan, Token
 from inductrank.schemes import rules_for
 from inductrank.tactic import Candidate
 from inductrank.terms import (
     App, Const, FreeVar, Goal, Occurrence, SimpleType, Theory,
     goal_free_variables, spine, term_type,
 )
+
+
+# ---------------------------------------------------------------------------
+# Reference scanner
+
+
+def reference_scan(source: str, file: str, line: int, column: int,
+                   token_re) -> list[Token]:
+    """The tokens of `source` by one `token_re.match` per token and per
+    run of whitespace: the scanner before whitespace was read with the
+    token after it."""
+    tokens: list[Token] = []
+    nl = -column
+    i, n = 0, len(source)
+    while i < n:
+        m = token_re.match(source, i)
+        if m is None:
+            raise ParseError(f"unexpected character {source[i]!r}",
+                             SourceSpan(file, line, i - nl))
+        kind, j = m.lastgroup, m.end()
+        if kind == "comment":
+            depth = 1
+            while depth:
+                close = source.find("*)", j)
+                if close < 0:
+                    raise ParseError("unterminated comment",
+                                     SourceSpan(file, line, i - nl))
+                inner = source.find("(*", j)
+                if 0 <= inner < close:
+                    depth, j = depth + 1, inner + 2
+                else:
+                    depth, j = depth - 1, close + 2
+        elif kind == "quoted":
+            tokens.append(Token(kind, source[i + 1:j - 1], line, i - nl))
+        elif kind == "unterminated":
+            raise ParseError("unterminated quote",
+                             SourceSpan(file, line, i - nl))
+        elif kind != "ws":
+            tokens.append(Token(kind, m.group(), line, i - nl))
+            i = j
+            continue
+        newlines = source.count("\n", i, j)
+        if newlines:
+            line += newlines
+            nl = source.rfind("\n", i, j)
+        i = j
+    tokens.append(Token("eof", "", line, n - nl))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,19 @@ class TestRecommend:
         assert code == 1
         assert err == "error: input nested too deeply\n"
 
+    def test_huge_numeral_is_an_error(self, capsys, running_path, tmp_path):
+        code, out, err = run_cli(capsys, "recommend", running_path,
+                                 "--goal-expr", "n = 30000000")
+        assert (code, out) == (1, "")
+        assert err == ("error: <expr>:1:5: numeral 30000000 is larger than "
+                       "10000\n")
+        thy = tmp_path / "big.thy"
+        thy.write_text('lemma a: "99999999999999999999 = x"\n')
+        code, out, err = run_cli(capsys, "recommend", str(thy), "--goal", "a")
+        assert (code, out) == (1, "")
+        assert err == (f"error: {thy}:1:11: numeral 99999999999999999999 is "
+                       "larger than 10000\n")
+
 
 class TestExplain:
     def test_finalist_matrix(self, capsys, running_path):

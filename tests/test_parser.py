@@ -6,9 +6,11 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inductrank import parser
+from _reference import reference_scan
+from inductrank import dsl, parser
 from inductrank.parser import (
-    ParseError, _Unifier, parse_goal_expr, parse_theory, print_theory,
+    MAX_NUMERAL, ParseError, _Unifier, parse_goal_expr, parse_theory,
+    print_theory, scan,
 )
 from inductrank.terms import (
     App, FreeVar, check_term, free_variables, goal_free_variables, list_of,
@@ -546,3 +548,61 @@ class TestSpans:
         with pytest.raises(ParseError) as err:
             parse_theory("garbage here")
         assert err.value.message
+
+
+# Pieces of scanner input: every token kind of the theory and the heuristic
+# lexers, every symbol of each, quotes, nested and unterminated comments,
+# kinds of whitespace and newline, the heuristic language's Unicode aliases
+# and characters that neither lexer accepts.
+SCAN_PIECES = (
+    "x", "xs", "Suc", "_a'", "'a", "'b1", "?x", "?_y'", "0", "12", "007",
+    "\u0663", "==>", "=>", "::", "=", "#", "@", "(", ")", "[", "]", ",",
+    "|", ":", "-->", "->", ".", "&", "!", "-", ">", '"', '"x y"',
+    '"a\nb"', "(*", "*)", "(* c *)", "(* a (* b *) c *)", "(* open", " ",
+    "  ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x85", "\u2028",
+    "\u3000", "\u2203", "\u2200", "\u2227", "\u2228", "\u00ac",
+    "\u2192", "\u27f6", "\u2208", "$", "\u00e9", "\u03bb", "\x00",
+    "~", "{",
+)
+
+
+class TestScan:
+    @settings(max_examples=400, deadline=None)
+    @given(pieces=st.lists(st.one_of(st.sampled_from(SCAN_PIECES),
+                                     st.characters()), max_size=24),
+           line=st.integers(1, 5), column=st.integers(1, 40))
+    def test_agrees_with_one_match_per_token(self, pieces, line, column):
+        source = "".join(pieces)
+        for token_re in (parser._TOKEN_RE, dsl._TOKEN_RE):
+            outcomes = []
+            for scanner in (scan, reference_scan):
+                try:
+                    outcomes.append(
+                        scanner(source, "s.thy", line, column, token_re))
+                except ParseError as err:
+                    outcomes.append(str(err))
+            assert outcomes[0] == outcomes[1], (source, token_re.pattern)
+
+
+class TestNesting:
+    """How deep a term may nest: what parses under pytest today is pinned,
+    so that no rewrite of the parser lowers it."""
+
+    @pytest.mark.parametrize("prop", [
+        "n = 900",
+        "(" * 150 + "x" + ")" * 150 + " = y",
+        "[" * 150 + "x" + "]" * 150 + " = y",
+    ], ids=["numeral", "parentheses", "list-literals"])
+    def test_deep_terms_parse(self, running_theory, prop):
+        parse_theory(f'lemma deep: "{prop}"')
+        parse_goal_expr(prop, running_theory)
+
+    @pytest.mark.parametrize("numeral", [
+        str(MAX_NUMERAL + 1), "30000000", "99999999999999999999", "9" * 5000,
+    ], ids=["bound+1", "8-digit", "20-digit", "5000-digit"])
+    def test_huge_numeral_is_an_error(self, numeral):
+        with pytest.raises(ParseError) as err:
+            parse_theory(f'lemma a:\n  "{numeral} = x"', "big.thy")
+        assert str(err.value) == \
+            f"big.thy:2:4: numeral {numeral} is larger than {MAX_NUMERAL}"
+        assert MAX_NUMERAL >= 10_000
