@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Union
 
 from .parser import Cursor, Token, scan
 from .schemes import InductionScheme, RULE_SUFFIX, scheme_for_rule_name
@@ -221,14 +221,6 @@ class EvalContext:
     rules: tuple[InductionScheme, ...]
     induction_terms: tuple[Term, ...]
 
-    @property
-    def terms(self) -> tuple[Term, ...]:
-        return self.index.terms
-
-    @property
-    def occurrences(self) -> tuple[Occurrence, ...]:
-        return self.index.occurrences
-
 
 def make_context(goal: Goal, candidate: Candidate, thy: Theory,
                  index: GoalIndex | None = None) -> EvalContext:
@@ -249,75 +241,14 @@ def make_context(goal: Goal, candidate: Candidate, thy: Theory,
     )
 
 
-_CANDIDATE_READS: dict[str, Callable[[Candidate], object]] = {
+# what a verdict can depend on in the candidate, by name; everything else
+# an assertion reads is fixed by the goal
+CANDIDATE_READS: dict[str, Callable[[Candidate], object]] = {
     "induction_terms": lambda c: c.induction_terms,
     "induction_term_count": lambda c: len(c.induction_terms),
     "arbitrary": lambda c: c.arbitrary,
     "rule": lambda c: c.rule,
 }
-
-
-def candidate_reads(f: Formula) -> tuple[str, ...]:
-    """What a formula's verdict can depend on in the candidate, as names
-    of `_CANDIDATE_READS`.  Everything else an assertion reads is fixed by
-    the goal.  A number quantifier's domain grows with the count of
-    induction terms, so it reads that count; reading the terms themselves
-    covers it."""
-    read: set[str] = set()
-    for node in _subformulas(f):
-        if isinstance(node, (Exists, Forall)):
-            if node.sort is Sort.RULE:
-                read.add("rule")
-            elif node.sort is Sort.NUMBER:
-                read.add("induction_term_count")
-            elif isinstance(node.restriction, InductionTerms):
-                read.add("induction_terms")
-        elif isinstance(node, Atom):
-            if node.name == "is_nth_induction_term":
-                read.add("induction_terms")
-            elif node.name == "is_in_arbitrary":
-                read.add("arbitrary")
-    if "induction_terms" in read:
-        read.discard("induction_term_count")
-    return tuple(n for n in _CANDIDATE_READS if n in read)
-
-
-def _subformulas(f: Formula) -> Iterator[Formula]:
-    """`f` and every formula inside it."""
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Not):
-            stack.append(node.body)
-        elif isinstance(node, (And, Or, Implies)):
-            stack += (node.left, node.right)
-        elif isinstance(node, (Exists, Forall)):
-            stack.append(node.body)
-
-
-def _free_variables(f: Formula) -> set[str]:
-    """The variables `f` reads that no quantifier inside it binds."""
-    if isinstance(f, Atom):
-        return {a for a in f.args if isinstance(a, str)}
-    if isinstance(f, Not):
-        return _free_variables(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return _free_variables(f.left) | _free_variables(f.right)
-    if isinstance(f, (Exists, Forall)):
-        free = _free_variables(f.body) - {f.var}
-        if isinstance(f.restriction, OccurrencesOf):
-            free.add(f.restriction.term_var)
-        return free
-    return set()
-
-
-def verdict_key(f: Formula) -> Callable[[Candidate], tuple]:
-    """A key on candidates of one goal such that two candidates with equal
-    keys get the same verdict on `f`: the parts of the candidate that `f`
-    reads."""
-    getters = tuple(_CANDIDATE_READS[n] for n in candidate_reads(f))
-    return lambda c: tuple([get(c) for get in getters])
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +259,18 @@ Check = Callable[[EvalContext], bool]
 # A compiled sub-formula: a test of the context and the slots of the
 # variables bound so far.
 _Node = Callable[[EvalContext, list], bool]
+# The quantifiers to memoise where they are outermost, by id: the names of
+# their free variables, and whether they read the number of induction terms.
+_Memoisable = dict[int, tuple[tuple[str, ...], bool]]
 
 
-def compile_formula(f: Formula) -> Check:
-    """Compile a closed, well-sorted formula into a test of a context.
+def compile_formula(f: Formula) -> tuple[Check, tuple[str, ...]]:
+    """Compile a closed, well-sorted formula into a test of a context, and
+    say what the test reads of the candidate: names of `CANDIDATE_READS`,
+    in that order.  Two candidates of one goal that agree on those get the
+    same verdict.  A number quantifier's domain grows with the number of
+    induction terms, so it reads that count; reading the terms themselves
+    covers it.
 
     Connectives, quantifier domains and assertions are chosen here, once,
     so a verdict only walks domains and calls tests.  Every quantifier and
@@ -347,12 +286,16 @@ def compile_formula(f: Formula) -> Check:
     the number bound.  Every candidate of a goal that shares the index
     then evaluates such a quantifier once per key.  In the shipped suite
     most are the bodies of ``ALL t2 : term in induction_term. ...``."""
+    memoisable: _Memoisable = {}
+    reads = _analyse(f, memoisable)[0]
+    if "induction_terms" in reads:
+        reads.discard("induction_term_count")
     template: list[Value | None] = []
-    node = _compile(f, {}, template)
+    node = _compile(f, {}, template, memoisable)
 
     def check(ctx: EvalContext) -> bool:
         return node(ctx, template.copy())
-    return check
+    return check, tuple(n for n in CANDIDATE_READS if n in reads)
 
 
 def evaluate(f: Formula, ctx: EvalContext,
@@ -361,8 +304,56 @@ def evaluate(f: Formula, ctx: EvalContext,
     `check` is `f` compiled by `compile_formula`; without it `f` is
     compiled for this call."""
     if check is None:
-        check = compile_formula(f)
+        check = compile_formula(f)[0]
     return check(ctx)
+
+
+# atom name -> what it reads of the candidate, if anything
+_ATOM_READS = {"is_nth_induction_term": "induction_terms",
+               "is_in_arbitrary": "arbitrary"}
+
+
+def _analyse(f: Formula,
+             memoisable: _Memoisable) -> tuple[set[str], set[str], bool]:
+    """What `f` reads of the candidate, as names of `CANDIDATE_READS`; the
+    variables it reads that no quantifier inside it binds; and whether it
+    holds a quantifier.  Each sub-formula is visited once, and the sets
+    returned are the caller's to change.
+
+    Records in `memoisable`, by id, each quantifier whose verdicts are
+    worth keeping for the goal, with its free variables and whether it
+    reads the number of induction terms: it reads nothing else of the
+    candidate; it has a free variable, so it is evaluated again for each
+    value of that; and its body holds another quantifier, so it costs more
+    than a lookup."""
+    if isinstance(f, Atom):
+        read = _ATOM_READS.get(f.name)
+        return ({read} if read else set(),
+                {a for a in f.args if isinstance(a, str)}, False)
+    if isinstance(f, Not):
+        return _analyse(f.body, memoisable)
+    if isinstance(f, (And, Or, Implies)):
+        reads, free, quantified = _analyse(f.left, memoisable)
+        right_reads, right_free, right_quantified = _analyse(f.right,
+                                                             memoisable)
+        reads |= right_reads
+        free |= right_free
+        return reads, free, quantified or right_quantified
+    if isinstance(f, (Exists, Forall)):
+        reads, free, quantified = _analyse(f.body, memoisable)
+        free.discard(f.var)
+        if isinstance(f.restriction, OccurrencesOf):
+            free.add(f.restriction.term_var)
+        if f.sort is Sort.RULE:
+            reads.add("rule")
+        elif f.sort is Sort.NUMBER:
+            reads.add("induction_term_count")
+        elif isinstance(f.restriction, InductionTerms):
+            reads.add("induction_terms")
+        if quantified and free and reads <= {"induction_term_count"}:
+            memoisable[id(f)] = (tuple(free), bool(reads))
+        return reads, free, True
+    return set(), set(), False
 
 
 def _slot(template: list, value: Value | None = None) -> int:
@@ -371,36 +362,35 @@ def _slot(template: list, value: Value | None = None) -> int:
 
 
 def _compile(f: Formula, scope: dict[str, int], template: list,
-             memoise: bool = True) -> _Node:
+             memoisable: _Memoisable) -> _Node:
     if isinstance(f, TrueF):
         return lambda ctx, env: True
     if isinstance(f, Not):
-        body = _compile(f.body, scope, template, memoise)
+        body = _compile(f.body, scope, template, memoisable)
         return lambda ctx, env: not body(ctx, env)
     if isinstance(f, (And, Or, Implies)):
-        left = _compile(f.left, scope, template, memoise)
-        right = _compile(f.right, scope, template, memoise)
+        left = _compile(f.left, scope, template, memoisable)
+        right = _compile(f.right, scope, template, memoisable)
         if isinstance(f, And):
             return lambda ctx, env: left(ctx, env) and right(ctx, env)
         if isinstance(f, Or):
             return lambda ctx, env: left(ctx, env) or right(ctx, env)
         return lambda ctx, env: (not left(ctx, env)) or right(ctx, env)
     if isinstance(f, (Exists, Forall)):
-        return _compile_quantifier(f, scope, template, memoise)
+        return _compile_quantifier(f, scope, template, memoisable)
     assert isinstance(f, Atom)
     return _compile_atom(f, scope, template)
 
 
 def _compile_quantifier(f: Exists | Forall, scope: dict[str, int],
-                        template: list, memoise: bool) -> _Node:
-    # a quantifier with nothing in scope has no free variable
-    memoised = memoise and bool(scope) and _memoisable(f)
+                        template: list, memoisable: _Memoisable) -> _Node:
+    memo = memoisable.get(id(f))
     domain = _domain(f.sort, f.restriction, scope)
     slot = _slot(template)
     # inside a memoised quantifier no key of the body recurs while the
     # outer key is new, so the body is not memoised again
     body = _compile(f.body, {**scope, f.var: slot}, template,
-                    memoise and not memoised)
+                    memoisable if memo is None else {})
     if isinstance(f, Exists):
         def quantifier(ctx: EvalContext, env: list) -> bool:
             for value in domain(ctx, env):
@@ -415,22 +405,10 @@ def _compile_quantifier(f: Exists | Forall, scope: dict[str, int],
                 if not body(ctx, env):
                     return False
             return True
-    if memoised:
-        return _memoised(quantifier,
-                         tuple(scope[v] for v in _free_variables(f)),
-                         bounded=bool(candidate_reads(f)))
-    return quantifier
-
-
-def _memoisable(f: Exists | Forall) -> bool:
-    """Whether to keep the verdicts of `f` for the goal: it reads nothing
-    of the candidate but the number of induction terms; it has a free
-    variable, so it is evaluated again for each value of that; and its
-    body holds another quantifier, so it costs more than a lookup."""
-    return (any(isinstance(g, (Exists, Forall))
-                for g in _subformulas(f.body))
-            and bool(_free_variables(f))
-            and set(candidate_reads(f)) <= {"induction_term_count"})
+    if memo is None:
+        return quantifier
+    free, bounded = memo
+    return _memoised(quantifier, tuple(scope[v] for v in free), bounded)
 
 
 def _memoised(node: _Node, free: tuple[int, ...], bounded: bool) -> _Node:
@@ -543,14 +521,6 @@ _ATOMS: dict[str, Callable[..., bool]] = {
     "is_recursive_constant": _is_recursive_constant,
     "same_term": lambda ctx, occ, t: occ.term == t,
 }
-
-
-def evaluate_atom(name: str, values: tuple[Value, ...],
-                  ctx: EvalContext) -> bool:
-    test = _ATOMS.get(name)
-    if test is None:
-        raise ValueError(f"unknown assertion {name}")
-    return test(ctx, *values)
 
 
 # ---------------------------------------------------------------------------

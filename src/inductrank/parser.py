@@ -648,13 +648,17 @@ class _TermParser(Cursor, _Unifier):
                 ty = self.env[text] = self.fresh()
             return (FreeVar, text, ty), ty
         if kind == "num":
-            if len(text.lstrip("0")) > len(str(MAX_NUMERAL)) \
-                    or int(text) > MAX_NUMERAL:
+            # leading zeros are stripped first: `int` refuses a text of
+            # more than 4,300 digits
+            value = text.lstrip("0") or "0"
+            if len(value) > len(str(MAX_NUMERAL)) or int(value) > MAX_NUMERAL:
+                if len(text) > 20:
+                    text = f"{text[:20]}... ({len(text)} digits)"
                 raise self.fail(f"numeral {text} is larger than {MAX_NUMERAL}",
                                 tok)
             t, ty = self.constant("0")
             suc = self.constant("Suc")[0]
-            for _ in range(int(text)):
+            for _ in range(int(value)):
                 t = (suc, t)
             return t, ty
         if kind == "schem":

@@ -6,7 +6,7 @@ reordered by score, descending, with ties broken by their original
 pipeline position (stable), and ranks assigned from 1.
 
 Scoring is serial.  A verdict depends only on the candidate fields its
-formula reads (`dsl.verdict_key`), so each heuristic is evaluated once
+formula reads (`Heuristic.reads`), so each heuristic is evaluated once
 per distinct value of those fields and the verdict reused for every other
 candidate of the goal that shares it.  Heuristics that read the same
 fields share one key, computed once per candidate, and one memo.  These
@@ -22,19 +22,21 @@ from importlib import resources
 from typing import Callable, Sequence
 
 from .dsl import (
-    Check, EvalContext, Formula, candidate_reads, compile_formula, evaluate,
-    parse_heuristics, verdict_key,
+    CANDIDATE_READS, Check, EvalContext, Formula, compile_formula, evaluate,
+    parse_heuristics,
 )
 from .tactic import Candidate
 
 
 @dataclass(frozen=True)
 class Heuristic:
-    """A named formula and its compiled test (`dsl.compile_formula`)."""
+    """A named formula, its compiled test and what that test reads of the
+    candidate, as `dsl.compile_formula` returns them."""
 
     name: str
     formula: Formula
     check: Check = field(compare=False, repr=False)
+    reads: tuple[str, ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ def load_suite(text: str, file: str = "<heuristics>") -> tuple[Heuristic, ...]:
     """Parse a suite; formulas arrive closed and well-sorted or not at all.
     Atom arguments are bound variables or numerals, so no formula can name
     theory constants.  Each formula is compiled once, here."""
-    return tuple(Heuristic(name, formula, compile_formula(formula))
+    return tuple(Heuristic(name, formula, *compile_formula(formula))
                  for name, formula in parse_heuristics(text, file))
 
 
@@ -76,10 +78,10 @@ def score_all(candidates: Sequence[Candidate],
     # one memo, which maps the key to their verdicts
     groups: dict[tuple[str, ...], list[int]] = {}
     for i, h in enumerate(suite):
-        groups.setdefault(candidate_reads(h.formula), []).append(i)
-    plan = [(verdict_key(suite[members[0]].formula),
+        groups.setdefault(h.reads, []).append(i)
+    plan = [([CANDIDATE_READS[n] for n in reads],
              [suite[i] for i in members], {})
-            for members in groups.values()]
+            for reads, members in groups.items()]
     # a candidate's verdicts come group by group; heuristic i's is at
     # position[i] among them
     order = [i for members in groups.values() for i in members]
@@ -88,8 +90,8 @@ def score_all(candidates: Sequence[Candidate],
     for index, candidate in enumerate(candidates):
         ctx = None
         found: list[bool] = []
-        for key_of, members, memo in plan:
-            key = key_of(candidate)
+        for getters, members, memo in plan:
+            key = tuple([get(candidate) for get in getters])
             verdicts = memo.get(key)
             if verdicts is None:
                 if ctx is None:

@@ -6,8 +6,9 @@ a conclusion.  A theory bundles datatype declarations, recursive function
 definitions, and goals on top of a fixed builtin prelude (nat, 'a list,
 bool, equality, implication, and list append).
 
-Every value here is immutable after construction, so terms, goals, and
-theories can be shared freely between concurrent workers.
+Every value here is immutable after construction, so one value is shared
+wherever it recurs instead of being copied: within a parse, and between
+goals, such as a goal and the subgoals that induction builds from it.
 """
 
 from __future__ import annotations

@@ -365,3 +365,25 @@ def random_formula(rng: random.Random, depth: int = 5,
                    build(env, depth_left - 1, quant_left))
 
     return build({}, depth, max_quantifiers)
+
+
+def formula_source(f) -> str:
+    """`f` in the concrete syntax the heuristic parser reads, with every
+    operand of a connective parenthesised."""
+    if isinstance(f, TrueF):
+        return "True"
+    if isinstance(f, Not):
+        return f"! ({formula_source(f.body)})"
+    if isinstance(f, (And, Or, Implies)):
+        op = {And: "&", Or: "|", Implies: "-->"}[type(f)]
+        return f"({formula_source(f.left)}) {op} ({formula_source(f.right)})"
+    if isinstance(f, (Exists, Forall)):
+        restriction = ""
+        if isinstance(f.restriction, InductionTerms):
+            restriction = " in induction_term"
+        elif isinstance(f.restriction, OccurrencesOf):
+            restriction = f" in {f.restriction.term_var} : term"
+        quantifier = "EX" if isinstance(f, Exists) else "ALL"
+        return (f"{quantifier} {f.var} : {f.sort.value}{restriction}. "
+                f"{formula_source(f.body)}")
+    return f"{f.name} ({', '.join(map(str, f.args))})"

@@ -9,7 +9,7 @@ from _reference import random_formula, ref_evaluate
 from inductrank import dsl
 from inductrank.dsl import (
     Atom, Exists, Forall, GoalIndex, Implies, Not, Sort, TrueF,
-    compile_formula, evaluate, evaluate_atom, make_context, parse_formula,
+    compile_formula, evaluate, make_context, parse_formula,
     parse_heuristics,
 )
 from inductrank.parser import ParseError, parse_theory
@@ -162,29 +162,26 @@ class TestAtomSemantics:
     def test_is_nth_argument_of_positions(self, running_goal,
                                           running_theory):
         ctx = ctx_for(running_goal, running_theory, "induct xs ys")
-        itrev_occ = next(o for o in ctx.occurrences
+        is_nth_argument_of = dsl._ATOMS["is_nth_argument_of"]
+        itrev_occ = next(o for o in ctx.index.occurrences
                          if getattr(o.term, "name", None) == "itrev")
         xs = ctx.induction_terms[0]
         ys = ctx.induction_terms[1]
         xs_in_itrev = occurrences_of(xs, running_goal)[0]
-        from inductrank.dsl import evaluate_atom
-        assert evaluate_atom("is_nth_argument_of",
-                             (xs_in_itrev, 1, itrev_occ), ctx)
+        assert is_nth_argument_of(ctx, xs_in_itrev, 1, itrev_occ)
         # arity is 2, so there is no third argument
-        assert not evaluate_atom("is_nth_argument_of",
-                                 (xs_in_itrev, 3, itrev_occ), ctx)
-        append_occ = next(o for o in ctx.occurrences
+        assert not is_nth_argument_of(ctx, xs_in_itrev, 3, itrev_occ)
+        append_occ = next(o for o in ctx.index.occurrences
                           if getattr(o.term, "name", None) == "@")
         ys_in_append = occurrences_of(ys, running_goal)[1]
-        assert evaluate_atom("is_nth_argument_of",
-                             (ys_in_append, 2, append_occ), ctx)
+        assert is_nth_argument_of(ctx, ys_in_append, 2, append_occ)
 
     def test_occurrence_restriction_matches_occurrences_of(
             self, running_goal, running_theory):
         ctx = ctx_for(running_goal, running_theory, "induct xs")
-        ys = next(t for t in ctx.terms
+        ys = next(t for t in ctx.index.terms
                   if getattr(t, "name", None) == "ys")
-        restricted = [o for o in ctx.occurrences if o.term == ys]
+        restricted = [o for o in ctx.index.occurrences if o.term == ys]
         assert restricted == occurrences_of(ys, running_goal)
 
 
@@ -302,7 +299,7 @@ class TestCompiledEvaluator:
     @pytest.mark.parametrize("text", SHADOWING_FORMULAS)
     def test_shadowing_quantifiers_agree_with_oracle(self, text, contexts):
         formula = parse_formula(text)
-        check = compile_formula(formula)
+        check, _ = compile_formula(formula)
         verdicts = set()
         for goal, candidate, thy in contexts:
             ctx = make_context(goal, candidate, thy)
@@ -317,16 +314,15 @@ class TestCompiledEvaluator:
         contexts = _contexts()
         for i in range(30):
             formula = random_formula(rng, depth=5, max_quantifiers=3)
-            check = compile_formula(formula)
+            check, _ = compile_formula(formula)
             for goal, candidate, thy in contexts:
                 ctx = make_context(goal, candidate, thy)
                 assert check(ctx) == ref_evaluate(
                     formula, goal, candidate, thy), f"formula #{i}"
 
-    def test_unknown_assertion(self, running_goal, running_theory):
-        ctx = ctx_for(running_goal, running_theory, "induct xs")
-        with pytest.raises(ValueError):
-            evaluate_atom("frobnicates", (), ctx)
+    def test_unknown_assertion(self):
+        with pytest.raises(ValueError, match="unknown assertion frobnicates"):
+            compile_formula(Atom("frobnicates", ()))
 
 
 def _varied_candidates(goal, thy, rng, per_count=4):
@@ -352,7 +348,7 @@ class TestSharedMemo:
         return out + [(g4_theory.goal_named("g4"), g4_theory)]
 
     def _agree(self, formula, goal, thy, candidates):
-        check = compile_formula(formula)
+        check, _ = compile_formula(formula)
         index = GoalIndex(goal, thy)
         verdicts = set()
         for c in candidates:
@@ -422,7 +418,7 @@ class TestSharedMemo:
             "EX to1 : term_occurrence in t1 : term. (is_constant (t1)) & "
             "(EX to2 : term_occurrence in t2 : term. EX n : number. "
             "is_nth_argument_of (to2, n, to1))")
-        check = compile_formula(formula)
+        check, _ = compile_formula(formula)
         goal = g4_theory.goal_named("g4")
         candidates = [c for c in enumerate_candidates(goal, g4_theory)
                       if not c.arbitrary]

@@ -597,12 +597,19 @@ class TestNesting:
         parse_theory(f'lemma deep: "{prop}"')
         parse_goal_expr(prop, running_theory)
 
-    @pytest.mark.parametrize("numeral", [
-        str(MAX_NUMERAL + 1), "30000000", "99999999999999999999", "9" * 5000,
+    @pytest.mark.parametrize("numeral, shown", [
+        (str(MAX_NUMERAL + 1), str(MAX_NUMERAL + 1)),
+        ("30000000", "30000000"),
+        ("99999999999999999999", "99999999999999999999"),
+        ("9" * 5000, "99999999999999999999... (5000 digits)"),
     ], ids=["bound+1", "8-digit", "20-digit", "5000-digit"])
-    def test_huge_numeral_is_an_error(self, numeral):
+    def test_huge_numeral_is_an_error(self, numeral, shown):
         with pytest.raises(ParseError) as err:
             parse_theory(f'lemma a:\n  "{numeral} = x"', "big.thy")
         assert str(err.value) == \
-            f"big.thy:2:4: numeral {numeral} is larger than {MAX_NUMERAL}"
+            f"big.thy:2:4: numeral {shown} is larger than {MAX_NUMERAL}"
         assert MAX_NUMERAL >= 10_000
+
+    def test_zero_padded_numeral_is_its_value(self):
+        padded = parse_theory(f'lemma a: "{"0" * 5000}5 = x"')
+        assert padded.goals == parse_theory('lemma a: "5 = x"').goals

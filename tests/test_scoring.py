@@ -1,15 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _reference import ref_evaluate
+from _reference import formula_source, random_formula, ref_evaluate
 from inductrank import scoring
 from inductrank.dsl import (
-    GoalIndex, candidate_reads, evaluate, make_context, verdict_key,
+    CANDIDATE_READS, GoalIndex, evaluate, make_context,
 )
 from inductrank.parser import parse_theory
 from inductrank.pipeline import screen
@@ -204,6 +205,13 @@ def candidates_over(goal, thy):
         st.sampled_from(rules))
 
 
+def candidate_grid(goal, thy):
+    """The eight candidates that mix the fields of two drawn ones, so that
+    for each field some pair of candidates differs in it alone."""
+    return st.lists(candidates_over(goal, thy), min_size=2, max_size=2).map(
+        lambda two: [Candidate(*c) for c in itertools.product(*zip(*two))])
+
+
 class TestMemoisedVerdicts:
     def test_every_corpus_finalist_agrees_with_oracle(self,
                                                       corpus_finalists):
@@ -229,12 +237,36 @@ class TestMemoisedVerdicts:
                 assert verdict == ref_evaluate(
                     h.formula, goal, sc.candidate, thy), h.name
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_suites_agree_with_oracle(self, data, oracle_goals):
+        # score_all reuses a verdict for every candidate that agrees on the
+        # heuristic's stored reads, so a read set missing a field would
+        # show here as a verdict copied to a candidate that differs in it.
+        # Few random formulas depend on any one field, hence the many
+        # examples; a goal of one variable has too few candidates to tell.
+        thy, goal = data.draw(st.sampled_from(
+            [(t, g) for t, g in oracle_goals
+             if len(goal_free_variables(g)) > 1]))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        formulas = [random_formula(rng, depth=4, max_quantifiers=3)
+                    for _ in range(8)]
+        suite = load_suite("".join(
+            f"heuristic h{i}: {formula_source(f)}\n"
+            for i, f in enumerate(formulas)))
+        assert [h.formula for h in suite] == formulas
+        candidates = data.draw(candidate_grid(goal, thy))
+        for sc in scored_as_cli(goal, thy, suite, candidates):
+            for h, verdict in zip(suite, sc.verdicts):
+                assert verdict == ref_evaluate(
+                    h.formula, goal, sc.candidate, thy), (h.name, h.reads)
+
     @pytest.mark.parametrize("reads, formula", SINGLE_READ_HEURISTICS,
                              ids=[r[0] for r, _ in SINGLE_READ_HEURISTICS])
     def test_memo_key_covers_what_the_formula_reads(self, reads, formula,
                                                     corpus_finalists):
         suite = load_suite(f"heuristic h: {formula}")
-        assert candidate_reads(suite[0].formula) == reads
+        assert suite[0].reads == reads
         seen = set()
         for thy, goal, finalists in corpus_finalists:
             for sc in scored_as_cli(goal, thy, suite, finalists):
@@ -263,8 +295,9 @@ class TestEvaluateBinding:
             calls.clear()
             scored_as_cli(goal, thy, suite, finalists)
             misses = Counter({
-                id(h.formula): len({verdict_key(h.formula)(c)
-                                    for c in finalists})
+                id(h.formula): len({
+                    tuple([CANDIDATE_READS[n](c) for n in h.reads])
+                    for c in finalists})
                 for h in suite})
             assert all(any(f is h.formula for h in suite) for f in calls)
             assert Counter(id(f) for f in calls) == misses, goal.name
