@@ -6,9 +6,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .dsl import GoalIndex, make_context
 from .parser import ParseError, parse_goal_expr, parse_theory
@@ -30,8 +29,7 @@ from .terms import Goal, Theory, format_goal, split_implications
 TOP_BUCKETS = (1, 3, 5, 10)
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(NamedTuple):
     """An expert's tactic for a goal.  Its ``rule:``/``arb:`` columns must
     agree with the tactic, so they are read from the candidate."""
 
@@ -39,12 +37,11 @@ class Annotation:
     candidate: Candidate
 
 
-@dataclass
 class CoincidenceRow:
-    theory: str
-    total: int = 0
-    hits: dict[int, int] = field(   # top_n -> count
-        default_factory=lambda: dict.fromkeys(TOP_BUCKETS, 0))
+    def __init__(self, theory: str):
+        self.theory = theory
+        self.total = 0
+        self.hits = dict.fromkeys(TOP_BUCKETS, 0)  # top_n -> count
 
     def add(self, rank: int | None) -> None:
         self.total += 1

@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .parser import Cursor, Token, scan
 from .schemes import InductionScheme, RULE_SUFFIX, scheme_for_rule_name
 from .tactic import Candidate
 from .terms import (
-    Const, FreeVar, Goal, Occurrence, SimpleType, Term, Theory,
+    Const, FreeVar, Goal, Occurrence, SimpleType, Term, Theory, Tree,
     all_occurrences, goal_free_variables, spine, term_type,
 )
 
@@ -54,19 +53,16 @@ class Sort(enum.Enum):
     OCCURRENCE = "term_occurrence"
 
 
-@dataclass(frozen=True)
-class Unrestricted:
-    pass
+class Unrestricted(Tree):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OccurrencesOf:
-    term_var: str
+class OccurrencesOf(Tree):
+    __slots__ = _fields = ("term_var",)
 
 
-@dataclass(frozen=True)
-class InductionTerms:
-    pass
+class InductionTerms(Tree):
+    __slots__ = ()
 
 
 Restriction = Union[Unrestricted, OccurrencesOf, InductionTerms]
@@ -75,54 +71,36 @@ UNRESTRICTED = Unrestricted()
 INDUCTION_TERMS = InductionTerms()
 
 
-@dataclass(frozen=True)
-class TrueF:
-    pass
+class TrueF(Tree):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Not:
-    body: Formula
+class Not(Tree):
+    __slots__ = _fields = ("body",)
 
 
-@dataclass(frozen=True)
-class And:
-    left: Formula
-    right: Formula
+class And(Tree):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Or:
-    left: Formula
-    right: Formula
+class Or(Tree):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: Formula
-    right: Formula
+class Implies(Tree):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    sort: Sort
-    restriction: Restriction
-    body: Formula
+class Exists(Tree):
+    __slots__ = _fields = ("var", "sort", "restriction", "body")
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    sort: Sort
-    restriction: Restriction
-    body: Formula
+class Forall(Tree):
+    __slots__ = _fields = ("var", "sort", "restriction", "body")
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
-    args: tuple[str | int, ...]
+class Atom(Tree):
+    __slots__ = _fields = ("name", "args")
 
 
 Formula = Union[TrueF, Not, And, Or, Implies, Exists, Forall, Atom]
@@ -173,22 +151,11 @@ class GoalIndex:
             by_term.setdefault(occ.term, []).append(occ)
         self.terms = tuple(by_term)
         self.occurrences_by_term = {t: tuple(os) for t, os in by_term.items()}
-        # Hashing a term walks all of it; the values quantifiers bind are
-        # mostly the very objects in `terms`, which are found by identity.
-        self.occurrences_by_id = {id(t): os for t, os in
-                                  self.occurrences_by_term.items()}
         self.arity_bound = max(len(spine(t)[1]) for t in self.terms)
         self.variables = {v.name: v for v in goal_free_variables(goal)}
         self._schemes: dict[str, InductionScheme | None] = {}
         self._recursive: dict[str, bool] = {}
-        self.memo: dict[tuple, tuple[bool, tuple[Value, ...]]] = {}
-
-    def occurrences_of(self, t: Term) -> tuple[Occurrence, ...]:
-        """The goal's occurrences of `t`, in occurrence order."""
-        found = self.occurrences_by_id.get(id(t))
-        if found is None:
-            found = self.occurrences_by_term.get(t, ())
-        return found
+        self.memo: dict[tuple, bool] = {}
 
     def scheme(self, rule: str) -> InductionScheme | None:
         if rule not in self._schemes:
@@ -203,8 +170,7 @@ class GoalIndex:
         return self._recursive[name]
 
 
-@dataclass(frozen=True)
-class EvalContext:
+class EvalContext(NamedTuple):
     """Finite quantifier domains for one (goal, candidate) pair.
 
     The goal-level domains live in the shared `index`; the context adds
@@ -281,9 +247,9 @@ def compile_formula(f: Formula) -> tuple[Check, tuple[str, ...]]:
     The outermost quantifiers that read of the candidate at most its
     number of induction terms, that have a free variable, and whose body
     holds another quantifier are memoised: the verdict is kept in the
-    context's `GoalIndex.memo`, keyed on the compiled quantifier, the ids
-    of its free variables' values and, if it holds a number quantifier,
-    the number bound.  Every candidate of a goal that shares the index
+    context's `GoalIndex.memo`, keyed on the compiled quantifier, its free
+    variables' values and, if it holds a number quantifier, the number
+    bound.  Every candidate of a goal that shares the index
     then evaluates such a quantifier once per key.  In the shipped suite
     most are the bodies of ``ALL t2 : term in induction_term. ...``."""
     memoisable: _Memoisable = {}
@@ -413,17 +379,16 @@ def _compile_quantifier(f: Exists | Forall, scope: dict[str, int],
 
 def _memoised(node: _Node, free: tuple[int, ...], bounded: bool) -> _Node:
     """`node` with its verdicts kept in the goal index's `memo`, keyed on
-    `node`, the ids of the values in the slots `free` and, if `bounded`,
-    the number bound.  Each entry keeps those values alive, so no id in a
-    key can be reused while the memo lives."""
+    `node`, the values in the slots `free` and, if `bounded`, the number
+    bound."""
     def memoised(ctx: EvalContext, env: list) -> bool:
-        values = tuple([env[s] for s in free])
-        key = (node, ctx.number_bound if bounded else 0, *map(id, values))
+        key = (node, ctx.number_bound if bounded else 0,
+               *[env[s] for s in free])
         memo = ctx.index.memo
-        entry = memo.get(key)
-        if entry is None:
-            entry = memo[key] = (node(ctx, env), values)
-        return entry[0]
+        verdict = memo.get(key)
+        if verdict is None:
+            verdict = memo[key] = node(ctx, env)
+        return verdict
     return memoised
 
 
@@ -439,7 +404,8 @@ def _domain(sort: Sort, restriction: Restriction, scope: dict[str, int],
         return lambda ctx, env: ctx.index.terms
     if isinstance(restriction, OccurrencesOf):
         target = scope[restriction.term_var]
-        return lambda ctx, env: ctx.index.occurrences_of(env[target])
+        return lambda ctx, env: ctx.index.occurrences_by_term.get(
+            env[target], ())
     return lambda ctx, env: ctx.index.occurrences
 
 

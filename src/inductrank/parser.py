@@ -34,7 +34,6 @@ call and are dropped when it returns, so two parses share nothing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -48,8 +47,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     file: str
     line: int
     column: int
@@ -58,11 +56,12 @@ class SourceSpan:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass
 class ParseError(Exception):
-    message: str
-    span: SourceSpan
-    expected: tuple[str, ...] = ()
+    def __init__(self, message: str, span: SourceSpan,
+                 expected: tuple[str, ...] = ()):
+        self.message = message
+        self.span = span
+        self.expected = expected
 
     def __str__(self) -> str:
         s = f"{self.span}: {self.message}"
@@ -648,9 +647,12 @@ class _TermParser(Cursor, _Unifier):
                 ty = self.env[text] = self.fresh()
             return (FreeVar, text, ty), ty
         if kind == "num":
-            # leading zeros are stripped first: `int` refuses a text of
-            # more than 4,300 digits
-            value = text.lstrip("0") or "0"
+            # leading zeros, in any script, are stripped first: `int`
+            # refuses a text of more than 4,300 digits
+            start = 0
+            while start < len(text) - 1 and int(text[start]) == 0:
+                start += 1
+            value = text[start:]
             if len(value) > len(str(MAX_NUMERAL)) or int(value) > MAX_NUMERAL:
                 if len(text) > 20:
                     text = f"{text[:20]}... ({len(text)} digits)"

@@ -27,7 +27,6 @@ returns its survivors and a `Disposition` for each candidate it drops;
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .schemes import rules_for
@@ -107,8 +106,7 @@ class Disposition(NamedTuple):
 _OVERLAP_ERROR = TacticErrorKind.ARBITRARY_OVERLAPS_INDUCTION_TERM.value
 
 
-@dataclass(frozen=True)
-class ScreenReport:
+class ScreenReport(NamedTuple):
     generated: int
     stage1_survivors: int
     stage2a_survivors: int          # after conditions 1 and 2
@@ -227,16 +225,13 @@ def stage2(goal: Goal,
       the goal's conclusion, no generalised conclusion holds the goal's;
       else each subgoal holds a renamed premise that the goal lacks.
       Every scheme has a case, so some subgoal fails the condition.
-
-    The verdicts are keyed by the set's identity (the survivors keep it
-    alive), since hashing a set by value would walk every subgoal.
     """
     condition = _screen(goal)
-    verdicts: dict[tuple[int, bool], int | None] = {}
+    verdicts: dict[tuple[SubgoalSet, bool], int | None] = {}
     finalists: list[tuple[Candidate, SubgoalSet]] = []
     dispositions: list[Disposition] = []
     for candidate, subgoals in survivors:
-        key = id(subgoals), bool(candidate.arbitrary)
+        key = subgoals, bool(candidate.arbitrary)
         if key not in verdicts:
             verdicts[key] = condition(subgoals, key[1])
         cond = verdicts[key]

@@ -12,7 +12,7 @@ because they only drive subgoal generation for screening and scoring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .terms import (
     Const, DatatypeDef, FreeVar, FunDef, Goal, SimpleType, Term, Theory,
@@ -27,8 +27,7 @@ class SchemeError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SchemeCase:
+class SchemeCase(NamedTuple):
     name: str
     fresh_vars: tuple[FreeVar, ...]
     # each inner tuple is one induction hypothesis: the argument tuple it
@@ -37,8 +36,7 @@ class SchemeCase:
     patterns: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class InductionScheme:
+class InductionScheme(NamedTuple):
     name: str
     arity: int
     positions: tuple[SimpleType, ...]

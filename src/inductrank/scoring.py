@@ -17,9 +17,8 @@ index's (`dsl.GoalIndex.memo`) and lasts as long as that index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .dsl import (
     CANDIDATE_READS, Check, EvalContext, Formula, compile_formula, evaluate,
@@ -28,19 +27,17 @@ from .dsl import (
 from .tactic import Candidate
 
 
-@dataclass(frozen=True)
-class Heuristic:
+class Heuristic(NamedTuple):
     """A named formula, its compiled test and what that test reads of the
     candidate, as `dsl.compile_formula` returns them."""
 
     name: str
     formula: Formula
-    check: Check = field(compare=False, repr=False)
-    reads: tuple[str, ...] = field(compare=False, repr=False)
+    check: Check
+    reads: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ScoredCandidate:
+class ScoredCandidate(NamedTuple):
     candidate: Candidate
     score: int
     verdicts: tuple[bool, ...]

@@ -13,7 +13,6 @@ here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from time import monotonic
 from typing import NamedTuple
 
@@ -93,8 +92,7 @@ def parse_candidate(text: str) -> Candidate:
     return Candidate(tuple(terms), frozenset(arbitrary), rule)
 
 
-@dataclass(frozen=True)
-class SubgoalSet:
+class SubgoalSet(NamedTuple):
     """The subgoals of one application, and whether any of them contains
     a schematic variable, which the tactic knows without walking them."""
 
@@ -136,8 +134,7 @@ def _timed_out(timeout: float) -> Failure:
                    f"exceeded {timeout * 1000:.0f} ms")
 
 
-@dataclass(frozen=True)
-class _Case:
+class _Case(NamedTuple):
     """One case of an application before generalisation: the goal's
     conclusion under the case's substitution, under each induction
     hypothesis's, and the goal's premises under the case's; the schematic
@@ -217,7 +214,7 @@ class InductTactic:
             return plain
         cases, _ = self._cases[terms[:1] if rule is None else terms, rule]
         generalised = [v for v in self.variables if v.name in arbitrary]
-        result = replace(plain, subgoals=tuple(
+        result = plain._replace(subgoals=tuple(
             self._subgoal(c, generalised) for c in cases))
         if timeout is not None and monotonic() - started > timeout:
             return _timed_out(timeout)

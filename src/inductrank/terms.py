@@ -9,13 +9,60 @@ bool, equality, implication, and list append).
 Every value here is immutable after construction, so one value is shared
 wherever it recurs instead of being copied: within a parse, and between
 goals, such as a goal and the subgoals that induction builds from it.
+Nothing enforces this for trees; see `Tree`.
+
+Types, terms, goals, theories and the heuristic language's formulas are
+`Tree`s: `__slots__` classes that compute their hash once, at
+construction, from their fields' hashes, so no hash walks a value however
+deep it is.  Two trees are equal when they are of one class and their
+fields are equal.  Flat records, such as `FunDef`, are named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterator, Union
+from operator import attrgetter
+from typing import Iterator, NamedTuple, Union
+
+
+class Tree:
+    """An immutable value whose hash is computed once.  A subclass names
+    its fields in `_fields`, in constructor order; `Tree.__init__` sets
+    them and `_hash`, and a subclass that needs a default or an extra slot
+    calls it from its own constructor; only `App` writes it out.  Extra
+    slots take no part in equality, hashing or `repr`.  Equality checks
+    the class and returns at once for one object or for two hashes that
+    differ.
+
+    Assigning a field after construction is unsupported: nothing refuses
+    it, but the cached hash goes stale, and dict and set lookups then
+    disagree with `==`.  Refusing it in `__setattr__` would make each
+    constructor set its slots through `object.__setattr__`, which makes
+    parsing a large theory about 3 % slower."""
+
+    __slots__ = ("_hash", "__weakref__")
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # a class without fields compares its hash, which its name decides
+        cls._values = attrgetter(*cls._fields or ("_hash",))
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            setattr(self, name, value)
+        self._hash = hash((type(self).__name__, *values))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            type(other) is type(self) and other._hash == self._hash
+            and self._values(self) == self._values(other))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
 
 # ---------------------------------------------------------------------------
 # Types
@@ -23,16 +70,17 @@ from typing import Iterator, Union
 FUN = "=>"
 
 
-@dataclass(frozen=True)
-class SimpleType:
+class SimpleType(Tree):
     """A first-order type: a constructor applied to argument types.
 
     Type variables are leaves whose name starts with a prime (e.g. ``'a``).
     The function arrow is the binary constructor named ``=>``.
     """
 
-    name: str
-    args: tuple[SimpleType, ...] = ()
+    __slots__ = _fields = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[SimpleType, ...] = ()):
+        Tree.__init__(self, name, args)
 
     def is_var(self) -> bool:
         return self.name.startswith("'")
@@ -106,37 +154,37 @@ def format_type(t: SimpleType, nested: bool = False) -> str:
 # Terms
 
 
-@dataclass(frozen=True)
-class FreeVar:
-    name: str
-    type: SimpleType
+class _Leaf(Tree):
+    """A named term of a type: the fields of the three leaf classes."""
+
+    __slots__ = _fields = ("name", "type")
 
     def __str__(self) -> str:
         return format_term(self)
 
 
-@dataclass(frozen=True)
-class SchematicVar:
-    name: str
-    type: SimpleType
-
-    def __str__(self) -> str:
-        return format_term(self)
+class FreeVar(_Leaf):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
-    type: SimpleType
-
-    def __str__(self) -> str:
-        return format_term(self)
+class SchematicVar(_Leaf):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class App:
-    fun: Term
-    arg: Term
+class Const(_Leaf):
+    __slots__ = ()
+
+
+class App(Tree):
+    __slots__ = _fields = ("fun", "arg")
+
+    # Tree.__init__ unrolled: a parse builds more of these than of all
+    # other trees together, and the generic constructor makes parsing a
+    # large theory 4-5 % slower
+    def __init__(self, fun: Term, arg: Term):
+        self.fun = fun
+        self.arg = arg
+        self._hash = hash(("App", fun._hash, arg._hash))
 
     def __str__(self) -> str:
         return format_term(self)
@@ -268,8 +316,7 @@ def fresh_name(base: str, taken: set[str]) -> str:
 # Occurrences and goals
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     """A position of a sub-term inside a goal.
 
     `path` is walked from the root of one goal region; `premise_index` says
@@ -282,12 +329,19 @@ class Occurrence:
     premise_index: int | None = None
 
 
-@dataclass(frozen=True)
-class Goal:
-    name: str
-    premises: tuple[Term, ...]
-    conclusion: Term
-    line: int = field(default=0, compare=False)
+class Goal(Tree):
+    """A named goal; its source `line` takes no part in equality."""
+
+    __slots__ = ("name", "premises", "conclusion", "line")
+    _fields = __slots__[:3]
+
+    def __init__(self, name: str, premises: tuple[Term, ...],
+                 conclusion: Term, line: int = 0):
+        Tree.__init__(self, name, premises, conclusion)
+        self.line = line
+
+    def __repr__(self) -> str:
+        return f"{Tree.__repr__(self)[:-1]}, line={self.line!r})"
 
     def regions(self) -> Iterator[tuple[int | None, Term]]:
         for i, p in enumerate(self.premises):
@@ -352,14 +406,12 @@ def contains_schematic(goal: Goal) -> bool:
 # Declarations
 
 
-@dataclass(frozen=True)
-class Constructor:
+class Constructor(NamedTuple):
     name: str
     arg_types: tuple[SimpleType, ...]
 
 
-@dataclass(frozen=True)
-class DatatypeDef:
+class DatatypeDef(NamedTuple):
     name: str
     params: tuple[str, ...]
     constructors: tuple[Constructor, ...]
@@ -371,8 +423,7 @@ class DatatypeDef:
         return fun_type(*ctor.arg_types, self.generic_type())
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(NamedTuple):
     lhs: Term
     rhs: Term
 
@@ -380,8 +431,7 @@ class Equation:
         return spine(self.lhs)[1]
 
 
-@dataclass(frozen=True)
-class FunDef:
+class FunDef(NamedTuple):
     name: str
     type: SimpleType
     equations: tuple[Equation, ...]
@@ -398,48 +448,43 @@ class FunDef:
         )
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(Tree):
     """Declarations on top of the prelude.  Names are looked up through
     indexes built on first use: the first declaration of a name wins, and
     the theory's declarations shadow the prelude's."""
 
-    datatypes: tuple[DatatypeDef, ...] = ()
-    fundefs: tuple[FunDef, ...] = ()
-    goals: tuple[Goal, ...] = ()
+    __slots__ = ("datatypes", "fundefs", "goals", "_by_name")
+    _fields = __slots__[:3]
 
-    @cached_property
-    def _datatypes_by_name(self) -> dict[str, DatatypeDef]:
-        return _first_by_name(self.datatypes, PRELUDE_DATATYPES.values())
+    def __init__(self, datatypes: tuple[DatatypeDef, ...] = (),
+                 fundefs: tuple[FunDef, ...] = (),
+                 goals: tuple[Goal, ...] = ()):
+        Tree.__init__(self, datatypes, fundefs, goals)
+        self._by_name = None
 
-    @cached_property
-    def _fundefs_by_name(self) -> dict[str, FunDef]:
-        return _first_by_name(self.fundefs, PRELUDE_FUNDEFS.values())
-
-    @cached_property
-    def _goals_by_name(self) -> dict[str, Goal]:
-        return _first_by_name(self.goals)
-
-    @cached_property
-    def _constructors_by_name(self) -> dict[str, tuple[DatatypeDef,
-                                                       Constructor]]:
-        index: dict[str, tuple[DatatypeDef, Constructor]] = {}
+    def _indexes(self) -> tuple[dict, dict, dict, dict]:
+        """Datatypes, functions, goals and constructors by name."""
+        constructors: dict[str, tuple[DatatypeDef, Constructor]] = {}
         for d in (*self.datatypes, *PRELUDE_DATATYPES.values()):
             for c in d.constructors:
-                index.setdefault(c.name, (d, c))
-        return index
+                constructors.setdefault(c.name, (d, c))
+        self._by_name = (
+            _first_by_name(self.datatypes, PRELUDE_DATATYPES.values()),
+            _first_by_name(self.fundefs, PRELUDE_FUNDEFS.values()),
+            _first_by_name(self.goals), constructors)
+        return self._by_name
 
     def datatype(self, name: str) -> DatatypeDef | None:
-        return self._datatypes_by_name.get(name)
+        return (self._by_name or self._indexes())[0].get(name)
 
     def fundef(self, name: str) -> FunDef | None:
-        return self._fundefs_by_name.get(name)
+        return (self._by_name or self._indexes())[1].get(name)
 
     def goal_named(self, name: str) -> Goal | None:
-        return self._goals_by_name.get(name)
+        return (self._by_name or self._indexes())[2].get(name)
 
     def constructor_owner(self, name: str) -> tuple[DatatypeDef, Constructor] | None:
-        return self._constructors_by_name.get(name)
+        return (self._by_name or self._indexes())[3].get(name)
 
     def const_scheme(self, name: str) -> SimpleType | None:
         """Most general type of a declared constant, or None."""

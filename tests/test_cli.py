@@ -137,6 +137,16 @@ class TestRecommend:
         assert code == 1
         assert err == "error: input nested too deeply\n"
 
+    # each Suc takes one frame of the recursion limit; with Python 3.11
+    # numerals up to 949 rank inside this test, 49 above its deepest row
+    @pytest.mark.parametrize("expr", ["n = 500", "n = 900"])
+    def test_deep_numeral_ranks(self, capsys, corpus_dir, expr):
+        code, out, err = run_cli(capsys, "recommend",
+                                 str(corpus_dir / "nats.thy"),
+                                 "--goal-expr", expr)
+        assert (code, err) == (0, "")
+        assert "1. induct n" in out
+
     def test_huge_numeral_is_an_error(self, capsys, running_path, tmp_path):
         code, out, err = run_cli(capsys, "recommend", running_path,
                                  "--goal-expr", "n = 30000000")
@@ -400,6 +410,19 @@ class TestEval:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+
+def test_setup_does_not_load_dataclasses():
+    # a fresh interpreter, as pytest itself imports dataclasses; the code
+    # is the set-up that bench/run.py times
+    src = str(Path(inductrank.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import inductrank; inductrank.default_suite()"
+         "; import sys; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 class _ClosedPipe(io.StringIO):

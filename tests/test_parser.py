@@ -613,3 +613,8 @@ class TestNesting:
     def test_zero_padded_numeral_is_its_value(self):
         padded = parse_theory(f'lemma a: "{"0" * 5000}5 = x"')
         assert padded.goals == parse_theory('lemma a: "5 = x"').goals
+
+    def test_zero_padded_numeral_in_other_digits_is_its_value(self):
+        # Arabic-Indic digits: six zeros and a five
+        padded = parse_theory('lemma a: "٠٠٠٠٠٠٥ = x"')
+        assert padded.goals == parse_theory('lemma a: "5 = x"').goals

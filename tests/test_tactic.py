@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import pytest
@@ -431,8 +430,8 @@ class _RestartingTactic(InductTactic):
                 return renaming
 
             renaming = fresh_renaming()
-            case = dataclasses.replace(
-                case, conclusion=subst_frees(case.conclusion, renaming),
+            case = case._replace(
+                conclusion=subst_frees(case.conclusion, renaming),
                 hypotheses=tuple(subst_frees(h, fresh_renaming())
                                  for h in case.hypotheses),
                 premises=tuple(subst_frees(p, renaming)

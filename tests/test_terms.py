@@ -3,10 +3,16 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from inductrank.parser import parse_goal_expr
+from inductrank.dsl import (
+    TRUE, UNRESTRICTED, And, Exists, Forall, GoalIndex, Or, Sort, make_context,
+)
+from inductrank.parser import parse_goal_expr, parse_theory
+from inductrank.pipeline import screen
+from inductrank.scoring import default_suite, score_all
+from inductrank.tactic import apply_induct
 from inductrank.terms import (
     PRELUDE_DATATYPES, PRELUDE_FUNDEFS, TYPE_NAT, App, Const, Constructor,
-    DatatypeDef, FreeVar, FunDef, Goal, SchematicVar, SimpleType, Theory,
+    DatatypeDef, FreeVar, FunDef, Goal, SchematicVar, SimpleType, Theory, Tree,
     contains_schematic, contains_subterm, free_variables, fun_type,
     goal_free_variables, list_of, mk_app, occurrences_of,
     resolve_occurrence, subst_frees, subterm_at, term_type,
@@ -264,3 +270,77 @@ class TestTheoryLookups:
         assert copy.goal_named("itrev_rev") is not None
         assert repr(copy) == before
         assert copy == running_theory and hash(copy) == hash(running_theory)
+
+
+def _deep_suc_chain():
+    chain = ZERO
+    for _ in range(100_000):
+        chain = suc(chain)
+    return chain
+
+
+@pytest.mark.parametrize("make, equal", [
+    # the top node built apart; hashing it must not walk the chain
+    (lambda: (c := _deep_suc_chain(), App(c.fun, c.arg)), True),
+    (lambda: (cons(VA, append(VXS, NIL)),
+              cons(FreeVar("a", NAT), append(FreeVar("xs", NATS), NIL))),
+     True),
+    (lambda: (FreeVar("x", NAT), Const("x", NAT)), False),
+    (lambda: (And(TRUE, TRUE), Or(TRUE, TRUE)), False),
+    (lambda: (Exists("t", Sort.TERM, UNRESTRICTED, TRUE),
+              Forall("t", Sort.TERM, UNRESTRICTED, TRUE)), False),
+    (lambda: (Goal("g", (), VA, line=1), Goal("g", (), VA, line=2)), True),
+], ids=["deep-chain", "built-apart", "free-var-const", "and-or",
+        "exists-forall", "goal-line"])
+def test_value_semantics(make, equal):
+    left, right = make()
+    assert left is not right
+    assert (left == right) is equal and (left != right) is not equal
+    if equal:
+        assert hash(left) == hash(right)
+
+
+def _stale_trees(*roots):
+    """The trees under `roots` whose cached hash differs from that of a
+    copy built from their fields: those with a field assigned after
+    construction."""
+    stale, seen, stack = [], set(), list(roots)
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack += [*value, *value.values()]
+        elif isinstance(value, (tuple, list, set, frozenset)):
+            stack += value
+        elif isinstance(value, Tree) and id(value) not in seen:
+            seen.add(id(value))
+            fields = [getattr(value, f) for f in value._fields]
+            if hash(type(value)(*fields)) != hash(value):
+                stale.append(value)
+            stack += fields
+    return stale
+
+
+def test_assigning_a_field_leaves_the_hash_stale():
+    # unsupported, and not refused (see `Tree`); `_stale_trees` finds it
+    goal = Goal("g", (), cons(VA, NIL))
+    assert _stale_trees(goal) == []
+    goal.conclusion = NIL
+    assert _stale_trees(goal) == [goal]
+    assert goal != Goal("g", (), cons(VA, NIL))
+    assert hash(goal) == hash(Goal("g", (), cons(VA, NIL)))
+
+
+@pytest.mark.parametrize("name", ["lists", "nats", "running", "trees"])
+def test_ranking_assigns_no_field(corpus_dir, name):
+    thy = parse_theory((corpus_dir / f"{name}.thy").read_text("utf-8"))
+    suite = default_suite()
+    made = [thy, suite]
+    for goal in thy.goals:
+        report = screen(goal, thy, timeout=None)
+        index = GoalIndex(goal, thy)
+        made += [report, vars(index), score_all(
+            report.finalists, suite,
+            lambda c: make_context(goal, c, thy, index=index))]
+        made += [apply_induct(goal, c, thy, timeout=None)
+                 for c in report.finalists]
+    assert _stale_trees(*made) == []
