@@ -136,16 +136,19 @@ def _read(path: Path) -> str:
         _fail(f"cannot read {path}: not UTF-8 text")
 
 
-def _load_theory(path: Path) -> Theory:
-    return parse_theory(_read(path), str(path))
-
-
-def _find_goal(thy: Theory, name: str) -> Goal:
+def _load_goal(path: Path, name: str) -> tuple[Theory, Goal]:
+    """The theory in `path` with only lemma `name` parsed, and that lemma.
+    If there is no such lemma, the whole file is parsed again, so that a
+    malformed lemma is reported, as `eval` would report it, before the
+    goals that are available."""
+    text = _read(path)
+    thy = parse_theory(text, str(path), goals=(name,))
     goal = thy.goal_named(name)
     if goal is None:
+        thy = parse_theory(text, str(path))
         available = ", ".join(g.name for g in thy.goals) or "(none)"
         _fail(f"unknown goal {name!r}; available goals: {available}")
-    return goal
+    return thy, goal
 
 
 def _suite_from(path: Path | None) -> tuple[Heuristic, ...]:
@@ -175,10 +178,10 @@ def cmd_recommend(args) -> int:
         _fail("--max-candidates must be at least 1")
     if args.timeout_ms < 0:
         _fail("--timeout-ms must be at least 0")
-    thy = _load_theory(args.file)
     if args.goal is not None:
-        goal = _find_goal(thy, args.goal)
+        thy, goal = _load_goal(args.file, args.goal)
     else:
+        thy = parse_theory(_read(args.file), str(args.file), goals=())
         term = parse_goal_expr(args.goal_expr, thy)
         premises, conclusion = split_implications(term)
         goal = Goal("expr", premises, conclusion)
@@ -210,8 +213,7 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    thy = _load_theory(args.file)
-    goal = _find_goal(thy, args.goal)
+    thy, goal = _load_goal(args.file, args.goal)
     try:
         candidate = parse_candidate(args.tactic)
     except ValueError as err:
@@ -313,7 +315,7 @@ def cmd_eval(args) -> int:
     theories: list[tuple[str, Theory]] = []
     goal_index: dict[str, tuple[str, Theory, Goal]] = {}
     for f in files:
-        thy = _load_theory(f)
+        thy = parse_theory(_read(f), str(f))
         label = f.stem
         theories.append((label, thy))
         for g in thy.goals:

@@ -18,6 +18,10 @@ before it; a newline starts a whitespace match of its own.  A quoted text
 is scanned when the parser reaches it, so a file's tokens are never all
 held at once.
 
+A lemma's statement is parsed only if `parse_theory`'s `goals` names it,
+or `goals` is None.  A requested lemma is parsed where it stands, so it
+sees exactly the declarations before it.
+
 Free variables in lemmas are typed by unification; constants are
 instantiated per use, so stored terms are fully monomorphic within each
 declaration (left-over inference variables are canonicalised to 'a, 'b,
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import re
 from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Collection, NamedTuple, Sequence
 
 from .terms import (
     EXTRA_CONST_SCHEMES, FUN, IMPLIES, PRELUDE_DATATYPES, PRELUDE_FUNDEFS,
@@ -738,13 +742,21 @@ class _Signature:
             self.constructors.add(c.name)
 
 
-def parse_theory(source: str, file: str = "<string>") -> Theory:
+def parse_theory(source: str, file: str = "<string>",
+                 goals: Collection[str] | None = None) -> Theory:
     """Parse a theory file.  Raises ParseError on syntax violations,
-    duplicate names, unknown constants/types, or ill-typed equations."""
+    duplicate names, unknown constants/types, or ill-typed equations.
+
+    `goals` names the lemmas whose statements are parsed; None, the
+    default, means every lemma.  Every other lemma is still declared, so
+    its name is checked and taken, and its statement must be quoted, but
+    the text inside the quotes is not read and the theory leaves it out.
+    No declaration can refer to a lemma, so the rest of the theory is the
+    same either way."""
     p = Cursor(scan(source.replace("\r\n", "\n"), file), file)
     datatypes: list[DatatypeDef] = []
     fundefs: list[FunDef] = []
-    goals: list[Goal] = []
+    lemmas: list[Goal] = []
     known_types = {"nat": 0, "list": 1, "bool": 0}
     declared = set(PRELUDE_NAMES)
     sig = _Signature()
@@ -769,8 +781,10 @@ def parse_theory(source: str, file: str = "<string>") -> Theory:
             fundefs.append(
                 _parse_fundef(p, sig, tables, known_types, declare))
         else:
-            goals.append(_parse_lemma(p, sig, tables, declare))
-    return Theory(tuple(datatypes), tuple(fundefs), tuple(goals))
+            goal = _parse_lemma(p, sig, tables, declare, goals)
+            if goal is not None:
+                lemmas.append(goal)
+    return Theory(tuple(datatypes), tuple(fundefs), tuple(lemmas))
 
 
 def _parse_datatype(p: Cursor, known_types: dict[str, int],
@@ -947,8 +961,9 @@ def _pattern_error(args: list[Raw], sig: _Signature) -> str | None:
     return None
 
 
-def _parse_lemma(p: Cursor, sig: _Signature, tables: _Tables,
-                 declare) -> Goal:
+def _parse_lemma(p: Cursor, sig: _Signature, tables: _Tables, declare,
+                 goals: Collection[str] | None) -> Goal | None:
+    """The lemma at `p`, or None if `goals` does not name it."""
     lemma_tok = p.next()  # 'lemma'
     name_tok = p.expect_ident("lemma name")
     declare(name_tok.text, name_tok)
@@ -958,6 +973,8 @@ def _parse_lemma(p: Cursor, sig: _Signature, tables: _Tables,
         raise p.fail("found unquoted proposition", prop_tok,
                      expected=('"<prop>"',))
     p.next()
+    if goals is not None and name_tok.text not in goals:
+        return None
     term = _parse_prop(
         _TermParser(_quoted(prop_tok, p.file), p.file, sig, tables))
     premises, conclusion = split_implications(term)

@@ -161,6 +161,77 @@ class TestRecommend:
                        "larger than 10000\n")
 
 
+# README, "Errors in unread lemmas": `recommend` and `explain` parse only
+# the lemma they read, and `eval` parses every lemma.
+class TestUnreadLemmas:
+    REQUESTS = [
+        ("recommend", "--goal", "itrev_rev", "--timeout-ms", "0"),
+        ("explain", "--goal", "itrev_rev", "--tactic",
+         "induct xs arbitrary: ys"),
+        ("recommend", "--goal-expr", "rev (rev xs) = xs", "--timeout-ms",
+         "0"),
+    ]
+    REQUEST_IDS = ["recommend", "explain", "goal-expr"]
+    ILL_TYPED = 'lemma bad: "rev xs = Suc 0"\n'
+    ILL_TYPED_ERROR = "13:20: type mismatch: 1 has type nat, expected 'a list"
+
+    @staticmethod
+    def _running_with(corpus_dir, tmp_path, lemmas: str) -> Path:
+        """running.thy, 12 lines long, followed by `lemmas`."""
+        thy = tmp_path / "other.thy"
+        thy.write_text((corpus_dir / "running.thy").read_text(
+            encoding="utf-8") + lemmas)
+        return thy
+
+    @pytest.mark.parametrize("request_argv", REQUESTS, ids=REQUEST_IDS)
+    def test_requests_rank_past_an_ill_typed_lemma(
+            self, capsys, corpus_dir, tmp_path, request_argv):
+        command, *flags = request_argv
+        thy = self._running_with(corpus_dir, tmp_path, self.ILL_TYPED)
+        code, out, err = run_cli(capsys, command, str(thy), *flags)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli(
+            capsys, command, str(corpus_dir / "running.thy"), *flags)
+
+    def test_eval_reports_the_ill_typed_lemma(self, capsys, corpus_dir,
+                                              tmp_path):
+        thy = self._running_with(corpus_dir, tmp_path, self.ILL_TYPED)
+        code, out, err = run_cli(
+            capsys, "eval", str(tmp_path),
+            "--annotations", str(corpus_dir / "annotations.txt"))
+        assert (code, out) == (1, "")
+        assert err == f"error: {thy}:{self.ILL_TYPED_ERROR}\n"
+
+    @pytest.mark.parametrize("lemmas, error", [
+        ('lemma other: "rev xs = xs"\nlemma other: "xs = xs"\n',
+         "14:7: duplicate name other"),
+        ("lemma other: rev xs = xs\n",
+         '13:14: found unquoted proposition (expected "<prop>")'),
+        ('lemma other: "rev xs = xs\n', "13:14: unterminated quote"),
+    ], ids=["duplicate-name", "unquoted", "unterminated"])
+    @pytest.mark.parametrize("request_argv", REQUESTS, ids=REQUEST_IDS)
+    def test_declaration_errors_in_unread_lemmas_fail(
+            self, capsys, corpus_dir, tmp_path, request_argv, lemmas, error):
+        command, *flags = request_argv
+        thy = self._running_with(corpus_dir, tmp_path, lemmas)
+        assert run_cli(capsys, command, str(thy), *flags) \
+            == (1, "", f"error: {thy}:{error}\n")
+
+    def test_unknown_goal_lists_the_goals(self, capsys, running_path):
+        assert run_cli(capsys, "recommend", running_path, "--goal",
+                       "missing") == (1, "", "error: unknown goal 'missing'; "
+                                      "available goals: itrev_rev\n")
+
+    def test_unknown_goal_reports_a_malformed_lemma_first(
+            self, capsys, corpus_dir, tmp_path):
+        thy = self._running_with(corpus_dir, tmp_path, self.ILL_TYPED)
+        for command, *flags in (("recommend", "--goal", "missing"),
+                                ("explain", "--goal", "missing", "--tactic",
+                                 "induct xs")):
+            assert run_cli(capsys, command, str(thy), *flags) \
+                == (1, "", f"error: {thy}:{self.ILL_TYPED_ERROR}\n")
+
+
 class TestExplain:
     def test_finalist_matrix(self, capsys, running_path):
         code, out, err = run_cli(

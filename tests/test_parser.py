@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import re
 import weakref
 
 import pytest
@@ -14,7 +15,7 @@ from inductrank.parser import (
 )
 from inductrank.terms import (
     App, FreeVar, check_term, free_variables, goal_free_variables, list_of,
-    SimpleType, subterms_with_paths, type_vars,
+    SimpleType, Theory, subterms_with_paths, type_vars,
 )
 
 RUNNING = '''
@@ -69,6 +70,15 @@ class TestParseTheory:
                            'lemma l: "f (C y) = f y"')
         assert thy.goals[0].conclusion.fun.arg.arg.fun \
             == thy.fundefs[0].equations[1].lhs.arg.fun
+        # a requested lemma is parsed where it stands, so it too sees only
+        # the declarations before it
+        src = 'lemma l: "B = Suc 0"\ndatatype t = B\nlemma m: "B = Suc 0"'
+        assert parse_theory(src, goals=("l",)).goals[0].conclusion.fun.arg \
+            == FreeVar("B", SimpleType("nat"))
+        with pytest.raises(ParseError) as err:
+            parse_theory(src, goals=("m",))
+        assert str(err.value) == \
+            "<string>:3:13: type mismatch: 1 has type nat, expected t"
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ParseError) as err:
@@ -548,6 +558,59 @@ class TestSpans:
         with pytest.raises(ParseError) as err:
             parse_theory("garbage here")
         assert err.value.message
+
+
+def _sources(test) -> list[str]:
+    """The theory texts of the `TestSpans` table that parametrizes
+    `test`."""
+    (mark,) = [m for m in test.pytestmark if m.name == "parametrize"]
+    return [row if isinstance(row, str) else row[0] for row in mark.args[1]]
+
+
+def _assert_requests_agree(text: str) -> None:
+    """Parsing one lemma of `text`, or none, gives the full parse's
+    theory with only that lemma."""
+    full = parse_theory(text, "t.thy")
+    assert parse_theory(text, "t.thy", goals=()) \
+        == Theory(full.datatypes, full.fundefs, ())
+    for goal in full.goals:
+        thy = parse_theory(text, "t.thy", goals=(goal.name,))
+        assert thy == Theory(full.datatypes, full.fundefs,
+                             (full.goal_named(goal.name),))
+        assert thy.goals[0].line == goal.line
+
+
+class TestRequestedGoals:
+    def test_corpus_files(self, corpus_dir):
+        for path in sorted(corpus_dir.glob("*.thy")):
+            _assert_requests_agree(path.read_text(encoding="utf-8"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=theory_texts())
+    def test_generated_theories(self, text):
+        _assert_requests_agree(text)
+
+    @pytest.mark.parametrize("src", [
+        *_sources(TestSpans.test_errors_carry_in_bounds_spans),
+        *_sources(TestSpans.test_exact_error_positions),
+        *_sources(TestSpans.test_scan_errors_inside_quotes_are_absolute),
+    ])
+    def test_errors_are_those_of_the_full_parse(self, src):
+        """An error outside every lemma's quotes is raised whatever is
+        requested; one inside a lemma's quotes, when that lemma is."""
+        with pytest.raises(ParseError) as full:
+            parse_theory(src, "bad.thy")
+        names = re.findall(r"lemma\s+(\w+)", src)
+        assert len(names) <= 1
+        try:
+            parse_theory(src, "bad.thy", goals=())
+        except ParseError as err:
+            assert str(err) == str(full.value)
+            return
+        assert names
+        with pytest.raises(ParseError) as err:
+            parse_theory(src, "bad.thy", goals=names)
+        assert str(err.value) == str(full.value)
 
 
 # Pieces of scanner input: every token kind of the theory and the heuristic
