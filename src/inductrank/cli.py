@@ -12,18 +12,14 @@ from typing import NamedTuple, NoReturn
 from .dsl import GoalIndex, make_context
 from .parser import ParseError, parse_goal_expr, parse_theory
 from .pipeline import (
-    CONDITION_NAMES, DEFAULT_CAP, ScreenReport, enumerate_candidates, screen,
-    stage2_condition,
+    CONDITION_NAMES, DEFAULT_CAP, ScreenReport, screen, stage2_condition,
 )
 from .schemes import rules_for
 from .scoring import (
     Heuristic, ScoredCandidate, default_suite, load_suite, score_all,
     shortlist,
 )
-from .tactic import (
-    Candidate, DEFAULT_TIMEOUT, Failure, TacticErrorKind, apply_induct,
-    parse_candidate,
-)
+from .tactic import Candidate, Failure, apply_induct, parse_candidate
 from .terms import Goal, Theory, format_goal, split_implications
 
 TOP_BUCKETS = (1, 3, 5, 10)
@@ -71,7 +67,8 @@ def main(argv: list[str] | None = None) -> int:
                           "enumerated candidate, including those stage 1 "
                           "rejects for their shape")
     rec.add_argument("--timeout-ms", type=int, default=100,
-                     help="per-application timeout; 0 disables it")
+                     help="has no effect; accepted so that existing "
+                          "command lines still run")
     rec.add_argument("--heuristics", type=Path,
                      help="heuristic suite file (default: the bundled suite)")
     rec.add_argument("--json", action="store_true", dest="as_json",
@@ -157,14 +154,9 @@ def _suite_from(path: Path | None) -> tuple[Heuristic, ...]:
     return load_suite(_read(path), str(path))
 
 
-def _timeout(ms: int) -> float | None:
-    return None if ms <= 0 else ms / 1000.0
-
-
-def _run_goal(goal: Goal, thy: Theory, suite, cap: int,
-              timeout: float | None) -> tuple[ScreenReport,
-                                              list[ScoredCandidate]]:
-    report = screen(goal, thy, cap=cap, timeout=timeout)
+def _run_goal(goal: Goal, thy: Theory, suite,
+              cap: int) -> tuple[ScreenReport, list[ScoredCandidate]]:
+    report = screen(goal, thy, cap=cap)
     index = GoalIndex(goal, thy)
     scored = score_all(report.finalists, suite,
                        lambda c: make_context(goal, c, thy, index=index))
@@ -186,8 +178,7 @@ def cmd_recommend(args) -> int:
         premises, conclusion = split_implications(term)
         goal = Goal("expr", premises, conclusion)
     suite = _suite_from(args.heuristics)
-    report, scored = _run_goal(goal, thy, suite, args.max_candidates,
-                               _timeout(args.timeout_ms))
+    report, scored = _run_goal(goal, thy, suite, args.max_candidates)
     top = shortlist(scored, args.top)
     if not scored:
         print(f"goal {goal.name}: no candidate survives screening "
@@ -220,13 +211,13 @@ def cmd_explain(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     suite = _suite_from(args.heuristics)
-    _, scored = _run_goal(goal, thy, suite, DEFAULT_CAP, None)
+    _, scored = _run_goal(goal, thy, suite, DEFAULT_CAP)
 
     print(f"goal {goal.name}: {format_goal(goal)}")
     print(f"candidate: {candidate.tactic_text()}")
     entry = next((sc for sc in scored if sc.candidate == candidate), None)
     if entry is None:
-        print(_disposition_of(candidate, goal, thy, DEFAULT_CAP))
+        print(_disposition_of(candidate, goal, thy))
         return 0
     width = max(len(h.name) for h in suite) if suite else 0
     for h, verdict in zip(suite, entry.verdicts):
@@ -236,13 +227,11 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def _disposition_of(candidate: Candidate, goal: Goal, thy: Theory,
-                    cap: int) -> str:
+def _disposition_of(candidate: Candidate, goal: Goal, thy: Theory) -> str:
     """Why a candidate that was not ranked was dropped, from screening it
-    alone without a timeout.  If it passes both stages, its rule is not
-    one enumeration collects from the goal, or it timed out in stage 1,
-    or it lies beyond the first `cap` enumerated."""
-    outcome = apply_induct(goal, candidate, thy, timeout=None)
+    alone.  If it passes both stages, its rule is not one enumeration
+    collects from the goal, or it lies beyond the enumeration cap."""
+    outcome = apply_induct(goal, candidate, thy)
     if type(outcome) is Failure:
         return f"filtered: stage 1 ({outcome.kind.value})"
     cond = stage2_condition(goal, outcome)
@@ -254,8 +243,6 @@ def _disposition_of(candidate: Candidate, goal: Goal, thy: Theory,
     if rule is not None and all(r.name != rule for r in rules_for(goal, thy)):
         return (f"not enumerated (outside the enumerated space: {rule} is "
                 "not the rule of a constant in the goal)")
-    if candidate in enumerate_candidates(goal, thy, cap):
-        return f"filtered: stage 1 ({TacticErrorKind.TIMEOUT.value})"
     return "not enumerated (raise --max-candidates)"
 
 
@@ -265,6 +252,7 @@ def _disposition_of(candidate: Candidate, goal: Goal, thy: Theory,
 
 def _parse_annotations(path: Path) -> list[Annotation]:
     out: list[Annotation] = []
+    seen: set[str] = set()
     for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -275,6 +263,10 @@ def _parse_annotations(path: Path) -> list[Annotation]:
             _fail(f"{path}:{lineno}: expected "
                   "'goal | tactic | rule:yes/no | arb:yes/no'")
         goal_name, tactic, rule_flag, arb_flag = parts
+        if goal_name in seen:
+            _fail(f"{path}:{lineno}: goal {goal_name} is annotated more "
+                  "than once")
+        seen.add(goal_name)
         try:
             candidate = parse_candidate(tactic)
         except ValueError as err:
@@ -338,12 +330,11 @@ def cmd_eval(args) -> int:
         label: CoincidenceRow(label) for label, _ in theories}
     for ann in annotations:
         label, thy, goal = goal_index[ann.goal_name]
-        report, scored = _run_goal(goal, thy, suite, DEFAULT_CAP,
-                                   DEFAULT_TIMEOUT)
+        report, scored = _run_goal(goal, thy, suite, DEFAULT_CAP)
         rank, score = _rank_of(ann, scored, args.terms_only)
         counts = report.counts()
         disposition = "ranked" if rank is not None else \
-            _disposition_of(ann.candidate, goal, thy, DEFAULT_CAP)
+            _disposition_of(ann.candidate, goal, thy)
         goal_rows.append({
             "theory": label,
             "goal": ann.goal_name,

@@ -4,12 +4,11 @@ Enumeration yields every combination of (ordered induction-term sequence,
 arbitrary subset, optional rule), lazily and in a documented deterministic
 order, truncated at a cap; past the empty sequence, C iterators build the
 candidates.  Stage 1 keeps the candidates for which the induct tactic
-produces subgoals within a timeout.  It rejects a candidate that
-generalises one of its own induction terms by one set test, without
-calling the tactic, since that rejection depends on nothing but the
-candidate's shape (most candidates of a many-variable goal).  Stage 2
-drops a candidate when its subgoals, with its `arbitrary` variables
-generalised, are such that
+produces subgoals.  It rejects a candidate that generalises one of its
+own induction terms by one set test, without calling the tactic, since
+that rejection depends on nothing but the candidate's shape (most
+candidates of a many-variable goal).  Stage 2 drops a candidate when
+its subgoals, with its `arbitrary` variables generalised, are such that
 
   1. two of them are structurally identical, or
   2. every one's conclusion embeds the original conclusion while none
@@ -31,8 +30,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .schemes import rules_for
 from .tactic import (
-    DEFAULT_TIMEOUT, Candidate, Failure, InductTactic, SubgoalSet,
-    TacticErrorKind,
+    Candidate, Failure, InductTactic, SubgoalSet, TacticErrorKind,
 )
 from .terms import Goal, Theory, contains_schematic, contains_subterm, \
     goal_free_variables
@@ -128,9 +126,8 @@ class ScreenReport(NamedTuple):
 
 
 def stage1(goal: Goal, stream: Iterable[Candidate], thy: Theory,
-           timeout: float | None = DEFAULT_TIMEOUT,
            ) -> tuple[list[tuple[Candidate, SubgoalSet]], list[Disposition]]:
-    """Keep candidates whose tactic application returns subgoals in time,
+    """Keep candidates whose tactic application returns subgoals,
     preserving stream order; failures become dispositions.
 
     Each survivor carries its subgoals before generalisation
@@ -142,8 +139,7 @@ def stage1(goal: Goal, stream: Iterable[Candidate], thy: Theory,
     here, without a tactic call, with the failure `apply_case` would
     return.  The order of checks is the tactic's: a candidate without
     induction terms never overlaps, so its `NoArguments` comes first, and
-    `apply_case` tests the overlap before any name is looked up or the
-    clock is read.
+    `apply_case` tests the overlap before any name is looked up.
     """
     apply = InductTactic(goal, thy).apply_case
     survivors: list[tuple[Candidate, SubgoalSet]] = []
@@ -154,7 +150,7 @@ def stage1(goal: Goal, stream: Iterable[Candidate], thy: Theory,
             dispositions.append(_new(Disposition, (
                 candidate, "stage1", _OVERLAP_ERROR, None)))
             continue
-        outcome = apply(candidate, timeout)
+        outcome = apply(candidate)
         if type(outcome) is Failure:
             # `_value_` is a plain attribute; `value` is a Python property
             dispositions.append(_new(Disposition, (
@@ -243,11 +239,10 @@ def stage2(goal: Goal,
     return finalists, dispositions
 
 
-def screen(goal: Goal, thy: Theory, cap: int = DEFAULT_CAP,
-           timeout: float | None = DEFAULT_TIMEOUT) -> ScreenReport:
+def screen(goal: Goal, thy: Theory, cap: int = DEFAULT_CAP) -> ScreenReport:
     """Run enumeration plus both screening stages."""
     survivors, dropped1 = stage1(goal, enumerate_candidates(goal, thy, cap),
-                                 thy, timeout)
+                                 thy)
     finalists, dropped2 = stage2(goal, survivors)
     return ScreenReport(
         generated=len(survivors) + len(dropped1),

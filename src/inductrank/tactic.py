@@ -13,7 +13,6 @@ here.
 from __future__ import annotations
 
 import enum
-from time import monotonic
 from typing import NamedTuple
 
 from .schemes import (
@@ -26,8 +25,6 @@ from .terms import (
     subst_type,
 )
 
-DEFAULT_TIMEOUT = 0.1  # seconds per application
-
 
 class TacticErrorKind(enum.Enum):
     NO_ARGUMENTS = "NoArguments"
@@ -36,7 +33,6 @@ class TacticErrorKind(enum.Enum):
     NON_DATATYPE_VARIABLE = "NonDatatypeVariable"
     RULE_ARITY_EXCEEDED = "RuleArityExceeded"
     UNKNOWN_RULE = "UnknownRule"
-    TIMEOUT = "Timeout"
 
 
 class Candidate(NamedTuple):
@@ -75,6 +71,8 @@ def parse_candidate(text: str) -> Candidate:
         if tok == "arbitrary:":
             section = "arbitrary"
         elif tok == "rule:":
+            if rule is not None:
+                raise ValueError("rule: given more than once")
             if i + 1 >= len(tokens):
                 raise ValueError("rule: needs a rule name")
             rule = tokens[i + 1]
@@ -101,12 +99,11 @@ class SubgoalSet(NamedTuple):
     schematic: bool = False
 
 
-def apply_induct(goal: Goal, candidate: Candidate, thy: Theory,
-                 timeout: float | None = DEFAULT_TIMEOUT,
-                 ) -> SubgoalSet | Failure:
+def apply_induct(goal: Goal, candidate: Candidate,
+                 thy: Theory) -> SubgoalSet | Failure:
     """Apply an induction candidate to a goal; see `InductTactic.apply`.
     To apply many candidates to one goal, make one `InductTactic`."""
-    return InductTactic(goal, thy).apply(candidate, timeout)
+    return InductTactic(goal, thy).apply(candidate)
 
 
 class Failure(NamedTuple):
@@ -127,11 +124,6 @@ _OVERLAP = Failure(TacticErrorKind.ARBITRARY_OVERLAPS_INDUCTION_TERM,
 def _unknown(name: str) -> Failure:
     return Failure(TacticErrorKind.UNKNOWN_VARIABLE,
                    f"{name} is not a free variable of the goal")
-
-
-def _timed_out(timeout: float) -> Failure:
-    return Failure(TacticErrorKind.TIMEOUT,
-                   f"exceeded {timeout * 1000:.0f} ms")
 
 
 class _Case(NamedTuple):
@@ -163,8 +155,7 @@ class InductTactic:
     where structural mode reads only the first term: the instantiated
     cases and their `SubgoalSet` before generalisation, or how the case
     failed.  Neither depends on `arbitrary`, so `apply_case` gives every
-    candidate of one case the same object.  A case whose application
-    exceeded its timeout is not memoised.
+    candidate of one case the same object.
     """
 
     def __init__(self, goal: Goal, thy: Theory):
@@ -179,9 +170,7 @@ class InductTactic:
         self._cases: dict[tuple, tuple[tuple[_Case, ...], SubgoalSet]
                           | Failure] = {}
 
-    def apply(self, candidate: Candidate,
-              timeout: float | None = DEFAULT_TIMEOUT,
-              ) -> SubgoalSet | Failure:
+    def apply(self, candidate: Candidate) -> SubgoalSet | Failure:
         """Apply an induction candidate to the goal: the subgoals, or the
         `Failure` saying why there are none.
 
@@ -201,28 +190,17 @@ class InductTactic:
         induction hypothesis gets its own fresh copies.  With `arbitrary`
         empty the result is `apply_case`'s shared set; otherwise the
         generalised set is built anew on each call.
-
-        `timeout` is wall-clock seconds (None = no limit).  The clock is
-        read only when a timeout is set, and a memoised case is not
-        checked again.
         """
-        if timeout is not None:
-            started = monotonic()
-        plain = self.apply_case(candidate, timeout)
+        plain = self.apply_case(candidate)
         terms, arbitrary, rule = candidate
         if type(plain) is Failure or not arbitrary:
             return plain
         cases, _ = self._cases[terms[:1] if rule is None else terms, rule]
         generalised = [v for v in self.variables if v.name in arbitrary]
-        result = plain._replace(subgoals=tuple(
+        return plain._replace(subgoals=tuple(
             self._subgoal(c, generalised) for c in cases))
-        if timeout is not None and monotonic() - started > timeout:
-            return _timed_out(timeout)
-        return result
 
-    def apply_case(self, candidate: Candidate,
-                   timeout: float | None = DEFAULT_TIMEOUT,
-                   ) -> SubgoalSet | Failure:
+    def apply_case(self, candidate: Candidate) -> SubgoalSet | Failure:
         """The subgoals of the candidate's (induction terms read, rule)
         case before generalisation, or the `Failure` that `apply` returns.
         Candidates that differ only in `arbitrary`, or in the terms that
@@ -241,8 +219,6 @@ class InductTactic:
             terms = terms[:1]  # structural mode reads only the first one
         entry = self._cases.get((terms, rule))
         if entry is None:
-            if timeout is not None:
-                started = monotonic()
             cases = entry = self._structural_mode(terms[0]) \
                 if rule is None else self._functional_mode(terms, rule)
             if type(cases) is not Failure:
@@ -254,8 +230,6 @@ class InductTactic:
                     tuple(c.name for c in cases),
                     tuple(self._subgoal(c, []) for c in cases),
                     any(self._schematic_goal or c.anchors for c in cases))
-                if timeout is not None and monotonic() - started > timeout:
-                    return _timed_out(timeout)
             self._cases[terms, rule] = entry
         return entry if type(entry) is Failure else entry[1]
 

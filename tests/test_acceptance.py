@@ -44,7 +44,7 @@ def test_criterion_1_candidate_count(running_goal, running_theory):
 def test_criterion_2_expert_candidates_survive_and_rank(running_goal,
                                                         running_theory):
     started = time.monotonic()
-    result = screen(running_goal, running_theory, timeout=None)
+    result = screen(running_goal, running_theory)
     factory = lambda c: make_context(running_goal, c, running_theory)  # noqa: E731
     scored = score_all(result.finalists, default_suite(), factory)
     top10 = {sc.candidate.tactic_text() for sc in shortlist(scored, 10)}
@@ -160,14 +160,14 @@ def test_criterion_6_screening_fixtures(running_goal, running_theory):
                         'lemma i: "id2 y = y"')
     goal2 = thy2.goals[0]
     _, dispositions = stage2(goal2, stage1(
-        goal2, enumerate_candidates(goal2, thy2), thy2, timeout=None)[0])
+        goal2, enumerate_candidates(goal2, thy2), thy2)[0])
     cond2 = [d.candidate for d in dispositions if d.condition == 2]
     assert Candidate((), frozenset(), "id2.induct") in cond2
 
     # condition 3: rule applied with zero induction terms
     _, dispositions = stage2(running_goal, stage1(
         running_goal, enumerate_candidates(running_goal, running_theory),
-        running_theory, timeout=None)[0])
+        running_theory)[0])
     cond3 = [d.candidate for d in dispositions if d.condition == 3]
     assert Candidate((), frozenset(), "itrev.induct") in cond3
     report(6, "each stage-2 condition fires on its fixture")
@@ -193,7 +193,7 @@ def test_criterion_8_score_bounds(corpus_dir):
     for path in sorted(corpus_dir.glob("*.thy")):
         thy = parse_theory(path.read_text(encoding="utf-8"), path.name)
         for goal in thy.goals:
-            result = screen(goal, thy, timeout=None)
+            result = screen(goal, thy)
             factory = lambda c: make_context(goal, c, thy)  # noqa: E731
             for sc in score_all(result.finalists, suite, factory):
                 assert 0 <= sc.score <= 20

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from inductrank import cli
 from inductrank.cli import main
 from inductrank.parser import parse_theory, print_theory
 from inductrank.pipeline import (
-    CONDITION_NAMES, DEFAULT_CAP, enumerate_candidates, stage1, stage2,
+    CONDITION_NAMES, enumerate_candidates, stage1, stage2,
 )
 
 
@@ -259,6 +260,12 @@ class TestExplain:
         assert "condition 3" in out
         assert "schematic" in out
 
+    def test_repeated_rule_is_an_error(self, capsys, running_path):
+        assert run_cli(capsys, "explain", running_path, "--goal", "itrev_rev",
+                       "--tactic", "induct xs rule: itrev.induct rule: "
+                       "itrev.induct") \
+            == (1, "", "error: rule: given more than once\n")
+
     def test_stage1_filtered(self, capsys, running_path):
         code, out, err = run_cli(
             capsys, "explain", running_path, "--goal", "itrev_rev",
@@ -312,7 +319,7 @@ class TestDispositionNotes:
         assert len(goals) == 16
         for thy, goal in goals:
             candidates = list(enumerate_candidates(goal, thy))
-            survivors, dropped1 = stage1(goal, candidates, thy, timeout=None)
+            survivors, dropped1 = stage1(goal, candidates, thy)
             finalists, dropped2 = stage2(goal, survivors)
             notes = {d.candidate: f"filtered: stage 1 ({d.error})"
                      for d in dropped1}
@@ -320,34 +327,35 @@ class TestDispositionNotes:
                 (d.candidate, f"filtered: condition {d.condition} "
                               f"({CONDITION_NAMES[d.condition]})")
                 for d in dropped2)
-            # a finalist that was not ranked can only have timed out
-            notes.update((c, "filtered: stage 1 (Timeout)")
-                         for c, _ in finalists)
-            assert len(notes) == len(candidates)
-            for candidate in candidates:
-                assert cli._disposition_of(candidate, goal, thy,
-                                           DEFAULT_CAP) \
-                    == notes[candidate], (goal.name, candidate.tactic_text())
+            # every candidate that was not ranked was dropped by a stage
+            assert len(notes) + len(finalists) == len(candidates)
+            for candidate, note in notes.items():
+                assert cli._disposition_of(candidate, goal, thy) == note, \
+                    (goal.name, candidate.tactic_text())
 
-    def test_eval_note_for_a_timed_out_expert(self, capsys, monkeypatch,
-                                              corpus_dir, tmp_path):
-        # a second passes per clock reading, so every application that
-        # sets a timeout exceeds it
+
+class TestClock:
+    @pytest.mark.parametrize("template", [
+        ("eval", "{corpus}", "--annotations", "{corpus}/annotations.txt",
+         "--json"),
+        ("recommend", "{corpus}/running.thy", "--json", "--goal",
+         "itrev_rev"),
+    ], ids=["eval", "recommend"])
+    def test_output_does_not_depend_on_the_clock(self, capsys, monkeypatch,
+                                                 corpus_dir, template):
+        argv = [arg.format(corpus=corpus_dir) for arg in template]
+        unpatched = run_cli(capsys, *argv)
+        assert unpatched[0] == 0
+        # a second passes per clock reading, so any application that read
+        # the clock would exceed any budget
         ticks = itertools.count()
-        monkeypatch.setattr(tactic_module, "monotonic",
-                            lambda: float(next(ticks)))
-        ann = tmp_path / "ann.txt"
-        ann.write_text("itrev_rev | induct xs arbitrary: ys | rule:no | "
-                       "arb:yes\n")
-        args = ["eval", str(corpus_dir), "--annotations", str(ann)]
-        code, out, err = run_cli(capsys, *args)
-        assert code == 0
-        assert out.splitlines()[1].endswith(
-            "   [filtered: stage 1 (Timeout)]")
-        code, out, err = run_cli(capsys, *args, "--json")
-        row = json.loads(out.splitlines()[0])
-        assert (row["1st"], row["nth"], row["disposition"]) \
-            == (0, None, "filtered: stage 1 (Timeout)")
+
+        def clock() -> float:
+            return float(next(ticks))
+
+        monkeypatch.setattr(time, "monotonic", clock)
+        monkeypatch.setattr(tactic_module, "monotonic", clock, raising=False)
+        assert run_cli(capsys, *argv) == unpatched
 
 
 class TestEval:
@@ -413,12 +421,12 @@ class TestEval:
         ann = tmp_path / "ann.txt"
         ann.write_text(
             "snoc_append | induct rule: snoc.induct | rule:yes | arb:no\n"
-            "snoc_append | induct zz | rule:no | arb:no\n")
+            "len_append | induct zz | rule:no | arb:no\n")
         code, out, err = run_cli(capsys, "eval", str(corpus_dir),
                                  "--annotations", str(ann))
         assert code == 0
         assert [line.split("   [")[1] for line in out.splitlines()
-                if "snoc_append" in line] == [
+                if "   [" in line] == [
             "filtered: condition 3 (schematic variable introduced)]",
             "filtered: stage 1 (UnknownVariable)]"]
         code, out, err = run_cli(capsys, "eval", str(corpus_dir),
@@ -453,6 +461,18 @@ class TestEval:
         assert out == ""
         assert err == (f"error: {ann}:2: expected "
                        "'goal | tactic | rule:yes/no | arb:yes/no'\n")
+
+    def test_goal_annotated_twice(self, capsys, corpus_dir, tmp_path):
+        ann = tmp_path / "ann.txt"
+        ann.write_text("itrev_rev | induct xs arbitrary: ys | rule:no | "
+                       "arb:yes\n"
+                       "len_append | induct xs | rule:no | arb:no\n"
+                       "itrev_rev | induct xs | rule:no | arb:no\n")
+        code, out, err = run_cli(capsys, "eval", str(corpus_dir),
+                                 "--annotations", str(ann))
+        assert (code, out) == (1, "")
+        assert err == (f"error: {ann}:3: goal itrev_rev is annotated more "
+                       "than once\n")
 
     @pytest.mark.parametrize("tactic, flags, message", [
         ("induct xs arbitrary: ys", "rule:no | arb:no",

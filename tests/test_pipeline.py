@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import inductrank.pipeline as pipeline_module
-import inductrank.tactic as tactic_module
 from _reference import reference_candidates
 from inductrank.parser import parse_theory
 from inductrank.pipeline import (
@@ -155,7 +154,7 @@ class TestStage1:
     def test_running_dispositions(self, running_goal, running_theory):
         stream = enumerate_candidates(running_goal, running_theory)
         survivors, dispositions = stage1(running_goal, stream,
-                                         running_theory, timeout=None)
+                                         running_theory)
         assert len(survivors) == 16
         no_args = [d for d in dispositions if d.error == "NoArguments"]
         assert len(no_args) == 4  # the (no terms, no rule) block
@@ -172,32 +171,15 @@ class TestStage1:
 
     def test_order_preserved(self, running_goal, running_theory):
         stream = list(enumerate_candidates(running_goal, running_theory))
-        survivors, _ = stage1(running_goal, stream, running_theory,
-                              timeout=None)
+        survivors, _ = stage1(running_goal, stream, running_theory)
         indices = [stream.index(c) for c, _ in survivors]
         assert indices == sorted(indices)
-
-    def test_reads_no_clock_without_timeout(self, monkeypatch, g4_theory):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("stage 1 read the clock without a timeout")
-
-        monkeypatch.setattr(tactic_module, "monotonic", forbidden)
-        goal = g4_theory.goal_named("g4")
-        survivors, dispositions = stage1(
-            goal, enumerate_candidates(goal, g4_theory), g4_theory,
-            timeout=None)
-        assert all(d.status == "stage1" for d in dispositions)
-        failed = Counter(d.error for d in dispositions)
-        assert set(failed) == {"NoArguments",
-                               "ArbitraryOverlapsInductionTerm",
-                               "NonDatatypeVariable", "RuleArityExceeded"}
-        assert len(survivors) + sum(failed.values()) == 10000
 
     def test_g4_histogram(self, g4_theory):
         goal = g4_theory.goal_named("g4")
         survivors, dispositions = stage1(
             goal, enumerate_candidates(goal, g4_theory, cap=10000),
-            g4_theory, timeout=None)
+            g4_theory)
         assert Counter(d.error for d in dispositions) == {
             "ArbitraryOverlapsInductionTerm": 8350, "NoArguments": 32,
             "NonDatatypeVariable": 368, "RuleArityExceeded": 556}
@@ -228,8 +210,7 @@ class TestStage1:
         for _ in range(5):
             yield rng.sample(pool, len(pool))
 
-    def _assert_stage1_is_the_tactic(self, goal, thy, stream, timeout,
-                                     monkeypatch):
+    def _assert_stage1_is_the_tactic(self, goal, thy, stream, monkeypatch):
         # stage 1 and the loop share one tactic, so that a survivor's set
         # can be compared by identity
         tactic = InductTactic(goal, thy)
@@ -237,13 +218,13 @@ class TestStage1:
                             lambda goal, thy: tactic)
         expected_survivors, expected_dispositions = [], []
         for candidate in stream:
-            outcome = tactic.apply_case(candidate, timeout)
+            outcome = tactic.apply_case(candidate)
             if type(outcome) is Failure:
                 expected_dispositions.append(Disposition(
                     candidate, "stage1", error=outcome.kind.value))
             else:
                 expected_survivors.append((candidate, outcome))
-        survivors, dispositions = stage1(goal, stream, thy, timeout)
+        survivors, dispositions = stage1(goal, stream, thy)
         assert [c for c, _ in survivors] \
             == [c for c, _ in expected_survivors]
         assert all(s is e for (_, s), (_, e)
@@ -257,37 +238,11 @@ class TestStage1:
         errors = Counter()
         for stream in self._streams(running_goal, running_theory):
             dispositions = self._assert_stage1_is_the_tactic(
-                running_goal, running_theory, stream, None, monkeypatch)
+                running_goal, running_theory, stream, monkeypatch)
             errors.update(d.error for d in dispositions)
         assert set(errors) == {"NoArguments",
                                "ArbitraryOverlapsInductionTerm",
                                "UnknownVariable", "UnknownRule"}
-
-    def test_overlap_reads_no_clock(self, monkeypatch, running_goal,
-                                    running_theory):
-        # every read advances the clock by a second, so every case that is
-        # applied times out
-        reads = []
-
-        def clock():
-            reads.append(None)
-            return float(len(reads))
-
-        monkeypatch.setattr(tactic_module, "monotonic", clock)
-        for stream in self._streams(running_goal, running_theory):
-            dispositions = self._assert_stage1_is_the_tactic(
-                running_goal, running_theory, stream, 0.5, monkeypatch)
-            assert "Timeout" in {d.error for d in dispositions}
-        for candidate in next(self._streams(running_goal, running_theory)):
-            reads.clear()
-            _, dispositions = stage1(running_goal, [candidate],
-                                     running_theory, 0.5)
-            overlap = [d.error for d in dispositions] \
-                == ["ArbitraryOverlapsInductionTerm"]
-            assert overlap == (not candidate.arbitrary.isdisjoint(
-                candidate.induction_terms))
-            if overlap:
-                assert reads == [], candidate
 
     def test_disposition_repr_and_defaults(self):
         d = Disposition(Candidate(("xs",)), "stage1")
@@ -299,8 +254,7 @@ class TestStage1:
 
 def _dropped_in_stage2(goal, thy, condition):
     """The candidates stage 2 drops for `condition`."""
-    survivors, _ = stage1(goal, enumerate_candidates(goal, thy), thy,
-                          timeout=None)
+    survivors, _ = stage1(goal, enumerate_candidates(goal, thy), thy)
     _, dispositions = stage2(goal, survivors)
     assert all(d.status == "stage2" for d in dispositions)
     return [d.candidate for d in dispositions if d.condition == condition]
@@ -315,8 +269,7 @@ class TestStage2:
         assert all(c.rule == "itrev.induct" for c in zero_term)
 
     def test_prf2_survives(self, running_goal, running_theory):
-        finalists = screen(running_goal, running_theory,
-                           timeout=None).finalists
+        finalists = screen(running_goal, running_theory).finalists
         assert parse_candidate("induct xs ys rule: itrev.induct") in finalists
         assert parse_candidate("induct xs arbitrary: ys") in finalists
 
@@ -366,9 +319,8 @@ class TestStage2:
         # at most two verdicts per shared set: with and without `arbitrary`
         goal = g4_theory.goal_named("g4")
         survivors, _ = stage1(goal, enumerate_candidates(goal, g4_theory),
-                              g4_theory, timeout=None)
-        expected = [stage2_condition(goal, apply_induct(goal, c, g4_theory,
-                                                        timeout=None))
+                              g4_theory)
+        expected = [stage2_condition(goal, apply_induct(goal, c, g4_theory))
                     for c, _ in survivors]
         screened = []
         screen_for = pipeline_module._screen
@@ -404,31 +356,31 @@ def assert_stage2_outcome(survivors, conditions, finalists, dispositions):
 
 class TestScreenReport:
     def test_counts_and_monotonicity(self, running_goal, running_theory):
-        c = screen(running_goal, running_theory, timeout=None).counts()
+        c = screen(running_goal, running_theory).counts()
         assert c == {"total": 40, "1st": 16, "2nd-a": 16, "2nd-b": 8}
         assert c["2nd-b"] <= c["2nd-a"] <= c["1st"] <= c["total"]
 
     def test_finalists_are_ordered_subsequence(self, running_goal,
                                                running_theory):
-        result = screen(running_goal, running_theory, timeout=None)
+        result = screen(running_goal, running_theory)
         generated = list(enumerate_candidates(running_goal, running_theory))
         it = iter(generated)
         assert all(c in it for c in result.finalists)
 
     def test_deterministic(self, running_goal, running_theory):
-        a = screen(running_goal, running_theory, timeout=None)
-        b = screen(running_goal, running_theory, timeout=None)
+        a = screen(running_goal, running_theory)
+        b = screen(running_goal, running_theory)
         assert a == b
 
     def test_report_matches_the_stages(self, corpus_dir, g4_theory):
         conditions = Counter()
         for thy, goal in _test_goals(corpus_dir, g4_theory):
             generated = list(enumerate_candidates(goal, thy))
-            survivors, dropped1 = stage1(goal, generated, thy, timeout=None)
+            survivors, dropped1 = stage1(goal, generated, thy)
             assert len(survivors) + len(dropped1) == len(generated)
             finalists, dropped2 = stage2(goal, survivors)
             conditions.update(d.condition for d in dropped2)
-            report = screen(goal, thy, timeout=None)
+            report = screen(goal, thy)
             assert report.finalists == tuple(c for c, _ in finalists)
             assert report.counts() == {
                 "total": len(generated),
@@ -441,7 +393,7 @@ class TestScreenReport:
 
 def test_cap_bounds_generated(running_goal, running_theory):
     for cap in (1, 2, 7, 39, 40, 41, 100):
-        result = screen(running_goal, running_theory, cap=cap, timeout=None)
+        result = screen(running_goal, running_theory, cap=cap)
         assert result.generated == min(cap, 40)
 
 
@@ -508,8 +460,8 @@ def _checked_regions(goal, thy) -> int:
     """Run `check_term` on every region of every finalist's generalised
     subgoals."""
     regions = 0
-    for candidate in screen(goal, thy, timeout=None).finalists:
-        subgoals = apply_induct(goal, candidate, thy, timeout=None)
+    for candidate in screen(goal, thy).finalists:
+        subgoals = apply_induct(goal, candidate, thy)
         for sg in subgoals.subgoals:
             for _, root in sg.regions():
                 check_term(root, thy)
@@ -541,9 +493,8 @@ class TestStage2Reference:
         # the reference reads each survivor's generalised subgoals
         seen = set()
         for thy, goal in _test_goals(corpus_dir, g4_theory):
-            survivors, _ = stage1(goal, enumerate_candidates(goal, thy), thy,
-                                  timeout=None)
-            generalised = [apply_induct(goal, c, thy, timeout=None)
+            survivors, _ = stage1(goal, enumerate_candidates(goal, thy), thy)
+            generalised = [apply_induct(goal, c, thy)
                            for c, _ in survivors]
             expected = [reference_condition(goal, s) for s in generalised]
             finalists, dispositions = stage2(goal, survivors)
@@ -564,8 +515,7 @@ class TestStage2Reference:
         goals.append((thy, thy.goal_named("s")))
         recorded = set()
         for thy, goal in goals:
-            survivors, _ = stage1(goal, enumerate_candidates(goal, thy), thy,
-                                  timeout=None)
+            survivors, _ = stage1(goal, enumerate_candidates(goal, thy), thy)
             for candidate, subgoals in survivors:
                 where = (goal.name, candidate.tactic_text())
                 walked = any(isinstance(node, SchematicVar)
@@ -598,13 +548,13 @@ def _fates(goal, thy):
     """Each enumerated candidate's fate from `stage1` and `stage2`, and
     from `stage2_condition` of `apply_induct`'s generalised subgoals."""
     candidates = list(enumerate_candidates(goal, thy))
-    survivors, dropped1 = stage1(goal, candidates, thy, timeout=None)
+    survivors, dropped1 = stage1(goal, candidates, thy)
     finalists, dropped2 = stage2(goal, survivors)
     staged = {c: None for c, _ in finalists}
     staged.update((d.candidate, d.error) for d in dropped1)
     staged.update((d.candidate, d.condition) for d in dropped2)
     for candidate in candidates:
-        outcome = apply_induct(goal, candidate, thy, timeout=None)
+        outcome = apply_induct(goal, candidate, thy)
         direct = outcome.kind.value if type(outcome) is Failure \
             else stage2_condition(goal, outcome)
         yield candidate, staged[candidate], direct
@@ -657,7 +607,7 @@ def _case_variables_checked(goal, thy) -> int:
     it, for every case that stage 1 applies; return the number of cases."""
     tactic = InductTactic(goal, thy)
     for candidate in enumerate_candidates(goal, thy):
-        tactic.apply_case(candidate, None)
+        tactic.apply_case(candidate)
     cases = 0
     for entry in tactic._cases.values():
         if type(entry) is Failure:

@@ -28,7 +28,7 @@ def factory_for(goal, thy):
 
 @pytest.fixture(scope="module")
 def running_scored(running_goal, running_theory):
-    result = screen(running_goal, running_theory, timeout=None)
+    result = screen(running_goal, running_theory)
     scored = score_all(result.finalists, default_suite(),
                        factory_for(running_goal, running_theory))
     return result, scored
@@ -48,7 +48,7 @@ class TestDefaultSuite:
 class TestScoreAll:
     def test_empty_suite_keeps_pipeline_order(self, running_goal,
                                               running_theory):
-        result = screen(running_goal, running_theory, timeout=None)
+        result = screen(running_goal, running_theory)
         scored = score_all(result.finalists, (),
                            factory_for(running_goal, running_theory))
         assert [sc.candidate for sc in scored] \
@@ -80,7 +80,7 @@ class TestScoreAll:
 
     def test_shuffle_preserves_score_multiset(self, running_goal,
                                               running_theory):
-        result = screen(running_goal, running_theory, timeout=None)
+        result = screen(running_goal, running_theory)
         factory = factory_for(running_goal, running_theory)
         straight = score_all(result.finalists, default_suite(), factory)
         shuffled = list(result.finalists)
@@ -123,7 +123,7 @@ class TestDomainIndependence:
         for src, name in [(src_a, "pa"), (src_b, "gb")]:
             thy = parse_theory(src)
             goal = thy.goal_named(name)
-            result = screen(goal, thy, timeout=None)
+            result = screen(goal, thy)
             scored = score_all(result.finalists, suite,
                                factory_for(goal, thy))
             assert scored  # evaluation never raised on unseen constants
@@ -133,7 +133,7 @@ class TestDomainIndependence:
         for path in sorted(corpus_dir.glob("*.thy")):
             thy = parse_theory(path.read_text(encoding="utf-8"), path.name)
             for goal in thy.goals:
-                result = screen(goal, thy, timeout=None)
+                result = screen(goal, thy)
                 scored = score_all(result.finalists, suite,
                                    factory_for(goal, thy))
                 for sc in scored:
@@ -184,7 +184,7 @@ def _corpus_goals(corpus_dir):
 
 @pytest.fixture(scope="module")
 def corpus_finalists(corpus_dir):
-    return [(thy, goal, screen(goal, thy, timeout=None).finalists)
+    return [(thy, goal, screen(goal, thy).finalists)
             for thy, goal in _corpus_goals(corpus_dir)]
 
 

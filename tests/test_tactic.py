@@ -1,10 +1,7 @@
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
-import inductrank.tactic as tactic_module
 from inductrank.parser import parse_goal_expr, parse_theory
 from inductrank.pipeline import enumerate_candidates, screen
 from inductrank.tactic import (
@@ -26,7 +23,7 @@ class TestStructuralMode:
     def test_prf1_subgoals(self, running_theory, running_goal):
         sgs = apply_induct(running_goal,
                            parse_candidate("induct xs arbitrary: ys"),
-                           running_theory, timeout=None)
+                           running_theory)
         assert sgs.case_names == ("Nil", "Cons")
         nil, cons = sgs.subgoals
         assert nil.premises == ()
@@ -40,7 +37,7 @@ class TestStructuralMode:
     def test_without_arbitrary_substitution_oracle(self, running_theory,
                                                    running_goal):
         sgs = apply_induct(running_goal, parse_candidate("induct xs"),
-                           running_theory, timeout=None)
+                           running_theory)
         # oracle: independent substitution of the case pattern
         nil, cons = sgs.subgoals
         assert nil.conclusion == _substitute(
@@ -52,16 +49,15 @@ class TestStructuralMode:
     def test_multi_term_applies_first_scheme_only(self, running_theory,
                                                   running_goal):
         one = apply_induct(running_goal, parse_candidate("induct xs"),
-                           running_theory, timeout=None)
+                           running_theory)
         two = apply_induct(running_goal, parse_candidate("induct xs ys"),
-                           running_theory, timeout=None)
+                           running_theory)
         assert one == two
 
     def test_premises_are_case_instantiated(self, corpus_dir):
         thy = parse_theory((corpus_dir / "nats.thy").read_text(), "nats")
         goal = thy.goal_named("add_cancel")
-        sgs = apply_induct(goal, parse_candidate("induct k"), thy,
-                           timeout=None)
+        sgs = apply_induct(goal, parse_candidate("induct k"), thy)
         zero, suc = sgs.subgoals
         assert zero.premises == (expect(thy, "add 0 m = add 0 n"),)
         # k does not occur in the conclusion, so it is preserved
@@ -102,7 +98,7 @@ class TestTwoParameterDatatype:
                                               hyps):
         thy = parse_theory(TREE2)
         goal = thy.goals[0]
-        sgs = apply_induct(goal, parse_candidate(text), thy, timeout=None)
+        sgs = apply_induct(goal, parse_candidate(text), thy)
         assert sgs.case_names == names
 
         def instance(pattern):
@@ -126,7 +122,7 @@ class TestTwoParameterDatatype:
         tactic = InductTactic(goal, thy)
         applied = set()
         for candidate in enumerate_candidates(goal, thy):
-            sgs = tactic.apply(candidate, None)
+            sgs = tactic.apply(candidate)
             if type(sgs) is Failure:
                 continue
             applied.add(candidate.rule)
@@ -145,7 +141,7 @@ class TestFunctionalMode:
     def test_prf2_subgoals(self, running_theory, running_goal):
         sgs = apply_induct(
             running_goal, parse_candidate("induct xs ys rule: itrev.induct"),
-            running_theory, timeout=None)
+            running_theory)
         assert sgs.case_names == ("1", "2")
         base, step = sgs.subgoals
         assert base.premises == ()
@@ -160,7 +156,7 @@ class TestFunctionalMode:
             self, running_theory, running_goal):
         sgs = apply_induct(running_goal,
                            parse_candidate("induct rule: itrev.induct"),
-                           running_theory, timeout=None)
+                           running_theory)
         assert len(sgs.subgoals) == 2
         for sg in sgs.subgoals:
             assert contains_schematic(sg)
@@ -172,34 +168,32 @@ class TestFunctionalMode:
                                                      running_goal):
         sgs = apply_induct(
             running_goal, parse_candidate("induct xs ys rule: itrev.induct"),
-            running_theory, timeout=None)
+            running_theory)
         assert not any(contains_schematic(sg) for sg in sgs.subgoals)
 
 
 class TestErrors:
     def test_no_arguments(self, running_theory, running_goal):
-        failure = apply_induct(running_goal, Candidate(()), running_theory,
-                               timeout=None)
+        failure = apply_induct(running_goal, Candidate(()), running_theory)
         assert failure.kind is TacticErrorKind.NO_ARGUMENTS
 
     def test_arbitrary_overlaps_induction_term(self, running_theory,
                                                running_goal):
         failure = apply_induct(running_goal,
                                parse_candidate("induct xs arbitrary: xs"),
-                               running_theory, timeout=None)
+                               running_theory)
         assert failure.kind \
             is TacticErrorKind.ARBITRARY_OVERLAPS_INDUCTION_TERM
 
     def test_non_datatype_variable(self, corpus_dir):
         thy = parse_theory((corpus_dir / "lists.thy").read_text(), "lists")
         goal = thy.goal_named("snoc_append")  # y has a type-variable type
-        failure = apply_induct(goal, parse_candidate("induct y"), thy,
-                               timeout=None)
+        failure = apply_induct(goal, parse_candidate("induct y"), thy)
         assert failure.kind is TacticErrorKind.NON_DATATYPE_VARIABLE
 
     def test_unknown_variable(self, running_theory, running_goal):
         failure = apply_induct(running_goal, parse_candidate("induct zz"),
-                               running_theory, timeout=None)
+                               running_theory)
         assert failure.kind is TacticErrorKind.UNKNOWN_VARIABLE
 
     def test_rule_arity_exceeded(self, corpus_dir):
@@ -207,13 +201,13 @@ class TestErrors:
         goal = thy.goal_named("map_append")
         failure = apply_induct(
             goal, parse_candidate("induct f xs ys rule: snoc.induct"),
-            thy, timeout=None)
+            thy)
         assert failure.kind is TacticErrorKind.RULE_ARITY_EXCEEDED
 
     def test_unknown_rule(self, running_theory, running_goal):
         failure = apply_induct(running_goal,
                                parse_candidate("induct xs rule: rev.induct"),
-                               running_theory, timeout=None)
+                               running_theory)
         assert failure.kind is TacticErrorKind.UNKNOWN_RULE
 
     def test_type_mismatch_against_rule_position(self, corpus_dir):
@@ -222,27 +216,21 @@ class TestErrors:
         # snoc's second position is the element type, so a list cannot fit
         failure = apply_induct(
             goal, Candidate(("xs", "ys"), frozenset(), "snoc.induct"),
-            thy, timeout=None)
+            thy)
         assert failure.kind is TacticErrorKind.NON_DATATYPE_VARIABLE
-
-    def test_timeout(self, running_theory, running_goal):
-        failure = apply_induct(running_goal, parse_candidate("induct xs"),
-                               running_theory, timeout=1e-12)
-        assert failure.kind is TacticErrorKind.TIMEOUT
 
 
 class TestInvariants:
     def test_pure_and_deterministic(self, running_theory, running_goal):
         c = parse_candidate("induct xs ys rule: itrev.induct")
-        a = apply_induct(running_goal, c, running_theory, timeout=None)
-        b = apply_induct(running_goal, c, running_theory, timeout=None)
+        a = apply_induct(running_goal, c, running_theory)
+        b = apply_induct(running_goal, c, running_theory)
         assert a == b
 
     def test_subgoal_count_equals_case_count(self, corpus_dir):
         thy = parse_theory((corpus_dir / "trees.thy").read_text(), "trees")
         goal = thy.goal_named("mirror_mirror")
-        sgs = apply_induct(goal, parse_candidate("induct t"), thy,
-                           timeout=None)
+        sgs = apply_induct(goal, parse_candidate("induct t"), thy)
         assert len(sgs.subgoals) == len(thy.datatype("tree").constructors)
         assert len(sgs.case_names) == len(sgs.subgoals)
 
@@ -258,6 +246,10 @@ class TestCandidateSyntax:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             parse_candidate("induct xs xs")
+
+    def test_rejects_a_second_rule(self):
+        with pytest.raises(ValueError, match="^rule: given more than once$"):
+            parse_candidate("induct xs rule: a.induct rule: b.induct")
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -294,15 +286,13 @@ class TestSharedTactic:
             # backwards, so the shared cases are made in another order
             # than stage 1 makes them
             for candidate in reversed(list(enumerate_candidates(goal, thy))):
-                got = shared.apply(candidate, None)
-                assert got == apply_induct(goal, candidate, thy,
-                                           timeout=None), \
+                got = shared.apply(candidate)
+                assert got == apply_induct(goal, candidate, thy), \
                     (goal.name, candidate.tactic_text())
                 kinds.add(got.kind if type(got) is Failure else "subgoals")
         # enumeration names only rules it found and the goal's variables
         assert kinds == {"subgoals", *TacticErrorKind} - {
-            TacticErrorKind.UNKNOWN_RULE, TacticErrorKind.UNKNOWN_VARIABLE,
-            TacticErrorKind.TIMEOUT}
+            TacticErrorKind.UNKNOWN_RULE, TacticErrorKind.UNKNOWN_VARIABLE}
 
     def test_attempt_agrees_with_apply(self, corpus_dir, g4_theory):
         # each attempt of the shared tactic, in stage 1's order, agrees
@@ -311,12 +301,11 @@ class TestSharedTactic:
         for thy, goal in _corpus_and_g4_goals(corpus_dir, g4_theory):
             shared = InductTactic(goal, thy)
             for candidate in enumerate_candidates(goal, thy):
-                outcome = shared.apply(candidate, None)
+                outcome = shared.apply(candidate)
                 where = (goal.name, candidate.tactic_text())
-                assert outcome == apply_induct(goal, candidate, thy,
-                                               timeout=None), where
-                case = shared.apply_case(candidate, None)
-                again = shared.apply_case(candidate, None)
+                assert outcome == apply_induct(goal, candidate, thy), where
+                case = shared.apply_case(candidate)
+                again = shared.apply_case(candidate)
                 if type(outcome) is Failure:
                     assert case == again == outcome, where
                 else:
@@ -342,7 +331,7 @@ class TestSharedTactic:
     def test_error_messages(self, running_goal, running_theory, text,
                             message):
         failure = apply_induct(running_goal, parse_candidate(text),
-                               running_theory, timeout=None)
+                               running_theory)
         assert f"{failure.kind.value}: {failure.detail}" == message
 
     def test_structural_candidates_share_one_subgoal_set(self, g4_theory):
@@ -350,42 +339,21 @@ class TestSharedTactic:
         tactic = InductTactic(goal, g4_theory)
         texts = ("induct xs arbitrary: zs", "induct xs ys arbitrary: zs",
                  "induct xs n m arbitrary: ys zs", "induct xs ys")
-        same = [tactic.apply_case(parse_candidate(text), None)
+        same = [tactic.apply_case(parse_candidate(text))
                 for text in texts]
         assert same[0] is same[1] is same[2] is same[3]
-        assert tactic.apply(parse_candidate(texts[3]), None) is same[0]
+        assert tactic.apply(parse_candidate(texts[3])) is same[0]
         # a generalised set is built on each application
-        fresh = apply_induct(goal, parse_candidate(texts[1]), g4_theory,
-                             timeout=None)
-        again = tactic.apply(parse_candidate(texts[1]), None)
+        fresh = apply_induct(goal, parse_candidate(texts[1]), g4_theory)
+        again = tactic.apply(parse_candidate(texts[1]))
         assert again == fresh and again is not fresh
         assert again != same[0]
         # a rule, or another term under a rule, is another case
-        others = [tactic.apply_case(parse_candidate(text), None) for text in (
+        others = [tactic.apply_case(parse_candidate(text)) for text in (
             "induct xs ys rule: itrev.induct",
             "induct ys xs rule: itrev.induct")]
         assert all(type(o) is SubgoalSet for o in others)
         assert len({id(o) for o in [same[0], *others]}) == 3
-
-    def test_timed_out_application_is_not_memoised(self, monkeypatch,
-                                                   running_goal,
-                                                   running_theory):
-        ticks = itertools.count()  # one second passes per reading
-        monkeypatch.setattr(tactic_module, "monotonic",
-                            lambda: float(next(ticks)))
-        tactic = InductTactic(running_goal, running_theory)
-        candidate = parse_candidate("induct xs")
-        generalised = parse_candidate("induct xs arbitrary: ys")
-        for _ in range(2):
-            assert tactic.apply(candidate, 0.5).kind \
-                is TacticErrorKind.TIMEOUT
-        done = tactic.apply(candidate, None)
-        assert type(done) is SubgoalSet
-        # now memoised: answered without a timeout check
-        assert tactic.apply(candidate, 0.5) is done
-        assert tactic.apply_case(generalised, 0.5) is done
-        # generalising is not memoised, so it is checked each time
-        assert tactic.apply(generalised, 0.5).kind is TacticErrorKind.TIMEOUT
 
     def test_shared_failure_is_one_value(self, running_goal,
                                          running_theory):
@@ -393,7 +361,7 @@ class TestSharedTactic:
         # candidate generalises
         tactic = InductTactic(running_goal, running_theory)
         first, second = (
-            tactic.apply(parse_candidate(text), None)
+            tactic.apply(parse_candidate(text))
             for text in ("induct xs rule: nosuch.induct",
                          "induct xs arbitrary: ys rule: nosuch.induct"))
         assert first == Failure(TacticErrorKind.UNKNOWN_RULE,
@@ -407,10 +375,10 @@ class TestSharedTactic:
         plain = parse_candidate("induct xs rule: itrev.induct")
         generalised = parse_candidate("induct xs arbitrary: ys "
                                       "rule: itrev.induct")
-        before = tactic.apply(plain, None)
-        tactic.apply(generalised, None)
-        assert tactic.apply(plain, None) == before \
-            == apply_induct(running_goal, plain, running_theory, None)
+        before = tactic.apply(plain)
+        tactic.apply(generalised)
+        assert tactic.apply(plain) == before \
+            == apply_induct(running_goal, plain, running_theory)
 
 
 class _RestartingTactic(InductTactic):
@@ -446,9 +414,9 @@ class TestGeneralisedNames:
         for thy, goal in _corpus_and_g4_goals(corpus_dir, g4_theory):
             tactic = InductTactic(goal, thy)
             restarting = _RestartingTactic(goal, thy)
-            for candidate in screen(goal, thy, timeout=None).finalists:
-                assert tactic.apply(candidate, None) == restarting.apply(
-                    candidate, None), (goal.name, candidate.tactic_text())
+            for candidate in screen(goal, thy).finalists:
+                assert tactic.apply(candidate) == restarting.apply(
+                    candidate), (goal.name, candidate.tactic_text())
                 generalised += bool(candidate.arbitrary)
         assert generalised > 100
 
@@ -460,9 +428,9 @@ class TestGeneralisedNames:
             text + "\nlemma p: \"itrev xs (x @ x') = rev xs @ x @ x'\"")
         goal = thy.goal_named("p")
         candidate = parse_candidate("induct xs arbitrary: x x'")
-        assert candidate in screen(goal, thy, timeout=None).finalists
-        got = InductTactic(goal, thy).apply(candidate, None)
-        assert got == _RestartingTactic(goal, thy).apply(candidate, None)
+        assert candidate in screen(goal, thy).finalists
+        got = InductTactic(goal, thy).apply(candidate)
+        assert got == _RestartingTactic(goal, thy).apply(candidate)
         assert [format_goal(sg) for sg in got.subgoals] == [
             "itrev [] (x'' @ x''') = rev [] @ x'' @ x'''",
             "itrev xs (x''''' @ x'''''') = rev xs @ x''''' @ x'''''' ==> "

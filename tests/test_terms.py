@@ -156,7 +156,7 @@ class TestContainsSchematic:
         from inductrank.tactic import Candidate, apply_induct
         sgs = apply_induct(running_goal,
                            Candidate((), frozenset(), "itrev.induct"),
-                           running_theory, timeout=None)
+                           running_theory)
         assert all(contains_schematic(sg) for sg in sgs.subgoals)
 
 
@@ -336,11 +336,11 @@ def test_ranking_assigns_no_field(corpus_dir, name):
     suite = default_suite()
     made = [thy, suite]
     for goal in thy.goals:
-        report = screen(goal, thy, timeout=None)
+        report = screen(goal, thy)
         index = GoalIndex(goal, thy)
         made += [report, vars(index), score_all(
             report.finalists, suite,
             lambda c: make_context(goal, c, thy, index=index))]
-        made += [apply_induct(goal, c, thy, timeout=None)
+        made += [apply_induct(goal, c, thy)
                  for c in report.finalists]
     assert _stale_trees(*made) == []
