@@ -133,13 +133,15 @@ def _read(path: Path) -> str:
         _fail(f"cannot read {path}: not UTF-8 text")
 
 
-def _load_goal(path: Path, name: str) -> tuple[Theory, Goal]:
-    """The theory in `path` with only lemma `name` parsed, and that lemma.
-    If there is no such lemma, the whole file is parsed again, so that a
-    malformed lemma is reported, as `eval` would report it, before the
-    goals that are available."""
+def _load_goal(path: Path, name: str,
+               texts: tuple[str, ...] = ()) -> tuple[Theory, Goal]:
+    """The theory in `path` with only lemma `name` and the definitions it
+    or `texts` reach parsed, and that lemma.  If there is no such lemma,
+    the whole file is parsed again, so that a malformed lemma is
+    reported, as `eval` would report it, before the goals that are
+    available."""
     text = _read(path)
-    thy = parse_theory(text, str(path), goals=(name,))
+    thy = parse_theory(text, str(path), goals=(name,), texts=texts)
     goal = thy.goal_named(name)
     if goal is None:
         thy = parse_theory(text, str(path))
@@ -173,7 +175,8 @@ def cmd_recommend(args) -> int:
     if args.goal is not None:
         thy, goal = _load_goal(args.file, args.goal)
     else:
-        thy = parse_theory(_read(args.file), str(args.file), goals=())
+        thy = parse_theory(_read(args.file), str(args.file), goals=(),
+                           texts=(args.goal_expr,))
         term = parse_goal_expr(args.goal_expr, thy)
         premises, conclusion = split_implications(term)
         goal = Goal("expr", premises, conclusion)
@@ -204,7 +207,8 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    thy, goal = _load_goal(args.file, args.goal)
+    # a rule outside the goal must still resolve
+    thy, goal = _load_goal(args.file, args.goal, (args.tactic,))
     try:
         candidate = parse_candidate(args.tactic)
     except ValueError as err:

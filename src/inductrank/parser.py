@@ -19,7 +19,10 @@ is scanned when the parser reaches it, so a file's tokens are never all
 held at once.
 
 A lemma's statement is parsed only if `parse_theory`'s `goals` names it,
-or `goals` is None.  A requested lemma is parsed where it stands, so it
+or `goals` is None.  A definition's equations are parsed only if it is
+reached: its name occurs as an identifier in a requested statement, in
+one of the caller's `texts` or in the equations of a reached definition.
+A requested lemma or reached definition is parsed where it stands, so it
 sees exactly the declarations before it.
 
 Free variables in lemmas are typed by unification; constants are
@@ -743,17 +746,25 @@ class _Signature:
 
 
 def parse_theory(source: str, file: str = "<string>",
-                 goals: Collection[str] | None = None) -> Theory:
+                 goals: Collection[str] | None = None, *,
+                 texts: Sequence[str] = ()) -> Theory:
     """Parse a theory file.  Raises ParseError on syntax violations,
     duplicate names, unknown constants/types, or ill-typed equations.
 
     `goals` names the lemmas whose statements are parsed; None, the
-    default, means every lemma.  Every other lemma is still declared, so
-    its name is checked and taken, and its statement must be quoted, but
-    the text inside the quotes is not read and the theory leaves it out.
-    No declaration can refer to a lemma, so the rest of the theory is the
-    same either way."""
-    p = Cursor(scan(source.replace("\r\n", "\n"), file), file)
+    default, means every lemma and every definition.  Every other lemma
+    is still declared, so its name is checked and taken, and its
+    statement must be quoted, but the text inside the quotes is not read
+    and the theory leaves it out.  No declaration can refer to a lemma.
+
+    Unless `goals` is None, only the definitions reached from the
+    requested statements and from `texts`, the other texts the caller
+    will read against the theory, have their equations parsed (see
+    `_reach`).  Every other definition is still declared with its type,
+    and its equations must be quoted, but the theory leaves it out."""
+    tokens = scan(source.replace("\r\n", "\n"), file)
+    reach = None if goals is None else _reach(tokens, goals, texts)
+    p = Cursor(tokens, file)
     datatypes: list[DatatypeDef] = []
     fundefs: list[FunDef] = []
     lemmas: list[Goal] = []
@@ -778,13 +789,59 @@ def parse_theory(source: str, file: str = "<string>",
             known_types[d.name] = len(d.params)
             sig.add_datatype(d)
         elif tok.text in ("fun", "primrec"):
-            fundefs.append(
-                _parse_fundef(p, sig, tables, known_types, declare))
+            f = _parse_fundef(p, sig, tables, known_types, declare, reach)
+            if f is not None:
+                fundefs.append(f)
         else:
             goal = _parse_lemma(p, sig, tables, declare, goals)
             if goal is not None:
                 lemmas.append(goal)
     return Theory(tuple(datatypes), tuple(fundefs), tuple(lemmas))
+
+
+# the identifiers of a quoted text, as `scan` reads them
+_IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_']*")
+
+
+def _reach(tokens: list[Token], goals: Collection[str],
+           texts: Sequence[str]) -> set[str]:
+    """The names of the definitions that the statements of the lemmas
+    `goals` and the `texts` reach: a definition is reached if its name
+    occurs as an identifier in one of them or in the equations of a
+    reached definition.  An identifier that is a variable only adds a
+    definition of that name.  It reads the top-level `tokens` in the
+    shapes the declaration loop accepts, and never raises: a declaration
+    it cannot read is one the loop reports."""
+    def at(i: int, kind: str, text: str | None = None) -> bool:
+        return i < len(tokens) and tokens[i].kind == kind \
+            and text in (None, tokens[i].text)
+
+    equations: dict[str, list[str]] = {}
+    named = list(texts)
+    for i, tok in enumerate(tokens):
+        if tok.kind != "ident" or not at(i + 1, "ident"):
+            continue
+        name = tokens[i + 1].text
+        if tok.text == "lemma":
+            if name in goals and at(i + 2, "sym", ":") \
+                    and at(i + 3, "quoted"):
+                named.append(tokens[i + 3].text)
+        elif tok.text in ("fun", "primrec") and at(i + 2, "sym", "::") \
+                and at(i + 3, "quoted") and at(i + 4, "ident", "where"):
+            texts_of = equations.setdefault(name, [])
+            j = i + 5
+            while at(j, "quoted"):
+                texts_of.append(tokens[j].text)
+                if not at(j + 1, "sym", "|"):
+                    break
+                j += 2
+    reach: set[str] = set()
+    while named:
+        for ident in _IDENT_RE.findall(named.pop()):
+            if ident in equations and ident not in reach:
+                reach.add(ident)
+                named += equations[ident]
+    return reach
 
 
 def _parse_datatype(p: Cursor, known_types: dict[str, int],
@@ -864,7 +921,10 @@ def _parse_ctor_arg(p: Cursor, known: dict[str, int], params: list[str],
 
 
 def _parse_fundef(p: Cursor, sig: _Signature, tables: _Tables,
-                  known_types: dict[str, int], declare) -> FunDef:
+                  known_types: dict[str, int], declare,
+                  reach: Collection[str] | None) -> FunDef | None:
+    """The definition at `p`, declared with its type; None, with its
+    equations unread, if `reach` is not None and does not name it."""
     kw = p.next()  # 'fun' | 'primrec'
     name_tok = p.expect_ident("function name")
     p.expect_sym("::")
@@ -889,6 +949,7 @@ def _parse_fundef(p: Cursor, sig: _Signature, tables: _Tables,
     # the new constant is visible inside its own equations
     sig.schemes[name_tok.text] = declared_ty
 
+    read = reach is None or name_tok.text in reach
     equations: list[Equation] = []
     arity: int | None = None
     while True:
@@ -897,17 +958,21 @@ def _parse_fundef(p: Cursor, sig: _Signature, tables: _Tables,
             raise p.fail("found unquoted equation", eq_tok,
                          expected=('"<equation>"',))
         p.next()
-        eq, n_args = _parse_equation(p, eq_tok, sig, tables, name_tok.text)
-        if arity is None:
-            arity = n_args
-        elif arity != n_args:
-            raise p.fail(f"equation has {n_args} argument(s), earlier ones "
-                         f"have {arity}", eq_tok)
-        equations.append(eq)
+        if read:
+            eq, n_args = _parse_equation(p, eq_tok, sig, tables,
+                                         name_tok.text)
+            if arity is None:
+                arity = n_args
+            elif arity != n_args:
+                raise p.fail(f"equation has {n_args} argument(s), earlier "
+                             f"ones have {arity}", eq_tok)
+            equations.append(eq)
         if p.at_sym("|"):
             p.next()
             continue
         break
+    if not read:
+        return None
     return FunDef(name_tok.text, declared_ty, tuple(equations),
                   kw.text == "fun")
 

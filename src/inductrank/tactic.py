@@ -68,7 +68,9 @@ def parse_candidate(text: str) -> Candidate:
     i = 1
     while i < len(tokens):
         tok = tokens[i]
-        if tok == "arbitrary:":
+        if tok == "arbitrary:" and section != "done":
+            if section == "arbitrary":
+                raise ValueError("arbitrary: given more than once")
             section = "arbitrary"
         elif tok == "rule:":
             if rule is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 from inductrank.dsl import (
     And, Atom, Exists, Forall, Implies, InductionTerms, Not,
@@ -72,6 +73,71 @@ def reference_scan(source: str, file: str, line: int, column: int,
         i = j
     tokens.append(Token("eof", "", line, n - nl))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Reference reach
+
+_IDENT = r"[a-zA-Z_][a-zA-Z0-9_']*"
+_DEFINITION = re.compile(rf'''\b(?:fun|primrec)\s+({_IDENT})\s*::\s*"[^"]*"\s*
+                           where((?:\s*"[^"]*"\s*\|)*\s*"[^"]*")''', re.X)
+_LEMMA = re.compile(rf'\blemma\s+({_IDENT})\s*:\s*("[^"]*")')
+_QUOTED = re.compile(r'"[^"]*"')
+_QUOTED_OR_COMMENT = re.compile(r'"[^"]*"|\(\*')
+_COMMENT_MARK = re.compile(r"\(\*|\*\)")
+
+
+def ref_declared_texts(text: str) -> list[tuple[int, int, str, str]]:
+    """The equations and lemma statements of `text` (with CRLF read as
+    LF), as ``(start, end, kind, name)``: the offsets of the opening
+    quote and after the closing one, and ``"fun"`` with the defined name
+    or ``"lemma"`` with the lemma's.  Comments, which nest, are blanked
+    out first, keeping every offset; regular expressions then find the
+    declarations."""
+    text = text.replace("\r\n", "\n")
+    chars = list(text)
+    pos = 0
+    while (m := _QUOTED_OR_COMMENT.search(text, pos)) is not None:
+        pos = m.end()
+        if m.group() != "(*":
+            continue
+        depth = 1
+        while depth and (c := _COMMENT_MARK.search(text, pos)):
+            depth += 1 if c.group() == "(*" else -1
+            pos = c.end()
+        end = pos if not depth else len(text)
+        chars[m.start():end] = [ch if ch == "\n" else " "
+                                for ch in text[m.start():end]]
+    blanked = "".join(chars)
+    out = [(q.start(), q.end(), "fun", d.group(1))
+           for d in _DEFINITION.finditer(blanked)
+           for q in _QUOTED.finditer(blanked, d.start(2), d.end(2))]
+    out += [(m.start(2), m.end(2), "lemma", m.group(1))
+            for m in _LEMMA.finditer(blanked)]
+    return sorted(out)
+
+
+def ref_reached(text: str, goals, texts=()) -> set[str]:
+    """The definitions of `text` whose equations a request for the lemmas
+    `goals` with the other `texts` reads: those named, as an identifier,
+    in a requested statement, in `texts` or in the equations of another
+    such definition, found by growing the set until it stops growing."""
+    norm = text.replace("\r\n", "\n")
+    equations: dict[str, list[str]] = {}
+    roots = list(texts)
+    for start, end, kind, name in ref_declared_texts(text):
+        if kind == "fun":
+            equations.setdefault(name, []).append(norm[start + 1:end - 1])
+        elif name in goals:
+            roots.append(norm[start + 1:end - 1])
+    reached: set[str] = set()
+    while True:
+        read = roots + [e for f in reached for e in equations[f]]
+        grown = {w for t in read for w in re.findall(_IDENT, t)} \
+            & equations.keys()
+        if grown == reached:
+            return reached
+        reached = grown
 
 
 # ---------------------------------------------------------------------------

@@ -162,8 +162,8 @@ class TestRecommend:
                        "larger than 10000\n")
 
 
-# README, "Errors in unread lemmas": `recommend` and `explain` parse only
-# the lemma they read, and `eval` parses every lemma.
+# README, "Errors in unread lemmas and definitions": `recommend` and
+# `explain` parse only the lemma they read, and `eval` parses every lemma.
 class TestUnreadLemmas:
     REQUESTS = [
         ("recommend", "--goal", "itrev_rev", "--timeout-ms", "0"),
@@ -233,6 +233,60 @@ class TestUnreadLemmas:
                 == (1, "", f"error: {thy}:{self.ILL_TYPED_ERROR}\n")
 
 
+# The same README paragraph: `recommend` and `explain` parse the equations
+# of only the definitions that their goal reaches, and `eval` parses every
+# definition.
+class TestUnreachedDefinitions:
+    THEORY = (
+        'primrec double :: "nat => nat" where\n'
+        '  "double 0 = 0"\n'
+        '| "double (Suc n) = Suc (Suc (double n))"\n'
+        '\n'
+        'fun half :: "nat => nat" where\n'
+        '  "half 0 = []"\n'
+        '\n'
+        'lemma double_suc: "double (Suc n) = Suc (Suc (double n))"\n')
+
+    def test_recommend_ranks_past_an_ill_typed_definition(self, capsys,
+                                                          tmp_path):
+        thy = tmp_path / "two.thy"
+        thy.write_text(self.THEORY)
+        fixed = tmp_path / "fixed.thy"
+        fixed.write_text(self.THEORY.replace('"half 0 = []"',
+                                             '"half 0 = 0"'))
+        code, out, err = run_cli(capsys, "recommend", str(thy), "--goal",
+                                 "double_suc")
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli(capsys, "recommend", str(fixed),
+                                           "--goal", "double_suc")
+        annotations = tmp_path / "annotations.txt"
+        annotations.write_text("double_suc | induct n | rule:no | arb:no\n")
+        fixed.unlink()
+        assert run_cli(capsys, "eval", str(tmp_path), "--annotations",
+                       str(annotations)) \
+            == (1, "", f"error: {thy}:6:3: ill-typed equation: left and "
+                       "right sides disagree\n")
+
+    def test_goal_expr_names_a_constant_defined_after_every_lemma(
+            self, capsys, monkeypatch, corpus_dir, tmp_path):
+        thy = tmp_path / "running.thy"
+        text = (corpus_dir / "running.thy").read_text(encoding="utf-8") \
+            + ('fun tl2 :: "\'a list => \'a list" where\n'
+               '  "tl2 [] = []"\n'
+               '| "tl2 (x # xs) = xs"\n')
+        thy.write_text(text)
+        argv = ("recommend", str(thy), "--goal-expr",
+                "tl2 (itrev xs ys) = tl2 (rev xs @ ys)", "--json")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert "rule: tl2.induct" in out
+        # the ranking of a parse of every definition
+        monkeypatch.setattr(cli, "parse_theory",
+                            lambda text, file, **request: parse_theory(
+                                text, file))
+        assert run_cli(capsys, *argv) == (code, out, err)
+
+
 class TestExplain:
     def test_finalist_matrix(self, capsys, running_path):
         code, out, err = run_cli(
@@ -265,6 +319,13 @@ class TestExplain:
                        "--tactic", "induct xs rule: itrev.induct rule: "
                        "itrev.induct") \
             == (1, "", "error: rule: given more than once\n")
+
+    def test_arbitrary_after_the_rule_is_an_error(self, capsys,
+                                                  running_path):
+        assert run_cli(capsys, "explain", running_path, "--goal", "itrev_rev",
+                       "--tactic", "induct xs rule: itrev.induct "
+                       "arbitrary: ys") \
+            == (1, "", "error: unexpected token 'arbitrary:' after rule\n")
 
     def test_stage1_filtered(self, capsys, running_path):
         code, out, err = run_cli(

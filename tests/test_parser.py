@@ -7,7 +7,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _reference import reference_scan
+from _reference import ref_declared_texts, ref_reached, reference_scan
 from inductrank import dsl, parser
 from inductrank.parser import (
     MAX_NUMERAL, ParseError, _Unifier, parse_goal_expr, parse_theory,
@@ -568,16 +568,36 @@ def _sources(test) -> list[str]:
 
 
 def _assert_requests_agree(text: str) -> None:
-    """Parsing one lemma of `text`, or none, gives the full parse's
-    theory with only that lemma."""
+    """Parsing one lemma of `text`, or none, with or without a definition
+    named in `texts`, gives the full parse's datatypes, the definitions
+    `ref_reached` says the request reaches, and only that lemma."""
     full = parse_theory(text, "t.thy")
-    assert parse_theory(text, "t.thy", goals=()) \
-        == Theory(full.datatypes, full.fundefs, ())
+
+    def expected(goals, texts=()) -> Theory:
+        reach = ref_reached(text, goals, texts)
+        return Theory(full.datatypes,
+                      tuple(f for f in full.fundefs if f.name in reach),
+                      tuple(map(full.goal_named, goals)))
+
+    assert parse_theory(text, "t.thy", goals=()) == expected(())
     for goal in full.goals:
         thy = parse_theory(text, "t.thy", goals=(goal.name,))
-        assert thy == Theory(full.datatypes, full.fundefs,
-                             (full.goal_named(goal.name),))
+        assert thy == expected((goal.name,))
         assert thy.goals[0].line == goal.line
+    for f in full.fundefs:
+        assert parse_theory(text, "t.thy", goals=(), texts=(f.name,)) \
+            == expected((), (f.name,))
+
+
+def _owner(src: str, span) -> tuple[str, str] | None:
+    """The definition (``"fun"``) or lemma whose equation or statement
+    quotes hold `span`, by `ref_declared_texts`; None outside them."""
+    lines = src.replace("\r\n", "\n").split("\n")
+    offset = sum(len(line) + 1 for line in lines[:span.line - 1]) \
+        + span.column - 1
+    return next(((kind, name)
+                 for start, end, kind, name in ref_declared_texts(src)
+                 if start <= offset < end), None)
 
 
 class TestRequestedGoals:
@@ -596,21 +616,53 @@ class TestRequestedGoals:
         *_sources(TestSpans.test_scan_errors_inside_quotes_are_absolute),
     ])
     def test_errors_are_those_of_the_full_parse(self, src):
-        """An error outside every lemma's quotes is raised whatever is
-        requested; one inside a lemma's quotes, when that lemma is."""
+        """An error outside every equation's and lemma's quotes is raised
+        whatever is requested; one inside them, with the full parse's
+        text, exactly when that definition is reached or that lemma is
+        requested."""
         with pytest.raises(ParseError) as full:
             parse_theory(src, "bad.thy")
-        names = re.findall(r"lemma\s+(\w+)", src)
-        assert len(names) <= 1
-        try:
-            parse_theory(src, "bad.thy", goals=())
-        except ParseError as err:
-            assert str(err) == str(full.value)
-            return
-        assert names
-        with pytest.raises(ParseError) as err:
-            parse_theory(src, "bad.thy", goals=names)
-        assert str(err.value) == str(full.value)
+        owner = _owner(src, full.value.span)
+        lemmas = re.findall(r"lemma\s+(\w+)", src)
+        definitions = re.findall(r"(?:fun|primrec)\s+(\w+)", src)
+        assert len(lemmas) <= 1
+        requests = [((), ()), *[((name,), ()) for name in lemmas],
+                    *[((), (name,)) for name in definitions]]
+        for goals, texts in requests:
+            raised = owner is None or owner[1] in (
+                goals if owner[0] == "lemma"
+                else ref_reached(src, goals, texts))
+            if not raised:
+                parse_theory(src, "bad.thy", goals=goals, texts=texts)
+                continue
+            with pytest.raises(ParseError) as err:
+                parse_theory(src, "bad.thy", goals=goals, texts=texts)
+            assert str(err.value) == str(full.value)
+        # every error inside quotes is raised by some request
+        assert owner is None or owner[1] in lemmas + definitions
+
+    def test_running_example_reaches_its_two_definitions(self):
+        def names(**request):
+            return [f.name for f in parse_theory(RUNNING, **request).fundefs]
+        assert names(goals=("itrev_rev",)) == ["rev", "itrev"]
+        assert names(goals=()) == []
+        assert names(goals=(), texts=("itrev",)) == ["itrev"]
+        assert names(goals=(), texts=("rev xs",)) == ["rev"]
+        assert names(goals=None) == ["rev", "itrev"]
+
+    def test_forward_reference_in_a_reached_definition(self):
+        # a reached definition is parsed where it stands
+        src = ('fun f :: "nat => nat" where "f n = g n"\n'
+               'fun g :: "nat => nat" where "g n = n"\n'
+               'lemma a: "f n = n"\n')
+        error = "bad.thy:1:36: unknown constant g"
+        for request in ({}, {"goals": ("a",)},
+                        {"goals": (), "texts": ("f",)}):
+            with pytest.raises(ParseError) as err:
+                parse_theory(src, "bad.thy", **request)
+            assert str(err.value) == error
+        assert [f.name for f in parse_theory(
+            src, "bad.thy", goals=(), texts=("g",)).fundefs] == ["g"]
 
 
 # Pieces of scanner input: every token kind of the theory and the heuristic

@@ -251,6 +251,17 @@ class TestCandidateSyntax:
         with pytest.raises(ValueError, match="^rule: given more than once$"):
             parse_candidate("induct xs rule: a.induct rule: b.induct")
 
+    @pytest.mark.parametrize("text, error", [
+        ("induct xs arbitrary: ys arbitrary: zs",
+         "arbitrary: given more than once"),
+        ("induct xs rule: itrev.induct arbitrary: ys",
+         "unexpected token 'arbitrary:' after rule"),
+    ])
+    def test_rejects_arbitrary_out_of_place(self, text, error):
+        with pytest.raises(ValueError) as err:
+            parse_candidate(text)
+        assert str(err.value) == error
+
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_candidate("apply auto")
