@@ -28,9 +28,9 @@ sees exactly the declarations before it.
 Free variables in lemmas are typed by unification; constants are
 instantiated per use, so stored terms are fully monomorphic within each
 declaration (left-over inference variables are canonicalised to 'a, 'b,
-...).  Each scheme is compiled once per parse into the steps that build
-an instance, and an instance is written out by the types of its
-variables, not walked.
+...).  A constant's type is its scheme with each type variable replaced
+by a fresh inference variable, made by one walk of the scheme, and it is
+written out to the parse's shared types like a variable's.
 
 Equal types and equal terms of one parse are one object: every node of a
 parsed theory or goal is built once and shared wherever it recurs.  The
@@ -41,8 +41,7 @@ call and are dropped when it returns, so two parses share nothing.
 from __future__ import annotations
 
 import re
-from operator import itemgetter
-from typing import Callable, Collection, NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .terms import (
     EXTRA_CONST_SCHEMES, FUN, IMPLIES, PRELUDE_DATATYPES, PRELUDE_FUNDEFS,
@@ -291,22 +290,18 @@ class _Tables:
     built once and found again here:
 
     - a type by its name and the ids of its canonical argument types;
-    - an instance of a `_Scheme` by the ids of the scheme and of the
-      canonical images of its type variables;
     - a leaf term by its class, name and the id of its canonical type;
     - an application by the ids of its function and argument.
 
     Keying by id is sound only because every id is of an object that the
-    table itself keeps alive, as a value or inside one.  `schemes` holds
-    each constant's `_Scheme` by name and by the id of its scheme.
-    One `_Tables` serves one `parse_theory` or `parse_goal_expr` call and
-    is dropped with it."""
+    table itself keeps alive, as a value or inside one.  A constant's
+    instance is not kept: it is walked into these types like any other
+    type the unifier made.  One `_Tables` serves one `parse_theory` or
+    `parse_goal_expr` call and is dropped with it."""
 
     def __init__(self) -> None:
         self.types: dict[tuple, SimpleType] = {}
-        self.instances: dict[tuple, SimpleType] = {}
         self.terms: dict[tuple, Term] = {}
-        self.schemes: dict[str | int, _Scheme] = {}
         self.declared: dict[str, SimpleType] = {}
         self.bool = self.type("bool")
 
@@ -318,67 +313,6 @@ class _Tables:
             out = self.types[key] = SimpleType(name, args)
         return out
 
-    def intern(self, t: SimpleType) -> SimpleType:
-        """The shared type equal to `t`, which has no inference
-        variables."""
-        return self.type(t.name, tuple(map(self.intern, t.args)))
-
-    def scheme(self, name: str, sig: Theory | _Signature) -> _Scheme | None:
-        """The `_Scheme` of `sig`'s constant `name`; a name is declared
-        once, so it keeps the scheme it has."""
-        entry = self.schemes.get(name)
-        if entry is None:
-            scheme = sig.const_scheme(name)
-            if scheme is None:
-                return None
-            entry = self.schemes.get(id(scheme))
-            if entry is None:
-                variables = type_vars(scheme)
-                slots: dict = {v: i for i, v in enumerate(variables)}
-                steps: list[tuple] = []
-                if variables:
-                    self._compile(scheme, slots, steps)
-                entry = self.schemes[id(scheme)] = _Scheme(
-                    scheme, len(variables), tuple(steps),
-                    None if variables else self.intern(scheme))
-            self.schemes[name] = entry
-        return entry
-
-    def _compile(self, t: SimpleType, slots: dict, steps: list[tuple]) -> int:
-        """The slot of `t`'s image: its variable's, or that of the step
-        that builds it, added unless an equal one is in `steps`."""
-        if t.is_var():
-            return slots[t.name]
-        refs = tuple([self._compile(a, slots, steps) for a in t.args])
-        if (t.name, refs) not in slots:
-            slots[t.name, refs] = len(slots)
-            # a tuple of the slots `refs`, or a list of the one or none
-            args = itemgetter(*refs) if len(refs) > 1 else itemgetter(
-                slice(refs[0], refs[0] + 1) if refs else slice(0))
-            steps.append((t.name, args))
-        return slots[t.name, refs]
-
-
-class _Scheme(NamedTuple):
-    """A scheme compiled into the steps that build an instance from the
-    images of its `arity` type variables (in order of first occurrence),
-    or its `ground` type; it keeps `scheme` alive.  The images are the
-    first slots; a step appends the type `name` over the slots `args`
-    takes, and the last slot is the instance, whose equal parts are one
-    object."""
-    scheme: SimpleType
-    arity: int
-    steps: tuple[tuple[str, Callable[[list], Sequence]], ...]
-    ground: SimpleType | None
-
-    def build(self, images: list) -> SimpleType | _Ty:
-        if self.ground is not None:
-            return self.ground
-        slots = list(images)
-        for name, args in self.steps:
-            slots.append(_new(_Ty, (name, args(slots))))
-        return slots[-1]
-
 
 _CANON_POOL = [f"'{c}" for c in "abcdefghijklmnopqrstuvwxyz"]
 
@@ -387,10 +321,11 @@ class _Renamer:
     """Called on types, it resolves their inference variables and renames
     the left-over ones to 'a, 'b, ... in the order it first meets them,
     visiting each type object once.  What it returns is the parse's
-    shared type, from `tables`, as is each `SimpleType` it meets.
-    `instance` meets an instance's images in the order a walk would.  No
-    declared type variable such as 'a can be met: every type in a parsed
-    term comes from a fresh variable, an instance or a ground type.
+    shared type, from `tables`, as is each `SimpleType` it meets.  A
+    constant's instance is written out as a variable's type is: by one
+    walk that meets its variables left to right.  No declared type
+    variable such as 'a can be met: every type in a parsed term comes
+    from a fresh variable, an instance or a ground type.
 
     It is an object, not a recursive closure: a closure that calls itself
     is a reference cycle, which would keep the tables, and with them the
@@ -426,23 +361,10 @@ class _Renamer:
             done[id(ty)] = out
         return out
 
-    def instance(self, scheme: _Scheme, images: list) -> SimpleType:
-        """The shared type of the instance of `scheme` over `images`."""
-        if scheme.ground is not None:
-            return scheme.ground
-        images = list(map(self, images))
-        key = (id(scheme), *map(id, images))
-        out = self.tables.instances.get(key)
-        if out is None:
-            out = self.tables.instances[key] = self.tables.intern(
-                scheme.build(images))
-        return out
-
 
 # A term is parsed into raw nodes: an application is a ``(fun, arg)`` pair,
-# a variable a ``(FreeVar or SchematicVar, name, type)`` triple whose type
-# is the unifier's, and a constant ``(Const, name, scheme, images)``, at
-# the instance of its `_Scheme` over the unifier's types `images`.
+# and a leaf a ``(FreeVar, SchematicVar or Const, name, type)`` triple
+# whose type is the unifier's.
 Raw = tuple
 
 
@@ -451,8 +373,7 @@ def _canonicalise(raw: Raw, canon: _Renamer,
     """The term of `raw`, its types resolved and renamed by `canon`.
     Every node is the parse's shared one, from `terms`, the table of a
     `_Tables`."""
-    n = len(raw)
-    if n == 2:
+    if len(raw) == 2:
         fun = _canonicalise(raw[0], canon, terms)
         arg = _canonicalise(raw[1], canon, terms)
         key: tuple = (id(fun), id(arg))
@@ -461,7 +382,7 @@ def _canonicalise(raw: Raw, canon: _Renamer,
             out = terms[key] = App(fun, arg)
         return out
     cls, name = raw[0], raw[1]
-    ty = canon(raw[2]) if n == 3 else canon.instance(raw[2], raw[3])
+    ty = canon(raw[2])
     key = (cls, name, id(ty))
     out = terms.get(key)
     if out is None:
@@ -599,7 +520,7 @@ class _TermParser(Cursor, _Unifier):
                 lty = inst.args[1].args[1]
             elif op == 1:
                 self.require(right, rty, lty, tok)
-                leaf = (Const, "eq", self.tables.scheme("eq", self.sig), [lty])
+                leaf = self.constant("eq", {"'a": lty})[0]
                 lty = self.bool
             else:
                 self.require(left, lty, self.bool, tok)
@@ -645,10 +566,8 @@ class _TermParser(Cursor, _Unifier):
             # change while one text is parsed
             ty = self.env.get(text)
             if ty is None:
-                scheme = self.tables.schemes.get(text) or \
-                    self.tables.scheme(text, self.sig)
-                if scheme is not None:
-                    return self.constant(text, scheme)
+                if self.sig.const_scheme(text) is not None:
+                    return self.constant(text)
                 if not self.bind_unknown:
                     raise self.fail(f"unknown constant {text}", tok)
                 ty = self.env[text] = self.fresh()
@@ -684,13 +603,26 @@ class _TermParser(Cursor, _Unifier):
         self.expect_sym(")")
         return inner
 
-    def constant(self, name: str, scheme: _Scheme | None = None
+    def constant(self, name: str, images: dict | None = None
                  ) -> tuple[Raw, SimpleType]:
-        """The constant `name` at a fresh instance of its `scheme`."""
-        scheme = scheme or self.tables.scheme(name, self.sig)
-        images = [self.fresh() for _ in range(scheme.arity)] \
-            if scheme.arity > 1 else [self.fresh()] if scheme.arity else []
-        return (Const, name, scheme, images), scheme.build(images)
+        """The constant `name` at an instance of its scheme, each type
+        variable replaced by its image in `images` or a fresh one."""
+        ty = self.instance(self.sig.const_scheme(name), images or {})
+        return (Const, name, ty), ty
+
+    def instance(self, scheme: SimpleType,
+                 images: dict[str, SimpleType]) -> SimpleType:
+        """`scheme` with each leaf replaced by its image in `images`; a
+        type variable's is made a fresh inference variable and a type
+        constant's its shared type where the walk first meets it."""
+        if scheme.args:
+            return _new(_Ty, (scheme.name, tuple([
+                self.instance(a, images) for a in scheme.args])))
+        out = images.get(scheme.name)
+        if out is None:
+            out = images[scheme.name] = self.fresh() \
+                if scheme.name[0] == "'" else self.tables.type(scheme.name)
+        return out
 
     def _list_literal(self, tok: Token) -> tuple[Raw, SimpleType]:
         items: list[tuple[Raw, SimpleType]] = []
@@ -702,7 +634,7 @@ class _TermParser(Cursor, _Unifier):
         self.expect_sym("]")
         result, list_ty = self.constant("[]")
         elem = list_ty.args[0]
-        cons = (Const, "#", self.tables.scheme("#", self.sig), [elem])
+        cons = self.constant("#", {"'a": elem})[0]
         for item, ity in reversed(items):
             self.require(item, ity, elem, tok)
             result = ((cons, item), result)
@@ -761,13 +693,15 @@ def parse_theory(source: str, file: str = "<string>",
     requested statements and from `texts`, the other texts the caller
     will read against the theory, have their equations parsed (see
     `_reach`).  Every other definition is still declared with its type,
-    and its equations must be quoted, but the theory leaves it out."""
+    and its equations must be quoted, but the theory leaves it out and
+    names it in its `unread`."""
     tokens = scan(source.replace("\r\n", "\n"), file)
     reach = None if goals is None else _reach(tokens, goals, texts)
     p = Cursor(tokens, file)
     datatypes: list[DatatypeDef] = []
     fundefs: list[FunDef] = []
     lemmas: list[Goal] = []
+    unread: set[str] = set()
     known_types = {"nat": 0, "list": 1, "bool": 0}
     declared = set(PRELUDE_NAMES)
     sig = _Signature()
@@ -790,13 +724,16 @@ def parse_theory(source: str, file: str = "<string>",
             sig.add_datatype(d)
         elif tok.text in ("fun", "primrec"):
             f = _parse_fundef(p, sig, tables, known_types, declare, reach)
-            if f is not None:
+            if isinstance(f, str):
+                unread.add(f)
+            else:
                 fundefs.append(f)
         else:
             goal = _parse_lemma(p, sig, tables, declare, goals)
             if goal is not None:
                 lemmas.append(goal)
-    return Theory(tuple(datatypes), tuple(fundefs), tuple(lemmas))
+    return Theory(tuple(datatypes), tuple(fundefs), tuple(lemmas),
+                  frozenset(unread))
 
 
 # the identifiers of a quoted text, as `scan` reads them
@@ -922,8 +859,8 @@ def _parse_ctor_arg(p: Cursor, known: dict[str, int], params: list[str],
 
 def _parse_fundef(p: Cursor, sig: _Signature, tables: _Tables,
                   known_types: dict[str, int], declare,
-                  reach: Collection[str] | None) -> FunDef | None:
-    """The definition at `p`, declared with its type; None, with its
+                  reach: Collection[str] | None) -> FunDef | str:
+    """The definition at `p`, declared with its type; its name, with its
     equations unread, if `reach` is not None and does not name it."""
     kw = p.next()  # 'fun' | 'primrec'
     name_tok = p.expect_ident("function name")
@@ -972,7 +909,7 @@ def _parse_fundef(p: Cursor, sig: _Signature, tables: _Tables,
             continue
         break
     if not read:
-        return None
+        return name_tok.text
     return FunDef(name_tok.text, declared_ty, tuple(equations),
                   kw.text == "fun")
 
@@ -1060,9 +997,17 @@ def _parse_prop(ts: _TermParser) -> Term:
 
 def parse_goal_expr(source: str, ctx: Theory,
                     file: str = "<expr>") -> Term:
-    """Parse a standalone boolean proposition over `ctx`'s signature."""
-    return _parse_prop(_TermParser(
-        scan(source.replace("\r\n", "\n"), file), file, ctx, _Tables()))
+    """Parse a standalone boolean proposition over `ctx`'s signature.  An
+    identifier that names a definition `ctx` left out (its `unread`) is
+    an error: read as a variable, it would make a different goal."""
+    tokens = scan(source.replace("\r\n", "\n"), file)
+    for tok in tokens:
+        if tok.kind == "ident" and tok.text in ctx.unread:
+            raise ParseError(
+                f"definition {tok.text} was left out of the theory; pass "
+                "this text in parse_theory's texts",
+                SourceSpan(file, tok.line, tok.column))
+    return _parse_prop(_TermParser(tokens, file, ctx, _Tables()))
 
 
 # ---------------------------------------------------------------------------

@@ -451,15 +451,19 @@ class FunDef(NamedTuple):
 class Theory(Tree):
     """Declarations on top of the prelude.  Names are looked up through
     indexes built on first use: the first declaration of a name wins, and
-    the theory's declarations shadow the prelude's."""
+    the theory's declarations shadow the prelude's.  `unread` names the
+    definitions its source declared but its parse left out; it takes no
+    part in equality."""
 
-    __slots__ = ("datatypes", "fundefs", "goals", "_by_name")
+    __slots__ = ("datatypes", "fundefs", "goals", "unread", "_by_name")
     _fields = __slots__[:3]
 
     def __init__(self, datatypes: tuple[DatatypeDef, ...] = (),
                  fundefs: tuple[FunDef, ...] = (),
-                 goals: tuple[Goal, ...] = ()):
+                 goals: tuple[Goal, ...] = (),
+                 unread: frozenset[str] = frozenset()):
         Tree.__init__(self, datatypes, fundefs, goals)
+        self.unread = unread
         self._by_name = None
 
     def _indexes(self) -> tuple[dict, dict, dict, dict]:

@@ -14,8 +14,9 @@ from inductrank.parser import (
     print_theory, scan,
 )
 from inductrank.terms import (
-    App, FreeVar, check_term, free_variables, goal_free_variables, list_of,
-    SimpleType, Theory, subterms_with_paths, type_vars,
+    App, FreeVar, Goal, check_term, format_goal, free_variables,
+    goal_free_variables, list_of, SimpleType, Theory, subterms_with_paths,
+    type_vars,
 )
 
 RUNNING = '''
@@ -385,10 +386,23 @@ class TestSharing:
     parse builds to find them outlives it."""
 
     def test_corpus_theories_share_equal_parts(self, corpus_dir):
+        # a full parse, a parse of each lemma alone, and each statement
+        # read over the full theory, whose constructor schemes are built
+        # afresh on each lookup
         for path in sorted(corpus_dir.glob("*.thy")):
-            thy = parse_theory(path.read_text(encoding="utf-8"), path.name)
-            ids = _objects_per_value(thy)
-            assert all(len(v) == 1 for v in ids.values()), path.name
+            text = path.read_text(encoding="utf-8")
+            thy = parse_theory(text, path.name)
+            parses = {"": thy}
+            for g in thy.goals:
+                parses[g.name] = parse_theory(text, path.name,
+                                              goals=(g.name,))
+                term = parse_goal_expr(format_goal(g), thy)
+                parses[f"{g.name} expr"] = Theory(
+                    goals=(Goal(g.name, (), term),))
+            for name, parsed in parses.items():
+                ids = _objects_per_value(parsed)
+                assert all(len(v) == 1 for v in ids.values()), \
+                    (path.name, name)
 
     @settings(max_examples=30, deadline=None)
     @given(text=theory_texts())
@@ -413,7 +427,8 @@ class TestSharing:
         before = tables()
         first, second = parse_theory(text), parse_theory(text)
         goal = parse_goal_expr("rev (rev xs) = xs", first)
-        assert first == second
+        one = parse_theory(text, goals=(first.goals[0].name,))
+        assert first == second and one.goals == first.goals[:1]
         assert goal == parse_goal_expr("rev (rev xs) = xs", second)
         apps = [{id(s) for s in _parts(thy)[1] if isinstance(s, App)}
                 for thy in (first, second)]
@@ -423,14 +438,18 @@ class TestSharing:
         gc.disable()
         try:
             thy = parse_theory(text)
+            one = parse_theory(text, goals=(thy.goals[0].name,))
             nodes = [weakref.ref(t) for t in (
-                thy.goals[0].conclusion, parse_goal_expr("x = y", thy))]
-            del thy
-            assert [node() for node in nodes] == [None, None]
+                thy.goals[0].conclusion, parse_goal_expr("x = y", thy),
+                one.goals[0].conclusion)]
+            del thy, one
+            assert [node() for node in nodes] == [None, None, None]
             # and a parse leaves no cyclic garbage behind
             gc.collect()
             for path in sorted(corpus_dir.glob("*.thy")):
-                parse_theory(path.read_text(encoding="utf-8"), path.name)
+                text = path.read_text(encoding="utf-8")
+                for goal in parse_theory(text, path.name).goals:
+                    parse_theory(text, path.name, goals=(goal.name,))
                 assert gc.collect() == 0, path.name
         finally:
             gc.enable()
@@ -570,23 +589,30 @@ def _sources(test) -> list[str]:
 def _assert_requests_agree(text: str) -> None:
     """Parsing one lemma of `text`, or none, with or without a definition
     named in `texts`, gives the full parse's datatypes, the definitions
-    `ref_reached` says the request reaches, and only that lemma."""
+    `ref_reached` says the request reaches, and only that lemma; its
+    `unread` names every other definition."""
     full = parse_theory(text, "t.thy")
+    assert full.unread == frozenset()
 
     def expected(goals, texts=()) -> Theory:
         reach = ref_reached(text, goals, texts)
         return Theory(full.datatypes,
                       tuple(f for f in full.fundefs if f.name in reach),
-                      tuple(map(full.goal_named, goals)))
+                      tuple(map(full.goal_named, goals)),
+                      frozenset(f.name for f in full.fundefs) - reach)
 
-    assert parse_theory(text, "t.thy", goals=()) == expected(())
+    def agrees(thy: Theory, goals, texts=()) -> bool:
+        want = expected(goals, texts)
+        return thy == want and thy.unread == want.unread
+
+    assert agrees(parse_theory(text, "t.thy", goals=()), ())
     for goal in full.goals:
         thy = parse_theory(text, "t.thy", goals=(goal.name,))
-        assert thy == expected((goal.name,))
+        assert agrees(thy, (goal.name,))
         assert thy.goals[0].line == goal.line
     for f in full.fundefs:
-        assert parse_theory(text, "t.thy", goals=(), texts=(f.name,)) \
-            == expected((), (f.name,))
+        assert agrees(parse_theory(text, "t.thy", goals=(),
+                                   texts=(f.name,)), (), (f.name,))
 
 
 def _owner(src: str, span) -> tuple[str, str] | None:
@@ -649,6 +675,23 @@ class TestRequestedGoals:
         assert names(goals=(), texts=("itrev",)) == ["itrev"]
         assert names(goals=(), texts=("rev xs",)) == ["rev"]
         assert names(goals=None) == ["rev", "itrev"]
+
+    def test_goal_expr_refuses_a_definition_left_out(self):
+        # read as a free variable, the name of a definition the theory
+        # left out would make a different goal without a word
+        src = RUNNING + ('fun tl2 :: "\'a list => \'a list" where\n'
+                         '  "tl2 [] = []"\n| "tl2 (x # xs) = xs"\n')
+        thy = parse_theory(src, goals=())
+        assert thy == Theory() and thy.unread == {"rev", "itrev", "tl2"}
+        with pytest.raises(ParseError) as err:
+            parse_goal_expr("xs =\n  tl2 xs", thy)
+        assert str(err.value) == (
+            "<expr>:2:3: definition tl2 was left out of the theory; pass "
+            "this text in parse_theory's texts")
+        read = parse_theory(src, goals=(), texts=("tl2 xs = xs",))
+        assert read.unread == {"rev", "itrev"}
+        assert parse_goal_expr("tl2 xs = xs", read) \
+            == parse_goal_expr("tl2 xs = xs", parse_theory(src))
 
     def test_forward_reference_in_a_reached_definition(self):
         # a reached definition is parsed where it stands
