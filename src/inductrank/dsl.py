@@ -37,7 +37,7 @@ import enum
 import re
 from typing import Callable, Iterable, NamedTuple, Union
 
-from .parser import Cursor, Token, scan
+from .parser import Cursor, Token
 from .schemes import InductionScheme, RULE_SUFFIX, scheme_for_rule_name
 from .tactic import Candidate
 from .terms import (
@@ -671,13 +671,14 @@ class _DslParser(Cursor):
 def _parser(source: str, file: str) -> _DslParser:
     """A parser at the start of `source`, with every Unicode alias read as
     the token it stands for."""
-    tokens = scan(source.replace("\r\n", "\n"), file, token_re=_TOKEN_RE)
-    for i, tok in enumerate(tokens):
+    parser = _DslParser(source.replace("\r\n", "\n"), file,
+                        token_re=_TOKEN_RE)
+    for i, tok in enumerate(parser.tokens):
         if tok.kind == "uni":
             alias = _ALIASES[tok.text]
-            tokens[i] = tok._replace(
+            parser.tokens[i] = tok._replace(
                 kind="ident" if alias.isalpha() else "sym", text=alias)
-    return _DslParser(tokens, file)
+    return parser
 
 
 def parse_formula(source: str, file: str = "<formula>") -> Formula:

@@ -14,9 +14,10 @@ right-associative).  Constants defined with ``fun`` carry a derived
 induction rule; ``primrec`` constants do not.
 
 The scanner makes one regular-expression match per token and the spaces
-before it; a newline starts a whitespace match of its own.  A quoted text
-is scanned when the parser reaches it, so a file's tokens are never all
-held at once.
+before it; a newline starts a whitespace match of its own.  A token
+carries its offset into the file: line and column are computed only for
+an error or a `Goal.line`.  A quoted text is scanned in place when the
+parser reaches it, so a file's tokens are never all held at once.
 
 A lemma's statement is parsed only if `parse_theory`'s `goals` names it,
 or `goals` is None.  A definition's equations are parsed only if it is
@@ -107,73 +108,77 @@ _SKIPPED = {"ws", "comment", "quoted", "unterminated"}
 
 
 class Token(NamedTuple):
+    """A token of a source, with where it starts in that source."""
     kind: str       # tyvar | schem | ident | num | sym | quoted | eof
     text: str       # for quoted tokens: the text between the quotes
-    line: int
-    column: int
+    offset: int     # of its first character, the quote of a quoted token
 
 
-def scan(source: str, file: str, line: int = 1, column: int = 1,
+def _span(source: str, file: str, offset: int, at: int = 0,
+          line: int = 1) -> SourceSpan:
+    """The span of `offset` in `source`, if offset `at` <= it is on `line`."""
+    return SourceSpan(file, line + source.count("\n", at, offset),
+                      offset - source.rfind("\n", 0, offset))
+
+
+def scan(source: str, file: str, start: int = 0, end: int | None = None,
          token_re: re.Pattern = _TOKEN_RE) -> list[Token]:
-    """Tokens of `source`, whose first character is at `line`:`column`.
+    """Tokens of `source[start:end]`, read in place: offsets are in `source`.
     Each group of `token_re` is a token kind.  Whitespace (``ws``) and
     comments, which open with a ``comment`` match and nest, are skipped.
 
     A `finditer` pass reads the matches of `_lexer(token_re)`; one that
     does not start at `pos` leaves a character no group matches there,
-    and a comment restarts the pass after its end.  A token's column is
-    its distance from the last newline before it; `nl` is that newline's
-    index (before the first one, -`column`)."""
+    and a comment restarts the pass after its end."""
     lexer = _LEXER if token_re is _TOKEN_RE else _lexer(token_re)
     tokens: list[Token] = []
-    nl = -column
-    pos, n = 0, len(source)
-    while pos < n:
-        for m in lexer.finditer(source, pos):
+    pos, end = start, len(source) if end is None else end
+    while pos < end:
+        for m in lexer.finditer(source, pos, end):
             if m.start() != pos:
                 break
             kind = m.lastgroup
             i, pos = m.span(m.lastindex)
             if kind not in _SKIPPED:
-                tokens.append(_new(Token, (kind, source[i:pos], line, i - nl)))
-                continue
-            if kind == "comment":
+                tokens.append(_new(Token, (kind, source[i:pos], i)))
+            elif kind == "comment":
                 depth = 1
                 while depth:
-                    close = source.find("*)", pos)
+                    close = source.find("*)", pos, end)
                     if close < 0:
                         raise ParseError("unterminated comment",
-                                         SourceSpan(file, line, i - nl))
-                    inner = source.find("(*", pos)
+                                         _span(source, file, i))
+                    inner = source.find("(*", pos, end)
                     if 0 <= inner < close:
                         depth, pos = depth + 1, inner + 2
                     else:
                         depth, pos = depth - 1, close + 2
-            elif kind == "quoted":
-                tokens.append(Token(kind, source[i + 1:pos - 1], line, i - nl))
-            elif kind == "unterminated":
-                raise ParseError("unterminated quote",
-                                 SourceSpan(file, line, i - nl))
-            newlines = source.count("\n", i, pos)
-            if newlines:
-                line += newlines
-                nl = source.rfind("\n", i, pos)
-            if kind == "comment":
                 break
-        if pos < n and token_re.match(source, pos) is None:
+            elif kind == "quoted":
+                tokens.append(Token(kind, source[i + 1:pos - 1], i))
+            elif kind == "unterminated":
+                raise ParseError("unterminated quote", _span(source, file, i))
+        if pos < end and token_re.match(source, pos, end) is None:
             raise ParseError(f"unexpected character {source[pos]!r}",
-                             SourceSpan(file, line, pos - nl))
-    tokens.append(Token("eof", "", line, n - nl))
+                             _span(source, file, pos))
+    tokens.append(Token("eof", "", end))
     return tokens
 
 
 class Cursor:
-    """A position in a token list, with errors spanned in `file`."""
+    """A position in the tokens `scan` reads of `source[start:end]`, with
+    errors spanned in `file`."""
 
-    def __init__(self, tokens: list[Token], file: str):
-        self.tokens = tokens
-        self.pos = 0
-        self.file = file
+    def __init__(self, source: str, file: str, start: int = 0,
+                 end: int | None = None, token_re: re.Pattern = _TOKEN_RE):
+        self.tokens = scan(source, file, start, end, token_re)
+        self.pos, self.source, self.file = 0, source, file
+
+    def quoted(self, tok: Token) -> tuple[str, str, int, int]:
+        """The source, file, start and end of the text between the quotes
+        of `tok`: the first arguments of a cursor over it."""
+        start = tok.offset + 1
+        return self.source, self.file, start, start + len(tok.text)
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -187,7 +192,7 @@ class Cursor:
     def fail(self, message: str, tok: Token | None = None,
              expected: tuple[str, ...] = ()) -> ParseError:
         tok = tok or self.peek()
-        return ParseError(message, SourceSpan(self.file, tok.line, tok.column),
+        return ParseError(message, _span(self.source, self.file, tok.offset),
                           expected)
 
     def at_sym(self, text: str) -> bool:
@@ -211,11 +216,6 @@ class Cursor:
         tok = self.peek()
         return self.fail(f"found {tok.text!r}" if tok.kind != "eof" else end,
                          tok, expected=(what,))
-
-
-def _quoted(tok: Token, file: str) -> list[Token]:
-    """The tokens of the text between the quotes of `tok`."""
-    return scan(tok.text, file, tok.line, tok.column + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +494,10 @@ class _TermParser(Cursor, _Unifier):
     side of an equation they are an error.
     """
 
-    def __init__(self, tokens: list[Token], file: str,
-                 sig: Theory | _Signature, tables: _Tables):
-        self.tokens, self.pos, self.file = tokens, 0, file
+    def __init__(self, sig: Theory | _Signature, tables: _Tables,
+                 source: str, file: str, start: int = 0,
+                 end: int | None = None):
+        Cursor.__init__(self, source, file, start, end)
         self.sig, self.tables, self.bool = sig, tables, tables.bool
         _Unifier.__init__(self)
         self.env: dict[str, SimpleType] = {}
@@ -695,13 +696,13 @@ def parse_theory(source: str, file: str = "<string>",
     `_reach`).  Every other definition is still declared with its type,
     and its equations must be quoted, but the theory leaves it out and
     names it in its `unread`."""
-    tokens = scan(source.replace("\r\n", "\n"), file)
-    reach = None if goals is None else _reach(tokens, goals, texts)
-    p = Cursor(tokens, file)
+    p = Cursor(source.replace("\r\n", "\n"), file)
+    reach = None if goals is None else _reach(p.tokens, goals, texts)
     datatypes: list[DatatypeDef] = []
     fundefs: list[FunDef] = []
     lemmas: list[Goal] = []
     unread: set[str] = set()
+    lines = [0, 1]  # the offset of the last lemma read, and its line
     known_types = {"nat": 0, "list": 1, "bool": 0}
     declared = set(PRELUDE_NAMES)
     sig = _Signature()
@@ -729,7 +730,7 @@ def parse_theory(source: str, file: str = "<string>",
             else:
                 fundefs.append(f)
         else:
-            goal = _parse_lemma(p, sig, tables, declare, goals)
+            goal = _parse_lemma(p, sig, tables, declare, goals, lines)
             if goal is not None:
                 lemmas.append(goal)
     return Theory(tuple(datatypes), tuple(fundefs), tuple(lemmas),
@@ -830,11 +831,10 @@ def _parse_ctor_arg(p: Cursor, known: dict[str, int], params: list[str],
                 else f"type {tok.text} needs arguments (use parentheses)",
                 tok)
         return tables.type(tok.text)
-    # parenthesised compound type; re-lex the slice via a tiny trick:
-    # collect raw tokens until the matching close paren
-    p.expect_sym("(")
+    # a parenthesised compound type: the text up to the matching closing
+    # parenthesis `t`, scanned again
+    start = p.expect_sym("(").offset + 1
     depth = 1
-    parts: list[Token] = []
     while depth > 0:
         t = p.next()
         if t.kind == "eof":
@@ -843,11 +843,7 @@ def _parse_ctor_arg(p: Cursor, known: dict[str, int], params: list[str],
             depth += 1
         elif t.kind == "sym" and t.text == ")":
             depth -= 1
-            if depth == 0:
-                break
-        parts.append(t)
-    # the type ends at the closing parenthesis `t`
-    ts = Cursor(parts + [Token("eof", "", t.line, t.column)], p.file)
+    ts = Cursor(p.source, p.file, start, t.offset)
     ty = _parse_type(ts, known, tables)
     if ts.peek().kind != "eof":
         raise ts.fail("trailing tokens in type")
@@ -872,7 +868,7 @@ def _parse_fundef(p: Cursor, sig: _Signature, tables: _Tables,
     # a type text read once reads the same later: types are only added
     declared_ty = tables.declared.get(ty_tok.text)
     if declared_ty is None:
-        ts = Cursor(_quoted(ty_tok, p.file), p.file)
+        ts = Cursor(*p.quoted(ty_tok))
         declared_ty = _parse_type(ts, known_types, tables)
         if ts.peek().kind != "eof":
             raise ts.fail("trailing tokens in type")
@@ -917,7 +913,7 @@ def _parse_fundef(p: Cursor, sig: _Signature, tables: _Tables,
 def _parse_equation(p: Cursor, quoted: Token, sig: _Signature,
                     tables: _Tables, fn_name: str) -> tuple[Equation, int]:
     """An equation of `fn_name` and the number of its arguments."""
-    ts = _TermParser(_quoted(quoted, p.file), p.file, sig, tables)
+    ts = _TermParser(sig, tables, *p.quoted(quoted))
     # left-hand side: unknown identifiers become pattern variables
     lhs, lhs_ty = ts.parse(2)
     ts.expect_sym("=")
@@ -964,8 +960,10 @@ def _pattern_error(args: list[Raw], sig: _Signature) -> str | None:
 
 
 def _parse_lemma(p: Cursor, sig: _Signature, tables: _Tables, declare,
-                 goals: Collection[str] | None) -> Goal | None:
-    """The lemma at `p`, or None if `goals` does not name it."""
+                 goals: Collection[str] | None,
+                 lines: list[int]) -> Goal | None:
+    """The lemma at `p`, or None if `goals` does not name it; its line is
+    counted on from `lines`, that of the last lemma read, which it becomes."""
     lemma_tok = p.next()  # 'lemma'
     name_tok = p.expect_ident("lemma name")
     declare(name_tok.text, name_tok)
@@ -977,10 +975,11 @@ def _parse_lemma(p: Cursor, sig: _Signature, tables: _Tables, declare,
     p.next()
     if goals is not None and name_tok.text not in goals:
         return None
-    term = _parse_prop(
-        _TermParser(_quoted(prop_tok, p.file), p.file, sig, tables))
+    term = _parse_prop(_TermParser(sig, tables, *p.quoted(prop_tok)))
     premises, conclusion = split_implications(term)
-    return Goal(name_tok.text, premises, conclusion, line=lemma_tok.line)
+    at = lemma_tok.offset
+    lines[:] = at, _span(p.source, p.file, at, *lines).line
+    return Goal(name_tok.text, premises, conclusion, line=lines[1])
 
 
 def _parse_prop(ts: _TermParser) -> Term:
@@ -1000,14 +999,13 @@ def parse_goal_expr(source: str, ctx: Theory,
     """Parse a standalone boolean proposition over `ctx`'s signature.  An
     identifier that names a definition `ctx` left out (its `unread`) is
     an error: read as a variable, it would make a different goal."""
-    tokens = scan(source.replace("\r\n", "\n"), file)
-    for tok in tokens:
+    ts = _TermParser(ctx, _Tables(), source.replace("\r\n", "\n"), file)
+    for tok in ts.tokens:
         if tok.kind == "ident" and tok.text in ctx.unread:
-            raise ParseError(
-                f"definition {tok.text} was left out of the theory; pass "
-                "this text in parse_theory's texts",
-                SourceSpan(file, tok.line, tok.column))
-    return _parse_prop(_TermParser(tokens, file, ctx, _Tables()))
+            raise ts.fail(f"definition {tok.text} was left out of the "
+                          "theory; pass this text in parse_theory's texts",
+                          tok)
+    return _parse_prop(ts)
 
 
 # ---------------------------------------------------------------------------

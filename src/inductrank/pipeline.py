@@ -220,7 +220,9 @@ def stage2(goal: Goal,
       induction term, so no case variable bears its name.  If it occurs in
       the goal's conclusion, no generalised conclusion holds the goal's;
       else each subgoal holds a renamed premise that the goal lacks.
-      Every scheme has a case, so some subgoal fails the condition.
+      Every scheme has a case, so some subgoal fails the condition.  An
+      induction hypothesis, which carries the goal's premises under its
+      own renaming, takes no part in this argument.
     """
     condition = _screen(goal)
     verdicts: dict[tuple[SubgoalSet, bool], int | None] = {}

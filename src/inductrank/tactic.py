@@ -130,10 +130,11 @@ def _unknown(name: str) -> Failure:
 
 class _Case(NamedTuple):
     """One case of an application before generalisation: the goal's
-    conclusion under the case's substitution, under each induction
-    hypothesis's, and the goal's premises under the case's; the schematic
-    equations to wrap around the conclusion and around each hypothesis,
-    innermost first; and the names a generalised variable must avoid."""
+    conclusion under the case's substitution, each induction hypothesis
+    (the goal's premises and conclusion under its substitution), and the
+    goal's premises under the case's; the schematic equations to wrap
+    around the conclusion and around each hypothesis, innermost first; and
+    the names a generalised variable must avoid."""
 
     name: str
     conclusion: Term
@@ -308,8 +309,7 @@ class InductTactic:
             cases.append(_Case(
                 name=case.name,
                 conclusion=subst_frees(goal.conclusion, maps[0]),
-                hypotheses=tuple(subst_frees(goal.conclusion, m)
-                                 for m in maps[1:]),
+                hypotheses=tuple(map(self._hypothesis, maps[1:])),
                 premises=tuple(subst_frees(p, maps[0])
                                for p in goal.premises),
                 anchors=anchors[0],
@@ -317,6 +317,15 @@ class InductTactic:
                 used=frozenset(used.union(self.by_name)),
             ))
         return tuple(cases)
+
+    def _hypothesis(self, m: dict[str, Term]) -> Term:
+        """The goal under the substitution `m`, its premises as
+        implications, as Isabelle's induct puts them into the induction
+        predicate."""
+        hyp = subst_frees(self.goal.conclusion, m)
+        for p in reversed(self.goal.premises):
+            hyp = mk_implies(subst_frees(p, m), hyp)
+        return hyp
 
     def _subgoal(self, case: _Case, generalised: list[FreeVar]) -> Goal:
         conclusion = case.conclusion

@@ -31,47 +31,43 @@ from inductrank.terms import (
 # Reference scanner
 
 
-def reference_scan(source: str, file: str, line: int, column: int,
+def reference_scan(source: str, file: str, start: int, end: int,
                    token_re) -> list[Token]:
-    """The tokens of `source` by one `token_re.match` per token and per
-    run of whitespace: the scanner before whitespace was read with the
-    token after it."""
+    """The tokens of `source[start:end]` by one `token_re.match` per token
+    and per run of whitespace in that slice: the scanner before whitespace
+    was read with the token after it.  Offsets are in `source`, and an
+    error's line and column are those of its offset there."""
+    def span(i: int) -> SourceSpan:
+        lines = source[:start + i].split("\n")
+        return SourceSpan(file, len(lines), len(lines[-1]) + 1)
+
+    text = source[start:end]
     tokens: list[Token] = []
-    nl = -column
-    i, n = 0, len(source)
+    i, n = 0, len(text)
     while i < n:
-        m = token_re.match(source, i)
+        m = token_re.match(text, i)
         if m is None:
-            raise ParseError(f"unexpected character {source[i]!r}",
-                             SourceSpan(file, line, i - nl))
+            raise ParseError(f"unexpected character {text[i]!r}", span(i))
         kind, j = m.lastgroup, m.end()
         if kind == "comment":
             depth = 1
             while depth:
-                close = source.find("*)", j)
+                close = text.find("*)", j)
                 if close < 0:
-                    raise ParseError("unterminated comment",
-                                     SourceSpan(file, line, i - nl))
-                inner = source.find("(*", j)
+                    raise ParseError("unterminated comment", span(i))
+                inner = text.find("(*", j)
                 if 0 <= inner < close:
                     depth, j = depth + 1, inner + 2
                 else:
                     depth, j = depth - 1, close + 2
         elif kind == "quoted":
-            tokens.append(Token(kind, source[i + 1:j - 1], line, i - nl))
+            tokens.append(Token(kind, text[i + 1:j - 1], start + i))
         elif kind == "unterminated":
-            raise ParseError("unterminated quote",
-                             SourceSpan(file, line, i - nl))
+            raise ParseError("unterminated quote", span(i))
         elif kind != "ws":
-            tokens.append(Token(kind, m.group(), line, i - nl))
-            i = j
-            continue
-        newlines = source.count("\n", i, j)
-        if newlines:
-            line += newlines
-            nl = source.rfind("\n", i, j)
+            tokens.append(Token(kind, m.group(), start + i))
         i = j
-    tokens.append(Token("eof", "", line, n - nl))
+    tokens.append(Token("eof", "", end))
     return tokens
 
 
@@ -87,13 +83,9 @@ _QUOTED_OR_COMMENT = re.compile(r'"[^"]*"|\(\*')
 _COMMENT_MARK = re.compile(r"\(\*|\*\)")
 
 
-def ref_declared_texts(text: str) -> list[tuple[int, int, str, str]]:
-    """The equations and lemma statements of `text` (with CRLF read as
-    LF), as ``(start, end, kind, name)``: the offsets of the opening
-    quote and after the closing one, and ``"fun"`` with the defined name
-    or ``"lemma"`` with the lemma's.  Comments, which nest, are blanked
-    out first, keeping every offset; regular expressions then find the
-    declarations."""
+def _blanked(text: str) -> str:
+    """`text` with CRLF read as LF and its comments, which nest, blanked
+    out, keeping every offset and newline."""
     text = text.replace("\r\n", "\n")
     chars = list(text)
     pos = 0
@@ -108,13 +100,31 @@ def ref_declared_texts(text: str) -> list[tuple[int, int, str, str]]:
         end = pos if not depth else len(text)
         chars[m.start():end] = [ch if ch == "\n" else " "
                                 for ch in text[m.start():end]]
-    blanked = "".join(chars)
+    return "".join(chars)
+
+
+def ref_declared_texts(text: str) -> list[tuple[int, int, str, str]]:
+    """The equations and lemma statements of `text` (with CRLF read as
+    LF), as ``(start, end, kind, name)``: the offsets of the opening
+    quote and after the closing one, and ``"fun"`` with the defined name
+    or ``"lemma"`` with the lemma's.  Regular expressions find the
+    declarations in the `_blanked` text."""
+    blanked = _blanked(text)
     out = [(q.start(), q.end(), "fun", d.group(1))
            for d in _DEFINITION.finditer(blanked)
            for q in _QUOTED.finditer(blanked, d.start(2), d.end(2))]
     out += [(m.start(2), m.end(2), "lemma", m.group(1))
             for m in _LEMMA.finditer(blanked)]
     return sorted(out)
+
+
+def ref_lemma_lines(text: str) -> dict[str, int]:
+    """The line of each lemma's ``lemma`` keyword in `text`, counting from
+    1 and reading CRLF as LF: the number of pieces that the text before
+    it falls into when it is split at each newline."""
+    blanked = _blanked(text)
+    return {m.group(1): len(blanked[:m.start()].split("\n"))
+            for m in _LEMMA.finditer(blanked)}
 
 
 def ref_reached(text: str, goals, texts=()) -> set[str]:

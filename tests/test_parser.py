@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import gc
+import importlib.util
 import re
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from _reference import ref_declared_texts, ref_reached, reference_scan
+from _reference import (
+    ref_declared_texts, ref_lemma_lines, ref_reached, reference_scan,
+)
 from inductrank import dsl, parser
 from inductrank.parser import (
     MAX_NUMERAL, ParseError, _Unifier, parse_goal_expr, parse_theory,
@@ -708,6 +713,60 @@ class TestRequestedGoals:
             src, "bad.thy", goals=(), texts=("g",)).fundefs] == ["g"]
 
 
+def _assert_goal_lines(text: str, stride: int = 1) -> None:
+    """Every lemma's `Goal.line` is the line of its ``lemma`` keyword, by
+    `ref_lemma_lines`: in the full parse, in a parse of every other lemma
+    and in the one-lemma parse of every `stride`-th lemma and the last."""
+    want = ref_lemma_lines(text)
+    assert {g.name: g.line for g in parse_theory(text).goals} == want
+    for name in {*list(want)[::stride], *list(want)[-1:]}:
+        assert [g.line for g in parse_theory(text, goals=(name,)).goals] \
+            == [want[name]]
+    every_other = list(want)[::2]
+    assert [g.line for g in parse_theory(text, goals=every_other).goals] \
+        == [want[name] for name in every_other]
+
+
+# what is put between declarations: multi-line nested comments among them
+_BETWEEN = ("", "(* one line *)", "(* a\n  (* nested\n\n  *) b *)",
+            "(*\n(* (* x *) *)\n*)\n\n", "\n\n\n")
+_DECLARATION = re.compile(r"\n(?=datatype |fun |primrec |lemma )")
+
+
+@st.composite
+def commented_theory_texts(draw):
+    """A `theory_texts` text with a drawn piece of `_BETWEEN` after each
+    declaration, and with CRLF line ends half the time."""
+    text = "".join(part + "\n" + draw(st.sampled_from(_BETWEEN)) + "\n"
+                   for part in _DECLARATION.split(draw(theory_texts())))
+    return text.replace("\n", "\r\n") if draw(st.booleans()) else text
+
+
+def _large_theory(seed: int) -> str:
+    """The theory text of the benchmark's large-theory-recommend workload,
+    from `bench/workloads.py`."""
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.large_theory_recommend(seed).theory_text
+
+
+class TestGoalLines:
+    def test_corpus_files(self, corpus_dir):
+        for path in sorted(corpus_dir.glob("*.thy")):
+            _assert_goal_lines(path.read_text(encoding="utf-8"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=commented_theory_texts())
+    def test_generated_theories_with_comments_and_crlf(self, text):
+        _assert_goal_lines(text)
+
+    def test_large_theory(self):
+        # one-lemma parses of 25 of its 408 lemmas, for time
+        _assert_goal_lines(_large_theory(1), stride=17)
+
+
 # Pieces of scanner input: every token kind of the theory and the heuristic
 # lexers, every symbol of each, quotes, nested and unterminated comments,
 # kinds of whitespace and newline, the heuristic language's Unicode aliases
@@ -724,22 +783,33 @@ SCAN_PIECES = (
 )
 
 
+_SCAN_TEXTS = st.lists(st.one_of(st.sampled_from(SCAN_PIECES),
+                                 st.characters()), max_size=24)
+
+
 class TestScan:
     @settings(max_examples=400, deadline=None)
-    @given(pieces=st.lists(st.one_of(st.sampled_from(SCAN_PIECES),
-                                     st.characters()), max_size=24),
-           line=st.integers(1, 5), column=st.integers(1, 40))
-    def test_agrees_with_one_match_per_token(self, pieces, line, column):
-        source = "".join(pieces)
+    @given(pieces=_SCAN_TEXTS, prefix=_SCAN_TEXTS, suffix=_SCAN_TEXTS)
+    # a token, a quote and a comment that would run on past the window
+    @example(pieces=["xs"], prefix=['"'], suffix=["ys", '"'])
+    @example(pieces=["x", " ", '"'], prefix=["\n"], suffix=['y"'])
+    @example(pieces=["(* open"], prefix=["x"], suffix=[" *)"])
+    def test_agrees_with_one_match_per_token(self, pieces, prefix, suffix):
+        # the window between a drawn prefix and suffix, as a quoted text
+        # is scanned in place
+        before, text = "".join(prefix), "".join(pieces)
+        source = before + text + "".join(suffix)
+        start, end = len(before), len(before) + len(text)
         for token_re in (parser._TOKEN_RE, dsl._TOKEN_RE):
             outcomes = []
             for scanner in (scan, reference_scan):
                 try:
                     outcomes.append(
-                        scanner(source, "s.thy", line, column, token_re))
+                        scanner(source, "s.thy", start, end, token_re))
                 except ParseError as err:
                     outcomes.append(str(err))
-            assert outcomes[0] == outcomes[1], (source, token_re.pattern)
+            assert outcomes[0] == outcomes[1], (source, start, end,
+                                                token_re.pattern)
 
 
 class TestNesting:

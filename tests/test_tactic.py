@@ -64,8 +64,10 @@ class TestStructuralMode:
         assert zero.conclusion == goal.conclusion
         # step case: induction hypothesis first, then the original premise;
         # the scheme's case variable collides with the goal's n, so it is
-        # primed
-        assert suc.premises[0] == goal.conclusion
+        # primed.  The hypothesis carries the goal's premise, as in
+        # Isabelle, rather than being the bare conclusion m = n.
+        assert suc.premises[0] == expect(thy,
+                                         "add n' m = add n' n ==> m = n")
         assert suc.premises[1] == expect(thy,
                                          "add (Suc n') m = add (Suc n') n")
 
