@@ -195,8 +195,9 @@ def make_context(goal: Goal, candidate: Candidate, thy: Theory,
     if index is None:
         index = GoalIndex(goal, thy)
     scheme = None if candidate.rule is None else index.scheme(candidate.rule)
+    variables = index.variables
     ind_terms = tuple(
-        index.variables.get(n, FreeVar(n, SimpleType("'a")))
+        variables[n] if n in variables else FreeVar(n, SimpleType("'a"))
         for n in candidate.induction_terms)
     return EvalContext(
         index=index,

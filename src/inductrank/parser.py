@@ -13,11 +13,22 @@ the fixed infix table ``==>`` (implication), ``=``, ``#`` and ``@`` (both
 right-associative).  Constants defined with ``fun`` carry a derived
 induction rule; ``primrec`` constants do not.
 
-The scanner makes one regular-expression match per token and the spaces
-before it; a newline starts a whitespace match of its own.  A token
-carries its offset into the file: line and column are computed only for
-an error or a `Goal.line`.  A quoted text is scanned in place when the
-parser reaches it, so a file's tokens are never all held at once.
+The top level is read by one regular expression, `_DECLARATION`, with
+one match per declaration: a definition's name, quoted type and quoted
+equations, a lemma's name and quoted statement, or a datatype's span up
+to the next keyword, each after whitespace and comments that hold no
+comment.  A file that these matches do not read to its end, such as one
+with a nested comment, with a comment or quote inside a declaration or
+with a malformed declaration, is read token by token instead, and so is
+a file whose declarations raise an error when read from the matches:
+the errors of a parse are the token reader's.  Both readers give each
+declaration the same work.
+
+The scanner makes one regular-expression match per token and the
+whitespace before it.  A token carries its offset into the file: line
+and column are computed only for an error or a `Goal.line`.  A quoted
+text is scanned in place when the parser reaches it, so a file's tokens
+are never all held at once.
 
 A lemma's statement is parsed only if `parse_theory`'s `goals` names it,
 or `goals` is None.  A definition's equations are parsed only if it is
@@ -42,7 +53,7 @@ call and are dropped when it returns, so two parses share nothing.
 from __future__ import annotations
 
 import re
-from typing import Collection, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .terms import (
     EXTRA_CONST_SCHEMES, FUN, IMPLIES, PRELUDE_DATATYPES, PRELUDE_FUNDEFS,
@@ -96,9 +107,10 @@ _TOKEN_RE = re.compile(r"""
 
 
 def _lexer(token_re: re.Pattern) -> re.Pattern:
-    """`token_re` after the spaces before a token, so that these cost no
-    match of their own; a newline still starts a ``ws`` match."""
-    return re.compile(r"[^\S\n]*(?:" + token_re.pattern + ")", token_re.flags)
+    """`token_re` after the whitespace before a token, so that this costs
+    no match of its own; only whitespace that no token follows is a
+    ``ws`` match."""
+    return re.compile(r"\s*(?:" + token_re.pattern + ")", token_re.flags)
 
 
 _LEXER = _lexer(_TOKEN_RE)
@@ -114,10 +126,9 @@ class Token(NamedTuple):
     offset: int     # of its first character, the quote of a quoted token
 
 
-def _span(source: str, file: str, offset: int, at: int = 0,
-          line: int = 1) -> SourceSpan:
-    """The span of `offset` in `source`, if offset `at` <= it is on `line`."""
-    return SourceSpan(file, line + source.count("\n", at, offset),
+def _span(source: str, file: str, offset: int) -> SourceSpan:
+    """The span of `offset` in `source`."""
+    return SourceSpan(file, 1 + source.count("\n", 0, offset),
                       offset - source.rfind("\n", 0, offset))
 
 
@@ -173,12 +184,6 @@ class Cursor:
                  end: int | None = None, token_re: re.Pattern = _TOKEN_RE):
         self.tokens = scan(source, file, start, end, token_re)
         self.pos, self.source, self.file = 0, source, file
-
-    def quoted(self, tok: Token) -> tuple[str, str, int, int]:
-        """The source, file, start and end of the text between the quotes
-        of `tok`: the first arguments of a cursor over it."""
-        start = tok.offset + 1
-        return self.source, self.file, start, start + len(tok.text)
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -693,63 +698,230 @@ def parse_theory(source: str, file: str = "<string>",
     Unless `goals` is None, only the definitions reached from the
     requested statements and from `texts`, the other texts the caller
     will read against the theory, have their equations parsed (see
-    `_reach`).  Every other definition is still declared with its type,
+    `_closure`).  Every other definition is still declared with its type,
     and its equations must be quoted, but the theory leaves it out and
     names it in its `unread`."""
-    p = Cursor(source.replace("\r\n", "\n"), file)
+    source = source.replace("\r\n", "\n")
+    matches = _declarations(source)
+    if matches is not None:
+        try:
+            return _read_matches(source, file, goals, texts, matches)
+        except (ParseError, RecursionError):
+            pass  # the token reader raises what it raises on this file
+    return _read_tokens(source, file, goals, texts)
+
+
+class _Reader:
+    """A theory being read: the declarations read so far, and the names,
+    types and constants they declare.  Its methods do the work of one
+    declaration once a top-level reader has found its parts."""
+
+    def __init__(self, source: str, file: str,
+                 goals: Collection[str] | None) -> None:
+        self.source, self.file, self.goals = source, file, goals
+        self.datatypes: list[DatatypeDef] = []
+        self.fundefs: list[FunDef] = []
+        self.lemmas: list[Goal] = []
+        self.unread: set[str] = set()
+        # the offset of the last lemma read, and its line
+        self.at, self.line = 0, 1
+        self.known_types = {"nat": 0, "list": 1, "bool": 0}
+        self.declared = set(PRELUDE_NAMES)
+        self.sig = _Signature()
+        self.tables = _Tables()
+
+    def fail(self, message: str, offset: int) -> ParseError:
+        return ParseError(message, _span(self.source, self.file, offset))
+
+    def quoted(self, tok: Token) -> tuple[str, str, int, int]:
+        """The source, file, start and end of the text between the quotes
+        of `tok`: the first arguments of a cursor over it."""
+        start = tok.offset + 1
+        return self.source, self.file, start, start + len(tok.text)
+
+    def declare(self, name: str, offset: int) -> None:
+        if name in self.declared:
+            raise self.fail(f"duplicate name {name}", offset)
+        self.declared.add(name)
+
+    def datatype(self, d: DatatypeDef) -> None:
+        self.datatypes.append(d)
+        self.known_types[d.name] = len(d.params)
+        self.sig.add_datatype(d)
+
+    def signature(self, name: Token, ty: Token) -> SimpleType:
+        """Declare the definition `name` with the type quoted in `ty`."""
+        # a type text read once reads the same later: types are only added
+        declared_ty = self.tables.declared.get(ty.text)
+        if declared_ty is None:
+            ts = Cursor(*self.quoted(ty))
+            declared_ty = _parse_type(ts, self.known_types, self.tables)
+            if ts.peek().kind != "eof":
+                raise ts.fail("trailing tokens in type")
+            self.tables.declared[ty.text] = declared_ty
+        self.declare(name.text, name.offset)
+        # the new constant is visible inside its own equations
+        self.sig.schemes[name.text] = declared_ty
+        return declared_ty
+
+    def definition(self, kw: str, name: str, ty: SimpleType,
+                   quoted: Iterable[Token], read: bool) -> None:
+        """The definition `name` of type `ty` with the quoted equations;
+        only its name, in `unread`, unless `read`."""
+        equations: list[Equation] = []
+        arity: int | None = None
+        for eq_tok in quoted:
+            if read:
+                eq, n_args = _parse_equation(self, eq_tok, name)
+                if arity is None:
+                    arity = n_args
+                elif arity != n_args:
+                    raise self.fail(f"equation has {n_args} argument(s), "
+                                    f"earlier ones have {arity}",
+                                    eq_tok.offset)
+                equations.append(eq)
+        if read:
+            self.fundefs.append(FunDef(name, ty, tuple(equations),
+                                       kw == "fun"))
+        else:
+            self.unread.add(name)
+
+    def lemma(self, at: int, name: str, prop: Token) -> None:
+        """The lemma `name` at offset `at`, declared already, with the
+        statement quoted in `prop`: read only if `goals` names it.  Its
+        line is counted on from that of the last lemma read."""
+        if self.goals is not None and name not in self.goals:
+            return
+        term = _parse_prop(_TermParser(self.sig, self.tables,
+                                       *self.quoted(prop)))
+        premises, conclusion = split_implications(term)
+        self.line += self.source.count("\n", self.at, at)
+        self.at = at
+        self.lemmas.append(Goal(name, premises, conclusion, line=self.line))
+
+    def theory(self) -> Theory:
+        return Theory(tuple(self.datatypes), tuple(self.fundefs),
+                      tuple(self.lemmas), frozenset(self.unread))
+
+
+# -- the top level, one match per declaration ------------------------------
+
+_WORD = "[a-zA-Z0-9_']"  # a character that continues an identifier
+_DECLARATION = re.compile(
+    # whitespace and comments that hold no comment
+    r"\s*(?:\(\*[^(*]*(?:(?:\((?!\*)|\*(?!\)))[^(*]*)*\*\)\s*)*(?:"
+    r"(?P<fun>fun|primrec)\s+(?P<fname>[a-zA-Z_][a-zA-Z0-9_']*)\s*::\s*"
+    r'"(?P<type>[^"]*)"\s*where\s*(?P<eqs>"[^"]*"(?:\s*\|\s*"[^"]*")*)'
+    r"|(?P<lemma>lemma)\s+(?P<lname>[a-zA-Z_][a-zA-Z0-9_']*)\s*:\s*"
+    r'"(?P<stmt>[^"]*)"'
+    # up to the next keyword that is a whole token, a quote or a comment
+    rf"|(?P<datatype>datatype(?!{_WORD})(?:[^\"(a-zA-Z0-9_']+|\((?!\*)"
+    rf"|(?!(?:datatype|fun|primrec|lemma)(?!{_WORD})){_WORD}+)*)"
+    r"|\Z)")
+_QUOTED = re.compile(r'"([^"]*)"')
+
+
+def _declarations(source: str) -> list[re.Match] | None:
+    """The `_DECLARATION` matches that read `source`, one per declaration;
+    None if they do not reach its end."""
+    matches: list[re.Match] = []
+    pos = 0
+    # the end of the source, after the last declaration, matches no group
+    while (m := _DECLARATION.match(source, pos)) is not None and m.lastindex:
+        matches.append(m)
+        pos = m.end()
+    return matches if m is not None else None
+
+
+def _read_matches(source: str, file: str, goals: Collection[str] | None,
+                  texts: Sequence[str], matches: list[re.Match]) -> Theory:
+    """The theory whose declarations are `matches`, read by the same
+    per-declaration work as `_read_tokens`.  A datatype's match is its
+    span, which it must read to its end."""
+    r = _Reader(source, file, goals)
+    reach = None
+    if goals is not None:
+        # a definition's equations are one text here, with their quotes and
+        # bars, which hold no identifier
+        equations: dict[str, list[str]] = {}
+        named = list(texts)
+        for m in matches:
+            if m["fun"]:
+                equations.setdefault(m["fname"], []).append(m["eqs"])
+            elif m["lemma"] and m["lname"] in goals:
+                named.append(m["stmt"])
+        reach = _closure(equations, named)
+    for m in matches:
+        if m["fun"]:
+            name = _new(Token, ("ident", m["fname"], m.start("fname")))
+            ty = r.signature(name, _new(Token, (
+                "quoted", m["type"], m.start("type") - 1)))
+            read = reach is None or name.text in reach
+            quoted = [_new(Token, ("quoted", q[1], q.start()))
+                      for q in _QUOTED.finditer(source, *m.span("eqs"))
+                      ] if read else ()
+            r.definition(m["fun"], name.text, ty, quoted, read)
+        elif m["lemma"]:
+            r.declare(m["lname"], m.start("lname"))
+            r.lemma(m.start("lemma"), m["lname"], _new(
+                Token, ("quoted", m["stmt"], m.start("stmt") - 1)))
+        else:
+            p = Cursor(source, file, *m.span("datatype"))
+            r.datatype(_parse_datatype(p, r))
+            if p.peek().kind != "eof":
+                raise p.unexpected("declaration")
+    return r.theory()
+
+
+# -- the top level, token by token -----------------------------------------
+
+
+def _read_tokens(source: str, file: str, goals: Collection[str] | None,
+                 texts: Sequence[str]) -> Theory:
+    """The theory of `source`, read token by token: the reader of a file
+    that `_DECLARATION` does not read, whose errors are the parse's."""
+    p = Cursor(source, file)
+    r = _Reader(source, file, goals)
     reach = None if goals is None else _reach(p.tokens, goals, texts)
-    datatypes: list[DatatypeDef] = []
-    fundefs: list[FunDef] = []
-    lemmas: list[Goal] = []
-    unread: set[str] = set()
-    lines = [0, 1]  # the offset of the last lemma read, and its line
-    known_types = {"nat": 0, "list": 1, "bool": 0}
-    declared = set(PRELUDE_NAMES)
-    sig = _Signature()
-    tables = _Tables()
-
-    def declare(name: str, tok: Token) -> None:
-        if name in declared:
-            raise p.fail(f"duplicate name {name}", tok)
-        declared.add(name)
-
     while p.peek().kind != "eof":
         tok = p.peek()
         if tok.kind != "ident" or tok.text not in _KEYWORDS:
             raise p.fail(f"found {tok.text!r}", tok,
                          expected=("datatype", "fun", "primrec", "lemma"))
         if tok.text == "datatype":
-            d = _parse_datatype(p, known_types, tables, declare)
-            datatypes.append(d)
-            known_types[d.name] = len(d.params)
-            sig.add_datatype(d)
+            r.datatype(_parse_datatype(p, r))
         elif tok.text in ("fun", "primrec"):
-            f = _parse_fundef(p, sig, tables, known_types, declare, reach)
-            if isinstance(f, str):
-                unread.add(f)
-            else:
-                fundefs.append(f)
+            r.definition(*_parse_fundef(p, r, reach))
         else:
-            goal = _parse_lemma(p, sig, tables, declare, goals, lines)
-            if goal is not None:
-                lemmas.append(goal)
-    return Theory(tuple(datatypes), tuple(fundefs), tuple(lemmas),
-                  frozenset(unread))
+            r.lemma(*_parse_lemma(p, r))
+    return r.theory()
 
 
 # the identifiers of a quoted text, as `scan` reads them
 _IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_']*")
 
 
+def _closure(equations: dict[str, list[str]], named: list[str]) -> set[str]:
+    """The definitions, among the keys of `equations`, that the `named`
+    texts reach: a definition is reached if its name occurs as an
+    identifier in a named text or in the equation texts of a reached
+    definition.  An identifier that is a variable only adds a definition
+    of that name."""
+    reach: set[str] = set()
+    while named:
+        for ident in _IDENT_RE.findall(named.pop()):
+            if ident in equations and ident not in reach:
+                reach.add(ident)
+                named += equations[ident]
+    return reach
+
+
 def _reach(tokens: list[Token], goals: Collection[str],
            texts: Sequence[str]) -> set[str]:
-    """The names of the definitions that the statements of the lemmas
-    `goals` and the `texts` reach: a definition is reached if its name
-    occurs as an identifier in one of them or in the equations of a
-    reached definition.  An identifier that is a variable only adds a
-    definition of that name.  It reads the top-level `tokens` in the
-    shapes the declaration loop accepts, and never raises: a declaration
-    it cannot read is one the loop reports."""
+    """The `_closure` of the statements of the lemmas `goals` and the
+    `texts`.  It reads the top-level `tokens` in the shapes the
+    declaration loop accepts, and never raises: a declaration it cannot
+    read is one the loop reports."""
     def at(i: int, kind: str, text: str | None = None) -> bool:
         return i < len(tokens) and tokens[i].kind == kind \
             and text in (None, tokens[i].text)
@@ -773,20 +945,13 @@ def _reach(tokens: list[Token], goals: Collection[str],
                 if not at(j + 1, "sym", "|"):
                     break
                 j += 2
-    reach: set[str] = set()
-    while named:
-        for ident in _IDENT_RE.findall(named.pop()):
-            if ident in equations and ident not in reach:
-                reach.add(ident)
-                named += equations[ident]
-    return reach
+    return _closure(equations, named)
 
 
-def _parse_datatype(p: Cursor, known_types: dict[str, int],
-                    tables: _Tables, declare) -> DatatypeDef:
+def _parse_datatype(p: Cursor, r: _Reader) -> DatatypeDef:
     p.next()  # 'datatype'
     name_tok = p.expect_ident("datatype name")
-    declare(name_tok.text, name_tok)
+    r.declare(name_tok.text, name_tok.offset)
     params: list[str] = []
     while p.peek().kind == "tyvar":
         tv = p.next()
@@ -795,16 +960,16 @@ def _parse_datatype(p: Cursor, known_types: dict[str, int],
         params.append(tv.text)
     p.expect_sym("=")
     # the datatype may appear recursively in its own constructors
-    local_types = dict(known_types)
+    local_types = dict(r.known_types)
     local_types[name_tok.text] = len(params)
     ctors: list[Constructor] = []
     while True:
         ctor_tok = p.expect_ident("constructor name")
-        declare(ctor_tok.text, ctor_tok)
+        r.declare(ctor_tok.text, ctor_tok.offset)
         args: list[SimpleType] = []
         while ((p.peek().kind == "ident" and p.peek().text not in _KEYWORDS)
                or p.peek().kind == "tyvar" or p.at_sym("(")):
-            args.append(_parse_ctor_arg(p, local_types, params, tables))
+            args.append(_parse_ctor_arg(p, local_types, params, r.tables))
         ctors.append(Constructor(ctor_tok.text, tuple(args)))
         if p.at_sym("|"):
             p.next()
@@ -853,11 +1018,11 @@ def _parse_ctor_arg(p: Cursor, known: dict[str, int], params: list[str],
     return ty
 
 
-def _parse_fundef(p: Cursor, sig: _Signature, tables: _Tables,
-                  known_types: dict[str, int], declare,
-                  reach: Collection[str] | None) -> FunDef | str:
-    """The definition at `p`, declared with its type; its name, with its
-    equations unread, if `reach` is not None and does not name it."""
+def _parse_fundef(p: Cursor, r: _Reader, reach: Collection[str] | None
+                  ) -> tuple[str, str, SimpleType, Iterator[Token], bool]:
+    """The arguments of `_Reader.definition` for the definition at `p`,
+    which is declared with its type; its equations are read if `reach` is
+    None or names it."""
     kw = p.next()  # 'fun' | 'primrec'
     name_tok = p.expect_ident("function name")
     p.expect_sym("::")
@@ -865,55 +1030,35 @@ def _parse_fundef(p: Cursor, sig: _Signature, tables: _Tables,
     if ty_tok.kind != "quoted":
         raise p.fail("found unquoted type", ty_tok, expected=('"<type>"',))
     p.next()
-    # a type text read once reads the same later: types are only added
-    declared_ty = tables.declared.get(ty_tok.text)
-    if declared_ty is None:
-        ts = Cursor(*p.quoted(ty_tok))
-        declared_ty = _parse_type(ts, known_types, tables)
-        if ts.peek().kind != "eof":
-            raise ts.fail("trailing tokens in type")
-        tables.declared[ty_tok.text] = declared_ty
-    declare(name_tok.text, name_tok)
+    ty = r.signature(name_tok, ty_tok)
     where_tok = p.expect_ident("'where'")
     if where_tok.text != "where":
         raise p.fail(f"found {where_tok.text!r}", where_tok,
                      expected=("'where'",))
+    return (kw.text, name_tok.text, ty, _equation_tokens(p),
+            reach is None or name_tok.text in reach)
 
-    # the new constant is visible inside its own equations
-    sig.schemes[name_tok.text] = declared_ty
 
-    read = reach is None or name_tok.text in reach
-    equations: list[Equation] = []
-    arity: int | None = None
+def _equation_tokens(p: Cursor) -> Iterator[Token]:
+    """The quoted equations at `p`, separated by ``|``, each checked to be
+    quoted when it is reached."""
     while True:
         eq_tok = p.peek()
         if eq_tok.kind != "quoted":
             raise p.fail("found unquoted equation", eq_tok,
                          expected=('"<equation>"',))
         p.next()
-        if read:
-            eq, n_args = _parse_equation(p, eq_tok, sig, tables,
-                                         name_tok.text)
-            if arity is None:
-                arity = n_args
-            elif arity != n_args:
-                raise p.fail(f"equation has {n_args} argument(s), earlier "
-                             f"ones have {arity}", eq_tok)
-            equations.append(eq)
-        if p.at_sym("|"):
-            p.next()
-            continue
-        break
-    if not read:
-        return name_tok.text
-    return FunDef(name_tok.text, declared_ty, tuple(equations),
-                  kw.text == "fun")
+        yield eq_tok
+        if not p.at_sym("|"):
+            return
+        p.next()
 
 
-def _parse_equation(p: Cursor, quoted: Token, sig: _Signature,
-                    tables: _Tables, fn_name: str) -> tuple[Equation, int]:
+def _parse_equation(r: _Reader, quoted: Token,
+                    fn_name: str) -> tuple[Equation, int]:
     """An equation of `fn_name` and the number of its arguments."""
-    ts = _TermParser(sig, tables, *p.quoted(quoted))
+    sig, tables = r.sig, r.tables
+    ts = _TermParser(sig, tables, *r.quoted(quoted))
     # left-hand side: unknown identifiers become pattern variables
     lhs, lhs_ty = ts.parse(2)
     ts.expect_sym("=")
@@ -924,15 +1069,15 @@ def _parse_equation(p: Cursor, quoted: Token, sig: _Signature,
 
     head, args = _spine(lhs)
     if not (head[0] is Const and head[1] == fn_name):
-        raise p.fail(f"equation must define {fn_name}", quoted)
+        raise r.fail(f"equation must define {fn_name}", quoted.offset)
     error = _pattern_error(args, sig)
     if error:
-        raise p.fail(error, quoted)
+        raise r.fail(error, quoted.offset)
     try:
         ts.unify(lhs_ty, rhs_ty)
     except _Mismatch:
-        raise p.fail("ill-typed equation: left and right sides disagree",
-                     quoted)
+        raise r.fail("ill-typed equation: left and right sides disagree",
+                     quoted.offset)
     # both sides share one variable pool, named in the order of the goal
     # ``lhs = rhs``, whose `=` constant's type comes first
     canon = _Renamer(ts, tables)
@@ -959,27 +1104,19 @@ def _pattern_error(args: list[Raw], sig: _Signature) -> str | None:
     return None
 
 
-def _parse_lemma(p: Cursor, sig: _Signature, tables: _Tables, declare,
-                 goals: Collection[str] | None,
-                 lines: list[int]) -> Goal | None:
-    """The lemma at `p`, or None if `goals` does not name it; its line is
-    counted on from `lines`, that of the last lemma read, which it becomes."""
+def _parse_lemma(p: Cursor, r: _Reader) -> tuple[int, str, Token]:
+    """The arguments of `_Reader.lemma` for the lemma at `p`, which is
+    declared."""
     lemma_tok = p.next()  # 'lemma'
     name_tok = p.expect_ident("lemma name")
-    declare(name_tok.text, name_tok)
+    r.declare(name_tok.text, name_tok.offset)
     p.expect_sym(":")
     prop_tok = p.peek()
     if prop_tok.kind != "quoted":
         raise p.fail("found unquoted proposition", prop_tok,
                      expected=('"<prop>"',))
     p.next()
-    if goals is not None and name_tok.text not in goals:
-        return None
-    term = _parse_prop(_TermParser(sig, tables, *p.quoted(prop_tok)))
-    premises, conclusion = split_implications(term)
-    at = lemma_tok.offset
-    lines[:] = at, _span(p.source, p.file, at, *lines).line
-    return Goal(name_tok.text, premises, conclusion, line=lines[1])
+    return lemma_tok.offset, name_tok.text, prop_tok
 
 
 def _parse_prop(ts: _TermParser) -> Term:

@@ -562,6 +562,34 @@ class TestSpans:
          "bad.thy:3:20: schematic variable ?y on the right-hand side"),
         ('lemma a: "Suc 0"',
          "bad.thy:1:11: goal must be propositional"),
+        # declarations that the declaration pattern does not read: a token
+        # left out, a keyword in a word, a comment inside a datatype, a
+        # quote that holds an opening comment, a nested comment
+        ('fun f "nat => nat" where "f x = x"',
+         "bad.thy:1:7: found 'nat => nat' (expected '::')"),
+        ('lemma a "x = x"\nfun f :: "nat" where "f = 0"',
+         "bad.thy:1:9: found 'x = x' (expected ':')"),
+        ('fun f :: "nat => nat" where "f 0 = 0" |\nlemma a: "f x = x"',
+         'bad.thy:2:1: found unquoted equation (expected "<equation>")'),
+        ("datatypes t = C",
+         "bad.thy:1:1: found 'datatypes' (expected datatype or fun or "
+         "primrec or lemma)"),
+        ('datatype t = C\'fun D\nfun f :: "t => t" where "f x = x"',
+         "bad.thy:1:20: unknown type D"),
+        ('datatype t = C 3fun f :: "t" where "f = C"',
+         "bad.thy:1:16: found '3' (expected datatype or fun or primrec or "
+         "lemma)"),
+        ("datatype t = A (* fun *) | B C",
+         "bad.thy:1:30: unknown type C"),
+        ('datatype t = A (* lemma a: "x" *) B',
+         "bad.thy:1:35: unknown type B"),
+        ('datatype t = C "x"',
+         "bad.thy:1:16: found 'x' (expected datatype or fun or primrec or "
+         "lemma)"),
+        ('lemma a: "(*"\nfun f :: "nat" where "f = 0"',
+         "bad.thy:1:11: unterminated comment"),
+        ('lemma a: "x = x" (* a (* b *)\nfun f :: "nat" where "f = 0"',
+         "bad.thy:1:18: unterminated comment"),
     ])
     def test_exact_error_positions(self, src, error):
         with pytest.raises(ParseError) as err:
@@ -742,14 +770,14 @@ def commented_theory_texts(draw):
     return text.replace("\n", "\r\n") if draw(st.booleans()) else text
 
 
-def _large_theory(seed: int) -> str:
-    """The theory text of the benchmark's large-theory-recommend workload,
-    from `bench/workloads.py`."""
+def _workload_theory(workload: str, seed: int) -> str:
+    """The theory text of a benchmark workload, ``"scaled_recommend"`` or
+    ``"large_theory_recommend"``, from `bench/workloads.py`."""
     path = Path(__file__).parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.large_theory_recommend(seed).theory_text
+    return getattr(module, workload)(seed).theory_text
 
 
 class TestGoalLines:
@@ -764,7 +792,154 @@ class TestGoalLines:
 
     def test_large_theory(self):
         # one-lemma parses of 25 of its 408 lemmas, for time
-        _assert_goal_lines(_large_theory(1), stride=17)
+        _assert_goal_lines(_workload_theory("large_theory_recommend", 1),
+                           stride=17)
+
+
+def _token_theory(text: str, file: str, goals=None) -> Theory:
+    """The token reader's theory of `text`: what `parse_theory` must give,
+    whichever reader it uses."""
+    return parser._read_tokens(text.replace("\r\n", "\n"), file, goals, ())
+
+
+def _outcome(read, text: str, goals) -> tuple | str:
+    """What `read` makes of `text` with `goals`: the theory's `repr`,
+    which holds every `Goal.line`, with its `unread`; or the error text."""
+    try:
+        thy = read(text, "t.thy", goals)
+    except ParseError as err:
+        return str(err)
+    return repr(thy), thy.unread
+
+
+def _assert_readers_agree(text: str) -> None:
+    """`parse_theory` gives what the token reader gives, in full, with no
+    lemma and with each lemma the text names alone."""
+    names = re.findall(r"lemma\s+([a-zA-Z_][a-zA-Z0-9_']*)", text)
+    for goals in (None, (), *((name,) for name in names)):
+        assert _outcome(parse_theory, text, goals) \
+            == _outcome(_token_theory, text, goals), goals
+
+
+_KEYWORD_TEXTS = ("datatype", "fun", "primrec", "lemma", "where")
+# a token of the top level, or of a quoted text
+_TOKEN_TEXT = re.compile(r'"[^"]*"|\(\*|\*\)|[a-zA-Z0-9_\'?]+|==>|=>|::|\S')
+# what a comment inside a datatype holds
+_COMMENTED = ("fun", 'lemma x: "y"', 'fun g :: "nat" where "g = 0"',
+              "(* lemma *)")
+
+
+@st.composite
+def mutated_theory_texts(draw):
+    """A `theory_texts` or `commented_theory_texts` text with one change:
+    a token deleted, a keyword spliced into an identifier, a comment that
+    holds a keyword put inside a datatype, or an opening comment put
+    inside a quoted text."""
+    text = draw(st.one_of(theory_texts(), commented_theory_texts()))
+    change = draw(st.sampled_from(("delete", "splice", "comment", "quote")))
+    if change == "delete":
+        tok = draw(st.sampled_from(list(_TOKEN_TEXT.finditer(text))))
+        return text[:tok.start()] + text[tok.end():]
+    if change == "splice":
+        word = draw(st.sampled_from(list(re.finditer(
+            r"[a-zA-Z_][a-zA-Z0-9_']*", text))))
+        at = draw(st.integers(word.start(), word.end()))
+        piece = draw(st.sampled_from(("", "'", "?", "3", " "))) \
+            + draw(st.sampled_from(_KEYWORD_TEXTS))
+        return text[:at] + piece + text[at:]
+    if change == "comment":
+        # a space of a datatype's line, or of any line if there is none
+        lines = re.findall(r"datatype[^\n]*", text) or [text]
+        start = text.index(draw(st.sampled_from(lines)))
+        spaces = [start + i for i, c in enumerate(text[start:])
+                  if c == " " and "\n" not in text[start:start + i]]
+        at = draw(st.sampled_from(spaces or [start]))
+        comment = f" (* {draw(st.sampled_from(_COMMENTED))} *)"
+        return text[:at] + comment + text[at:]
+    quote = draw(st.sampled_from(list(re.finditer(r'"[^"]*"', text))))
+    at = draw(st.integers(quote.start() + 1, quote.end() - 1))
+    return text[:at] + "(*" + text[at:]
+
+
+class TestDeclarationPattern:
+    """The top level read one declaration per match of `_DECLARATION`,
+    against the token reader."""
+
+    def test_reads_the_corpus_and_the_benchmark_theories(self, corpus_dir,
+                                                          monkeypatch):
+        # a later edit to the pattern must not send these to the token
+        # reader without a word
+        texts = [path.read_text(encoding="utf-8")
+                 for path in sorted(corpus_dir.glob("*.thy"))]
+        texts += [_workload_theory(w, 1) for w in
+                  ("scaled_recommend", "large_theory_recommend")]
+
+        def token_reader(*args):
+            raise AssertionError("read token by token")
+        monkeypatch.setattr(parser, "_read_tokens", token_reader)
+        for text in texts:
+            assert parser._declarations(text) is not None
+            full = parse_theory(text)
+            for goal in (full.goals[0], full.goals[-1]):
+                parse_theory(text, goals=(goal.name,))
+
+    @pytest.mark.parametrize("text, read", [
+        # a word that holds a keyword is no keyword
+        ('datatype funny = lemmas | C\'fun | D funny\n'
+         'lemma a: "D lemmas = x"\n', True),
+        ('datatypes t = C\nlemma a: "x = x"\n', False),
+        ('lemma a: "x = x"\nfunny f :: "nat" where "f = 0"\n', False),
+        # comments between declarations, or inside one
+        ('(* a *) lemma a: "x = x" (* fun *)\n(**)', True),
+        ('(* a (* b *) *)\nlemma a: "x = x"\n', False),
+        ('(* a (* b *)\nlemma a: "x = x"\n', False),
+        ('datatype t = C (* fun *) | D\n', False),
+        ('fun f :: "nat" (* c *) where "f = 0"\n', False),
+        # a quote inside a datatype
+        ('datatype t = C "x"\n', False),
+        # a datatype span that its datatype does not read to its end
+        ('datatype t = C 3 fun f :: "t" where "f = C"\n', True),
+        ('datatype t = C where\nlemma a: "C = x"\n', True),
+    ])
+    def test_which_texts_the_pattern_reads(self, text, read):
+        assert (parser._declarations(text) is not None) == read
+        _assert_readers_agree(text)
+
+    def test_a_statement_too_deep_is_the_token_readers_error(self):
+        # read from the matches, the statement overflows the stack before
+        # the datatype is scanned; the token reader scans the file first
+        text = ('lemma a: "' + "(" * 2000 + "x" + ")" * 2000 + ' = y"\n'
+                "datatype t = A $")
+        assert parser._declarations(text) is not None
+        with pytest.raises(ParseError) as err:
+            parse_theory(text, "bad.thy", goals=("a",))
+        assert str(err.value) == "bad.thy:2:16: unexpected character '$'"
+
+    def test_corpus_files_agree(self, corpus_dir):
+        for path in sorted(corpus_dir.glob("*.thy")):
+            _assert_readers_agree(path.read_text(encoding="utf-8"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=st.one_of(theory_texts(), commented_theory_texts()))
+    def test_generated_theories_agree(self, text):
+        _assert_readers_agree(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=mutated_theory_texts())
+    # a keyword that ends a word, or sits in a comment inside a datatype
+    @example(text='datatype t = C\'fun | D\nlemma a: "x = x"\n')
+    @example(text='datatype t = C 3fun f :: "t" where "f = C"\n')
+    @example(text='datatype t = C ?fun | D\nlemma a: "x = x"\n')
+    @example(text='datatype t = C (* fun *) | D\nlemma a: "D = x"\n')
+    @example(text='datatype t = C | fun\nfun f :: "t" where "f = fun"\n')
+    # a quote that holds an opening comment, requested or not
+    @example(text='lemma a: "(* x"\nlemma b: "x = x"\n')
+    # long runs the pattern reads before it fails
+    @example(text='lemma a: "x"' + " " * 5000 + "junk")
+    @example(text="datatype t = " + "A " * 5000 + '"')
+    @example(text="(* " + "a *( " * 5000 + " (* *) *)")
+    def test_mutated_theories_agree(self, text):
+        _assert_readers_agree(text)
 
 
 # Pieces of scanner input: every token kind of the theory and the heuristic
