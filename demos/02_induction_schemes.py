@@ -26,7 +26,6 @@ print(format_scheme(structural_scheme(trees.datatype("tree"))))
 print()
 
 goal = thy.goal_named("itrev_rev")
-print("rules collected from the goal:",
-      [r.name for r in rules_for(goal, thy)])
+print("rules collected from the goal:", rules_for(goal, thy))
 print("(rev is primrec-defined, so it contributes no rule;",
       "itrev is fun-defined, so it does)")

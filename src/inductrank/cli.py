@@ -244,7 +244,7 @@ def _disposition_of(candidate: Candidate, goal: Goal, thy: Theory) -> str:
     # `apply_induct` has checked that its terms and `arbitrary` are goal
     # variables
     rule = candidate.rule
-    if rule is not None and all(r.name != rule for r in rules_for(goal, thy)):
+    if rule is not None and rule not in rules_for(goal, thy):
         return (f"not enumerated (outside the enumerated space: {rule} is "
                 "not the rule of a constant in the goal)")
     return "not enumerated (raise --max-candidates)"
@@ -390,7 +390,7 @@ def _print_goal_table(rows: list[dict]) -> None:
             return "-"
         return str(v)
 
-    widths = {h: max(len(h), *(len(cell(r, h)) for r in rows))
+    widths = {h: max([len(h), *(len(cell(r, h)) for r in rows)])
               for h in headers}
     print("  ".join(h.ljust(widths[h]) for h in headers).rstrip())
     for r in rows:

@@ -1,6 +1,6 @@
 """A quantified heuristic language over goals and induct arguments.
 
-Formulas quantify over four sorts: natural numbers, induction rules,
+Formulas quantify over four sorts: natural numbers, induction rule names,
 terms, and term occurrences.  Quantification over occurrences can be
 restricted to the occurrences of a term variable's value, and
 quantification over terms to the candidate's induction terms.  Atomic
@@ -38,7 +38,7 @@ import re
 from typing import Callable, Iterable, NamedTuple, Union
 
 from .parser import Cursor, Token
-from .schemes import InductionScheme, RULE_SUFFIX, scheme_for_rule_name
+from .schemes import RULE_SUFFIX, rule_fundef
 from .tactic import Candidate
 from .terms import (
     Const, FreeVar, Goal, Occurrence, SimpleType, Term, Theory, Tree,
@@ -133,8 +133,8 @@ class GoalIndex:
     sub-terms (the term domain), its occurrences (the occurrence domain),
     the occurrences grouped by term (the ``in t : term`` restriction), the
     widest application (the number domain's floor), the goal's free
-    variables by name, and the rules and recursive constants looked up so
-    far.
+    variables by name, and the recursive constants looked up so far.  It
+    keeps no induction schemes: a rule is a name here.
 
     `memo` keeps the verdicts of the candidate-independent quantifiers
     that `compile_formula` memoises, for every candidate evaluated with
@@ -153,14 +153,8 @@ class GoalIndex:
         self.occurrences_by_term = {t: tuple(os) for t, os in by_term.items()}
         self.arity_bound = max(len(spine(t)[1]) for t in self.terms)
         self.variables = {v.name: v for v in goal_free_variables(goal)}
-        self._schemes: dict[str, InductionScheme | None] = {}
         self._recursive: dict[str, bool] = {}
         self.memo: dict[tuple, bool] = {}
-
-    def scheme(self, rule: str) -> InductionScheme | None:
-        if rule not in self._schemes:
-            self._schemes[rule] = scheme_for_rule_name(rule, self.thy)
-        return self._schemes[rule]
 
     def is_recursive(self, name: str) -> bool:
         """Whether `name` is a recursively defined constant."""
@@ -176,15 +170,15 @@ class EvalContext(NamedTuple):
     The goal-level domains live in the shared `index`; the context adds
     what depends on the candidate: its induction terms (resolved to the
     goal's variables), its ``arbitrary`` set (read through `candidate`),
-    its rule (resolved to a scheme) and the number bound, which grows with
-    the number of induction terms.  A verdict depends on the candidate
-    through those three fields only.
+    its rule name, if it resolves (`schemes.rule_fundef`), and the number
+    bound, which grows with the number of induction terms.  A verdict
+    depends on the candidate through those three fields only.
     """
 
     index: GoalIndex
     candidate: Candidate
     number_bound: int
-    rules: tuple[InductionScheme, ...]
+    rules: tuple[str, ...]
     induction_terms: tuple[Term, ...]
 
 
@@ -194,7 +188,8 @@ def make_context(goal: Goal, candidate: Candidate, thy: Theory,
     many candidates of one goal; without it one is built for this call."""
     if index is None:
         index = GoalIndex(goal, thy)
-    scheme = None if candidate.rule is None else index.scheme(candidate.rule)
+    rule = candidate.rule
+    resolves = rule is not None and rule_fundef(rule, index.thy) is not None
     variables = index.variables
     ind_terms = tuple(
         variables[n] if n in variables else FreeVar(n, SimpleType("'a"))
@@ -203,7 +198,7 @@ def make_context(goal: Goal, candidate: Candidate, thy: Theory,
         index=index,
         candidate=candidate,
         number_bound=max(index.arity_bound, len(candidate.induction_terms), 1),
-        rules=() if scheme is None else (scheme,),
+        rules=(rule,) if resolves else (),
         induction_terms=ind_terms,
     )
 
@@ -221,7 +216,7 @@ CANDIDATE_READS: dict[str, Callable[[Candidate], object]] = {
 # ---------------------------------------------------------------------------
 # Evaluator
 
-Value = Union[int, InductionScheme, Term, Occurrence]
+Value = Union[int, str, Term, Occurrence]
 Check = Callable[[EvalContext], bool]
 # A compiled sub-formula: a test of the context and the slots of the
 # variables bound so far.
@@ -441,10 +436,9 @@ def _spine_base(occ: Occurrence) -> tuple[tuple[int, ...], int]:
     return path[: len(path) - k], k
 
 
-def _is_rule_of(ctx: EvalContext, rule: InductionScheme,
-                occ: Occurrence) -> bool:
+def _is_rule_of(ctx: EvalContext, rule: str, occ: Occurrence) -> bool:
     return (isinstance(occ.term, Const)
-            and rule.name == occ.term.name + RULE_SUFFIX)
+            and rule == occ.term.name + RULE_SUFFIX)
 
 
 def _is_nth_argument_of(ctx: EvalContext, to2: Occurrence, n: int,

@@ -26,6 +26,7 @@ returns its survivors and a `Disposition` for each candidate it drops;
 from __future__ import annotations
 
 import itertools
+import sys
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .schemes import rules_for
@@ -56,7 +57,8 @@ def enumerate_candidates(goal: Goal, thy: Theory,
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    return itertools.islice(_generate(goal, thy), cap)
+    # no stream is longer than sys.maxsize, which `islice` requires of cap
+    return itertools.islice(_generate(goal, thy), min(cap, sys.maxsize))
 
 
 def _generate(goal: Goal, thy: Theory) -> Iterator[Candidate]:
@@ -71,7 +73,7 @@ def _generate(goal: Goal, thy: Theory) -> Iterator[Candidate]:
     Python frame.
     """
     names = [v.name for v in goal_free_variables(goal)]
-    rules: list[str | None] = [None, *(r.name for r in rules_for(goal, thy))]
+    rules: list[str | None] = [None, *rules_for(goal, thy)]
     subsets: list[frozenset[str]] = []
 
     def empty_sequence() -> Iterator[Candidate]:

@@ -7,7 +7,12 @@ equation, one hypothesis per recursive call site on that equation's
 right-hand side (collected in leftmost-outermost order).
 
 Schemes are derived purely syntactically; termination is never checked
-because they only drive subgoal generation for screening and scoring.
+because they only drive subgoal generation for screening.
+
+Outside the tactic a rule is its name, such as ``itrev.induct``:
+`rules_for` lists the names a goal's constants carry, and `rule_fundef`
+resolves a name to the definition behind it.  Only the tactic builds a
+rule's scheme.
 """
 
 from __future__ import annotations
@@ -114,34 +119,30 @@ def functional_scheme(f: FunDef) -> InductionScheme:
                            tuple(cases))
 
 
-def rules_for(goal: Goal, thy: Theory) -> list[InductionScheme]:
-    """Functional schemes of every rule-bearing constant occurring in the
-    goal, in first-occurrence order.  Structural schemes are not listed;
-    they are implicit in variable-only candidates."""
-    out: list[InductionScheme] = []
-    seen: set[str] = set()
-    for t in goal_subterms(goal):
-        if isinstance(t, Const) and t.name not in seen:
-            seen.add(t.name)
-            f = thy.fundef(t.name)
-            if f is not None and f.has_induction_rule:
-                try:
-                    out.append(functional_scheme(f))
-                except SchemeError:
-                    pass  # nullary constants have no induction positions
-    return out
-
-
-def scheme_for_rule_name(name: str, thy: Theory) -> InductionScheme | None:
+def rule_fundef(name: str, thy: Theory) -> FunDef | None:
+    """The definition behind the rule `name`: the `fun` named by
+    `name` less its `.induct` suffix, if it has at least one argument
+    position.  Otherwise None: `name` is not an induction rule."""
     if not name.endswith(RULE_SUFFIX):
         return None
     f = thy.fundef(name[: -len(RULE_SUFFIX)])
-    if f is None or not f.has_induction_rule:
+    if f is None or not f.has_induction_rule or f.arity() == 0:
         return None
-    try:
-        return functional_scheme(f)
-    except SchemeError:
-        return None
+    return f
+
+
+def rules_for(goal: Goal, thy: Theory) -> list[str]:
+    """The names of the rules of the constants occurring in the goal, in
+    first-occurrence order; no scheme is built.  Structural rules are not
+    listed; they are implicit in variable-only candidates."""
+    names = dict.fromkeys(t.name + RULE_SUFFIX for t in goal_subterms(goal)
+                          if isinstance(t, Const))
+    return [rule for rule in names if rule_fundef(rule, thy) is not None]
+
+
+def scheme_for_rule_name(name: str, thy: Theory) -> InductionScheme | None:
+    f = rule_fundef(name, thy)
+    return None if f is None else functional_scheme(f)
 
 
 def format_scheme(s: InductionScheme) -> str:

@@ -131,17 +131,15 @@ def _unknown(name: str) -> Failure:
 class _Case(NamedTuple):
     """One case of an application before generalisation: the goal's
     conclusion under the case's substitution, each induction hypothesis
-    (the goal's premises and conclusion under its substitution), and the
-    goal's premises under the case's; the schematic equations to wrap
-    around the conclusion and around each hypothesis, innermost first; and
+    (the goal's premises and conclusion under its substitution), both
+    already under the equations that anchor the scheme's schematic
+    positions, and the goal's premises under the case's substitution; and
     the names a generalised variable must avoid."""
 
     name: str
     conclusion: Term
     hypotheses: tuple[Term, ...]
     premises: tuple[Term, ...]
-    anchors: tuple[Term, ...]
-    hyp_anchors: tuple[tuple[Term, ...], ...]
     used: frozenset[str]
 
 
@@ -151,8 +149,10 @@ class InductTactic:
     Holds what every application to the goal shares: the goal's free
     variables, in order and by name, whether the goal has a schematic
     variable, and the schemes of the rules and datatypes named so far.
-    Both modes find a scheme, a type instantiation and the variables for
-    its first positions, and build the cases by one path, `_instantiate`.
+    It is the one place that builds a rule's scheme; elsewhere a rule is
+    its name.  Both modes find a scheme, a type instantiation and the
+    variables for its first positions, and build the cases by one path,
+    `_instantiate`, which wraps each case's anchor equations once.
 
     It memoises, per (induction terms read, rule) case applied so far,
     where structural mode reads only the first term: the instantiated
@@ -222,21 +222,23 @@ class InductTactic:
             terms = terms[:1]  # structural mode reads only the first one
         entry = self._cases.get((terms, rule))
         if entry is None:
-            cases = entry = self._structural_mode(terms[0]) \
+            entry = self._structural_mode(terms[0]) \
                 if rule is None else self._functional_mode(terms, rule)
-            if type(cases) is not Failure:
+            if type(entry) is not Failure:
                 # No scheme term holds a schematic variable, and
                 # generalising is a renaming of free variables, so a
-                # subgoal holds one exactly when its case has anchor
-                # equations or the goal holds one.
+                # subgoal holds one exactly when the scheme has a
+                # schematic position or the goal holds one.
+                cases, open_positions = entry
                 entry = cases, SubgoalSet(
                     tuple(c.name for c in cases),
                     tuple(self._subgoal(c, []) for c in cases),
-                    any(self._schematic_goal or c.anchors for c in cases))
+                    self._schematic_goal or open_positions)
             self._cases[terms, rule] = entry
         return entry if type(entry) is Failure else entry[1]
 
-    def _structural_mode(self, name: str) -> tuple[_Case, ...] | Failure:
+    def _structural_mode(self, name: str,
+                         ) -> tuple[tuple[_Case, ...], bool] | Failure:
         first = self.by_name[name]
         dt = None if first.type.is_var() else self.thy.datatype(
             first.type.name)
@@ -251,8 +253,8 @@ class InductTactic:
         return self._instantiate(scheme, [first],
                                  dict(zip(dt.params, first.type.args)))
 
-    def _functional_mode(self, terms: tuple[str, ...],
-                         rule: str) -> tuple[_Case, ...] | Failure:
+    def _functional_mode(self, terms: tuple[str, ...], rule: str,
+                         ) -> tuple[tuple[_Case, ...], bool] | Failure:
         if rule not in self._rules:
             self._rules[rule] = scheme_for_rule_name(rule, self.thy)
         scheme = self._rules[rule]
@@ -276,12 +278,16 @@ class InductTactic:
         return self._instantiate(scheme, supplied, tymap)
 
     def _instantiate(self, scheme: InductionScheme, supplied: list[FreeVar],
-                     tymap: dict[str, SimpleType]) -> tuple[_Case, ...]:
+                     tymap: dict[str, SimpleType],
+                     ) -> tuple[tuple[_Case, ...], bool]:
         """The cases of `scheme` with its k-th position instantiated by
         the k-th supplied variable, its type variables by `tymap`, and its
-        case variables renamed apart from the goal's other variables.
-        Each position beyond the supplied ones becomes a schematic
-        variable, anchored to the case's argument there by an equation."""
+        case variables renamed apart from the goal's other variables, and
+        whether the scheme has a position beyond the supplied ones.  Each
+        such position becomes a schematic variable ``?xk``, anchored to the
+        case's argument there by an equation ``?xk = arg`` that is wrapped
+        around the conclusion and around each hypothesis, ``?x1``
+        outermost."""
         goal = self.goal
         names = [v.name for v in supplied]
         schematics = [SchematicVar(f"x{k + 1}",
@@ -298,25 +304,27 @@ class InductTactic:
                 used.add(new)
                 renaming[v.name] = FreeVar(new, v.type)
             # the conclusion's argument tuple, then each hypothesis's: a
-            # substitution for the supplied variables, and the anchor
-            # equations of the schematic positions, innermost first
-            maps, anchors = [], []
+            # substitution for the supplied variables gives the conclusion
+            # or the hypothesis, and the anchor equations of the tuple's
+            # schematic positions wrap it, ?x1 outermost
+            maps, terms = [], []
             for args in (case.patterns, *case.hypotheses):
                 args = [subst_frees(t, renaming) for t in args]
                 maps.append(dict(zip(names, args)))
-                anchors.append(tuple(
-                    map(mk_eq, schematics, args[len(names):]))[::-1])
+                t = self._hypothesis(maps[-1]) if terms \
+                    else subst_frees(goal.conclusion, maps[0])
+                for x, arg in reversed([*zip(schematics, args[len(names):])]):
+                    t = mk_implies(mk_eq(x, arg), t)
+                terms.append(t)
             cases.append(_Case(
                 name=case.name,
-                conclusion=subst_frees(goal.conclusion, maps[0]),
-                hypotheses=tuple(map(self._hypothesis, maps[1:])),
+                conclusion=terms[0],
+                hypotheses=tuple(terms[1:]),
                 premises=tuple(subst_frees(p, maps[0])
                                for p in goal.premises),
-                anchors=anchors[0],
-                hyp_anchors=tuple(anchors[1:]),
                 used=frozenset(used.union(self.by_name)),
             ))
-        return tuple(cases)
+        return tuple(cases), bool(schematics)
 
     def _hypothesis(self, m: dict[str, Term]) -> Term:
         """The goal under the substitution `m`, its premises as
@@ -350,17 +358,8 @@ class InductTactic:
                                for h in hypotheses)
             premises = tuple(subst_frees(p, concl_renaming)
                              for p in premises)
-
-        for eq in case.anchors:
-            conclusion = mk_implies(eq, conclusion)
-        wrapped = []
-        for hyp, eqs in zip(hypotheses, case.hyp_anchors):
-            for eq in eqs:
-                hyp = mk_implies(eq, hyp)
-            wrapped.append(hyp)
         return Goal(f"{self.goal.name}.{case.name}",
-                    (*wrapped, *premises), conclusion)
-
+                    (*hypotheses, *premises), conclusion)
 
 def _instantiate_case(case: SchemeCase,
                       tymap: dict[str, SimpleType]) -> SchemeCase:

@@ -159,7 +159,7 @@ def reference_candidates(goal: Goal, thy: Theory):
     the empty induction-term sequence with each arbitrary subset, then
     every later sequence with the same subsets, each with each rule."""
     names = [v.name for v in goal_free_variables(goal)]
-    rules = [None, *(r.name for r in rules_for(goal, thy))]
+    rules = [None, *rules_for(goal, thy)]
     subsets = []
     for j in range(len(names) + 1):
         for combination in itertools.combinations(names, j):

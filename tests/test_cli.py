@@ -105,6 +105,15 @@ class TestRecommend:
         assert err.startswith("error:") and flag in err
         assert err.count("\n") == 1
 
+    def test_cap_beyond_sys_maxsize_prints_as_the_default(self, capsys,
+                                                          running_path):
+        args = ["recommend", running_path, "--goal", "itrev_rev"]
+        default = run_cli(capsys, *args)
+        huge = run_cli(capsys, *args, "--max-candidates",
+                       str(sys.maxsize + 1))
+        assert huge == default
+        assert default[0] == 0
+
     def test_negative_timeout_is_an_error(self, capsys, running_path):
         code, out, err = run_cli(capsys, "recommend", running_path,
                                  "--goal", "itrev_rev", "--timeout-ms", "-5")
@@ -555,6 +564,24 @@ class TestEval:
         assert code == 1
         assert out == ""
         assert err == f"error: {ann}:2: {message}\n"
+
+    def test_no_annotations(self, capsys, corpus_dir, tmp_path):
+        (tmp_path / "running.thy").write_text(
+            (corpus_dir / "running.thy").read_text())
+        ann = tmp_path / "annotations.txt"
+        ann.write_text("# only a comment\n\n")
+        args = ["eval", str(tmp_path), "--annotations", str(ann)]
+        assert run_cli(capsys, *args) == (0, (
+            "theory  line  goal  total  1st  2nd-a  2nd-b  nth  score  "
+            "rule  arb\n"
+            "\n"
+            "theory  total  top_1  top_3  top_5  top_10\n"
+            "sum     0      0      0      0      0\n"), "")
+        code, out, err = run_cli(capsys, *args, "--json")
+        assert (code, err) == (0, "")
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"kind": "sum", "theory": "sum", "total": 0, "top_1": 0,
+             "top_3": 0, "top_5": 0, "top_10": 0}]
 
     def test_eval_deterministic(self, capsys, corpus_dir):
         args = ["eval", str(corpus_dir),

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from _reference import random_formula, ref_evaluate
+from _reference import random_formula, ref_evaluate, ref_rule_names
 from inductrank import dsl
 from inductrank.dsl import (
     Atom, Exists, Forall, GoalIndex, Implies, Not, Sort, TrueF,
@@ -255,6 +255,56 @@ class TestEvaluatorAgainstReference:
             shape = Implies(Exists("r", Sort.RULE, UNRESTRICTED, TrueF()),
                             psi)
             assert evaluate(shape, ctx) is True
+
+
+# A goal naming one `fun` and one `primrec`, beside a `fun` it does not
+# name and a nullary `fun`.
+RULES_THEORY = """\
+primrec rev :: "'a list => 'a list" where
+  "rev [] = []"
+| "rev (x # xs) = rev xs @ [x]"
+fun itrev :: "'a list => 'a list => 'a list" where
+  "itrev [] ys = ys"
+| "itrev (x # xs) ys = itrev xs (x # ys)"
+fun double :: "nat => nat" where
+  "double 0 = 0"
+| "double (Suc n) = Suc (Suc (double n))"
+fun nil :: "'a list" where
+  "nil = []"
+lemma itrev_rev: "itrev xs ys = rev xs @ ys"
+"""
+
+
+class TestRuleDomain:
+    """The rule sort ranges over the candidate's rule name when it names a
+    `fun` with an argument position, and is empty otherwise."""
+
+    @pytest.fixture(scope="class")
+    def theory(self):
+        return parse_theory(RULES_THEORY)
+
+    @pytest.mark.parametrize("rule, resolves, of_goal", [
+        ("itrev.induct", True, True),      # a rule of the goal
+        ("double.induct", True, False),    # a `fun` the goal does not name
+        ("rev.induct", False, False),      # a `primrec` carries no rule
+        ("nil.induct", False, False),      # a nullary `fun` has no position
+        ("x.induct", False, False),        # nothing is defined as x
+        ("itrev", False, False),           # no `.induct` suffix
+    ])
+    def test_rules_agree_with_reference(self, theory, rule, resolves,
+                                        of_goal):
+        goal = theory.goal_named("itrev_rev")
+        candidate = Candidate(("xs",), frozenset(), rule)
+        ctx = make_context(goal, candidate, theory)
+        assert list(ctx.rules) == ref_rule_names(candidate, theory)
+        assert ctx.rules == ((rule,) if resolves else ())
+        for text, verdict in [
+                ("EX r : rule. True", resolves),
+                ("EX r : rule. EX to : term_occurrence. r is_rule_of to",
+                 of_goal)]:
+            formula = parse_formula(text)
+            assert evaluate(formula, ctx) == verdict == ref_evaluate(
+                formula, goal, candidate, theory)
 
 
 # Formulas whose quantifiers rebind a name that an enclosing quantifier

@@ -149,6 +149,10 @@ class TestCountFormula:
         assert len(list(enumerate_candidates(running_goal,
                                              running_theory))) == 40
 
+    def test_cap_beyond_sys_maxsize(self, running_goal, running_theory):
+        stream = enumerate_candidates(running_goal, running_theory, 2 ** 70)
+        assert len(list(stream)) == expected_candidate_count(2, 1)
+
 
 class TestStage1:
     def test_running_dispositions(self, running_goal, running_theory):

@@ -197,7 +197,7 @@ def oracle_goals(corpus_dir, g4_theory):
 def candidates_over(goal, thy):
     """Candidates drawn over the goal's variables and its rules."""
     names = [v.name for v in goal_free_variables(goal)]
-    rules = [None] + [r.name for r in rules_for(goal, thy)]
+    rules = [None] + rules_for(goal, thy)
     return st.builds(
         Candidate,
         st.lists(st.sampled_from(names), unique=True).map(tuple),

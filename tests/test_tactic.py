@@ -173,6 +173,31 @@ class TestFunctionalMode:
             running_theory)
         assert not any(contains_schematic(sg) for sg in sgs.subgoals)
 
+    # Each subgoal as printed.  A schematic position's equation ``?xk = arg``
+    # is wrapped around the conclusion and each hypothesis, ``?x1``
+    # outermost, and a generalised variable is renamed inside it.
+    @pytest.mark.parametrize("text, printed", [
+        ("induct rule: itrev.induct", (
+            "?x1 = [] ==> ?x2 = ys' ==> itrev xs ys = rev xs @ ys",
+            "(?x1 = xs' ==> ?x2 = x # ys' ==> itrev xs ys = rev xs @ ys)"
+            " ==> (?x1 = x # xs' ==> ?x2 = ys' ==> itrev xs ys"
+            " = rev xs @ ys)")),
+        ("induct xs arbitrary: ys rule: itrev.induct", (
+            "?x2 = ys' ==> itrev [] ys'' = rev [] @ ys''",
+            "(?x2 = x # ys' ==> itrev xs ys''' = rev xs @ ys''')"
+            " ==> (?x2 = ys' ==> itrev (x # xs) ys'' = rev (x # xs) @ ys'')")),
+        ("induct ys rule: itrev.induct", (
+            "?x2 = ys ==> itrev xs [] = rev xs @ []",
+            "(?x2 = x # ys ==> itrev xs xs' = rev xs @ xs')"
+            " ==> (?x2 = ys ==> itrev xs (x # xs') = rev xs @ x # xs')")),
+    ])
+    def test_anchored_subgoals_as_printed(self, running_theory,
+                                          running_goal, text, printed):
+        sgs = apply_induct(running_goal, parse_candidate(text),
+                           running_theory)
+        assert sgs.schematic
+        assert tuple(map(format_goal, sgs.subgoals)) == printed
+
 
 class TestErrors:
     def test_no_arguments(self, running_theory, running_goal):
