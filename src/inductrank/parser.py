@@ -177,12 +177,14 @@ def scan(source: str, file: str, start: int = 0, end: int | None = None,
 
 
 class Cursor:
-    """A position in the tokens `scan` reads of `source[start:end]`, with
-    errors spanned in `file`."""
+    """A position in `tokens`, by default the tokens `scan` reads of
+    `source[start:end]`, with errors spanned in `file`."""
 
     def __init__(self, source: str, file: str, start: int = 0,
-                 end: int | None = None, token_re: re.Pattern = _TOKEN_RE):
-        self.tokens = scan(source, file, start, end, token_re)
+                 end: int | None = None, token_re: re.Pattern = _TOKEN_RE,
+                 tokens: list[Token] | None = None):
+        self.tokens = (scan(source, file, start, end, token_re)
+                       if tokens is None else tokens)
         self.pos, self.source, self.file = 0, source, file
 
     def peek(self) -> Token:
@@ -355,13 +357,11 @@ class _Renamer:
                     out = t
                 elif t.args:
                     out = tables.type(t.name, tuple(map(self, t.args)))
-                elif t.name.startswith("'?"):
+                else:  # a `_Ty` leaf is an inference variable
                     i = self.renamed
                     self.renamed += 1
                     out = tables.type(_CANON_POOL[i] if i < len(_CANON_POOL)
                                       else f"'v{i}")
-                else:
-                    out = tables.type(t.name)
                 done[id(t)] = out
             done[id(ty)] = out
         return out
@@ -459,10 +459,7 @@ def _parse_type_postfix(ts: Cursor, known: dict[str, int],
         name_tok = ts.next()
         _check_type_name(ts, name_tok, len(args), known)
         args = [tables.type(name_tok.text, tuple(args))]
-    result = args[0]
-    if len(args) > 1:
-        raise ts.fail("dangling type arguments")
-    return result
+    return args[0]
 
 
 def _check_type_name(ts: Cursor, tok: Token, arity: int,
@@ -716,9 +713,8 @@ class _Reader:
     types and constants they declare.  Its methods do the work of one
     declaration once a top-level reader has found its parts."""
 
-    def __init__(self, source: str, file: str,
-                 goals: Collection[str] | None) -> None:
-        self.source, self.file, self.goals = source, file, goals
+    def __init__(self, source: str, file: str) -> None:
+        self.source, self.file = source, file
         self.datatypes: list[DatatypeDef] = []
         self.fundefs: list[FunDef] = []
         self.lemmas: list[Goal] = []
@@ -749,49 +745,41 @@ class _Reader:
         self.known_types[d.name] = len(d.params)
         self.sig.add_datatype(d)
 
-    def signature(self, name: Token, ty: Token) -> SimpleType:
-        """Declare the definition `name` with the type quoted in `ty`."""
+    def signature(self, name: str, offset: int, ty: str,
+                  at: int) -> SimpleType:
+        """Declare `name`, at `offset`, with the type `ty` at `at`."""
         # a type text read once reads the same later: types are only added
-        declared_ty = self.tables.declared.get(ty.text)
+        declared_ty = self.tables.declared.get(ty)
         if declared_ty is None:
-            ts = Cursor(*self.quoted(ty))
+            ts = Cursor(self.source, self.file, at, at + len(ty))
             declared_ty = _parse_type(ts, self.known_types, self.tables)
             if ts.peek().kind != "eof":
                 raise ts.fail("trailing tokens in type")
-            self.tables.declared[ty.text] = declared_ty
-        self.declare(name.text, name.offset)
+            self.tables.declared[ty] = declared_ty
+        self.declare(name, offset)
         # the new constant is visible inside its own equations
-        self.sig.schemes[name.text] = declared_ty
+        self.sig.schemes[name] = declared_ty
         return declared_ty
 
     def definition(self, kw: str, name: str, ty: SimpleType,
-                   quoted: Iterable[Token], read: bool) -> None:
-        """The definition `name` of type `ty` with the quoted equations;
-        only its name, in `unread`, unless `read`."""
+                   quoted: Iterable[Token]) -> None:
+        """The definition `name` of type `ty` with the quoted equations."""
         equations: list[Equation] = []
         arity: int | None = None
         for eq_tok in quoted:
-            if read:
-                eq, n_args = _parse_equation(self, eq_tok, name)
-                if arity is None:
-                    arity = n_args
-                elif arity != n_args:
-                    raise self.fail(f"equation has {n_args} argument(s), "
-                                    f"earlier ones have {arity}",
-                                    eq_tok.offset)
-                equations.append(eq)
-        if read:
-            self.fundefs.append(FunDef(name, ty, tuple(equations),
-                                       kw == "fun"))
-        else:
-            self.unread.add(name)
+            eq, n_args = _parse_equation(self, eq_tok, name)
+            if arity is None:
+                arity = n_args
+            elif arity != n_args:
+                raise self.fail(f"equation has {n_args} argument(s), "
+                                f"earlier ones have {arity}", eq_tok.offset)
+            equations.append(eq)
+        self.fundefs.append(FunDef(name, ty, tuple(equations), kw == "fun"))
 
     def lemma(self, at: int, name: str, prop: Token) -> None:
         """The lemma `name` at offset `at`, declared already, with the
-        statement quoted in `prop`: read only if `goals` names it.  Its
-        line is counted on from that of the last lemma read."""
-        if self.goals is not None and name not in self.goals:
-            return
+        statement quoted in `prop`.  Its line is counted on from that of
+        the last lemma read."""
         term = _parse_prop(_TermParser(self.sig, self.tables,
                                        *self.quoted(prop)))
         premises, conclusion = split_implications(term)
@@ -835,10 +823,11 @@ def _declarations(source: str) -> list[re.Match] | None:
 
 def _read_matches(source: str, file: str, goals: Collection[str] | None,
                   texts: Sequence[str], matches: list[re.Match]) -> Theory:
-    """The theory whose declarations are `matches`, read by the same
-    per-declaration work as `_read_tokens`.  A datatype's match is its
-    span, which it must read to its end."""
-    r = _Reader(source, file, goals)
+    """The theory whose declarations are `matches`, each read by its groups
+    with the per-declaration work of `_read_tokens`, less what a request
+    skips: an unread lemma or unreached definition is only declared.  A
+    datatype's match is its span, which it must read to its end."""
+    r = _Reader(source, file)
     reach = None
     if goals is not None:
         # a definition's equations are one text here, with their quotes and
@@ -846,25 +835,27 @@ def _read_matches(source: str, file: str, goals: Collection[str] | None,
         equations: dict[str, list[str]] = {}
         named = list(texts)
         for m in matches:
-            if m["fun"]:
-                equations.setdefault(m["fname"], []).append(m["eqs"])
-            elif m["lemma"] and m["lname"] in goals:
-                named.append(m["stmt"])
+            kw, fname, _, eqs, lemma, lname, stmt, _ = m.groups()
+            if kw:
+                equations.setdefault(fname, []).append(eqs)
+            elif lemma and lname in goals:
+                named.append(stmt)
         reach = _closure(equations, named)
     for m in matches:
-        if m["fun"]:
-            name = _new(Token, ("ident", m["fname"], m.start("fname")))
-            ty = r.signature(name, _new(Token, (
-                "quoted", m["type"], m.start("type") - 1)))
-            read = reach is None or name.text in reach
-            quoted = [_new(Token, ("quoted", q[1], q.start()))
-                      for q in _QUOTED.finditer(source, *m.span("eqs"))
-                      ] if read else ()
-            r.definition(m["fun"], name.text, ty, quoted, read)
-        elif m["lemma"]:
-            r.declare(m["lname"], m.start("lname"))
-            r.lemma(m.start("lemma"), m["lname"], _new(
-                Token, ("quoted", m["stmt"], m.start("stmt") - 1)))
+        kw, fname, ty_text, eqs, lemma, lname, stmt, _ = m.groups()
+        if kw:
+            ty = r.signature(fname, m.start("fname"), ty_text, m.start("type"))
+            if reach is None or fname in reach:
+                r.definition(kw, fname, ty, [
+                    _new(Token, ("quoted", q[1], q.start()))
+                    for q in _QUOTED.finditer(source, *m.span("eqs"))])
+            else:
+                r.unread.add(fname)
+        elif lemma:
+            r.declare(lname, m.start("lname"))
+            if goals is None or lname in goals:
+                r.lemma(m.start("lemma"), lname,
+                        _new(Token, ("quoted", stmt, m.start("stmt") - 1)))
         else:
             p = Cursor(source, file, *m.span("datatype"))
             r.datatype(_parse_datatype(p, r))
@@ -881,7 +872,7 @@ def _read_tokens(source: str, file: str, goals: Collection[str] | None,
     """The theory of `source`, read token by token: the reader of a file
     that `_DECLARATION` does not read, whose errors are the parse's."""
     p = Cursor(source, file)
-    r = _Reader(source, file, goals)
+    r = _Reader(source, file)
     reach = None if goals is None else _reach(p.tokens, goals, texts)
     while p.peek().kind != "eof":
         tok = p.peek()
@@ -891,9 +882,16 @@ def _read_tokens(source: str, file: str, goals: Collection[str] | None,
         if tok.text == "datatype":
             r.datatype(_parse_datatype(p, r))
         elif tok.text in ("fun", "primrec"):
-            r.definition(*_parse_fundef(p, r, reach))
+            kw, name, ty, quoted = _parse_fundef(p, r)
+            if reach is None or name in reach:
+                r.definition(kw, name, ty, quoted)
+            else:  # read past its equations, each checked to be quoted
+                list(quoted)
+                r.unread.add(name)
         else:
-            r.lemma(*_parse_lemma(p, r))
+            at, name, prop = _parse_lemma(p, r)
+            if goals is None or name in goals:
+                r.lemma(at, name, prop)
     return r.theory()
 
 
@@ -975,8 +973,6 @@ def _parse_datatype(p: Cursor, r: _Reader) -> DatatypeDef:
             p.next()
             continue
         break
-    if not ctors:
-        raise p.fail("datatype needs at least one constructor", name_tok)
     return DatatypeDef(name_tok.text, tuple(params), tuple(ctors))
 
 
@@ -996,10 +992,10 @@ def _parse_ctor_arg(p: Cursor, known: dict[str, int], params: list[str],
                 else f"type {tok.text} needs arguments (use parentheses)",
                 tok)
         return tables.type(tok.text)
-    # a parenthesised compound type: the text up to the matching closing
-    # parenthesis `t`, scanned again
-    start = p.expect_sym("(").offset + 1
-    depth = 1
+    # a parenthesised compound type: the tokens before the matching `)`,
+    # `t`, and the `eof` at `t` with which a scan of their text would end
+    p.expect_sym("(")
+    start, depth = p.pos, 1
     while depth > 0:
         t = p.next()
         if t.kind == "eof":
@@ -1008,7 +1004,8 @@ def _parse_ctor_arg(p: Cursor, known: dict[str, int], params: list[str],
             depth += 1
         elif t.kind == "sym" and t.text == ")":
             depth -= 1
-    ts = Cursor(p.source, p.file, start, t.offset)
+    ts = Cursor(p.source, p.file, tokens=p.tokens[start:p.pos - 1]
+                + [Token("eof", "", t.offset)])
     ty = _parse_type(ts, known, tables)
     if ts.peek().kind != "eof":
         raise ts.fail("trailing tokens in type")
@@ -1018,11 +1015,10 @@ def _parse_ctor_arg(p: Cursor, known: dict[str, int], params: list[str],
     return ty
 
 
-def _parse_fundef(p: Cursor, r: _Reader, reach: Collection[str] | None
-                  ) -> tuple[str, str, SimpleType, Iterator[Token], bool]:
+def _parse_fundef(p: Cursor, r: _Reader
+                  ) -> tuple[str, str, SimpleType, Iterator[Token]]:
     """The arguments of `_Reader.definition` for the definition at `p`,
-    which is declared with its type; its equations are read if `reach` is
-    None or names it."""
+    which is declared with its type."""
     kw = p.next()  # 'fun' | 'primrec'
     name_tok = p.expect_ident("function name")
     p.expect_sym("::")
@@ -1030,13 +1026,13 @@ def _parse_fundef(p: Cursor, r: _Reader, reach: Collection[str] | None
     if ty_tok.kind != "quoted":
         raise p.fail("found unquoted type", ty_tok, expected=('"<type>"',))
     p.next()
-    ty = r.signature(name_tok, ty_tok)
+    ty = r.signature(name_tok.text, name_tok.offset, ty_tok.text,
+                     ty_tok.offset + 1)
     where_tok = p.expect_ident("'where'")
     if where_tok.text != "where":
         raise p.fail(f"found {where_tok.text!r}", where_tok,
                      expected=("'where'",))
-    return (kw.text, name_tok.text, ty, _equation_tokens(p),
-            reach is None or name_tok.text in reach)
+    return kw.text, name_tok.text, ty, _equation_tokens(p)
 
 
 def _equation_tokens(p: Cursor) -> Iterator[Token]:

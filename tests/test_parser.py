@@ -20,8 +20,8 @@ from inductrank.parser import (
 )
 from inductrank.terms import (
     App, FreeVar, Goal, check_term, format_goal, free_variables,
-    goal_free_variables, list_of, SimpleType, Theory, subterms_with_paths,
-    type_vars,
+    goal_free_variables, list_of, SimpleType, Theory, Tree,
+    subterms_with_paths, type_vars,
 )
 
 RUNNING = '''
@@ -460,6 +460,26 @@ class TestSharing:
             gc.enable()
 
 
+class TestWrittenOutConstructors:
+    """`SimpleType`, the leaves and `Goal` write `Tree.__init__` out; each
+    tree they build must hash and compare as the generic constructor's
+    tree of the same fields, or dict and set lookups would disagree with
+    `==`."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=theory_texts())
+    def test_parsed_trees_match_the_generic_constructor(self, text):
+        thy = parse_theory(text)
+        types, nodes = _parts(thy)
+        leaves = [n for n in nodes if not isinstance(n, App)]
+        assert types and leaves and thy.goals
+        for tree in (*types, *leaves, *thy.goals):
+            generic = object.__new__(type(tree))
+            Tree.__init__(generic, *[getattr(tree, f) for f in tree._fields])
+            assert hash(generic) == hash(tree)
+            assert generic == tree and tree == generic
+
+
 class TestRoundTrip:
     def test_corpus_files_round_trip(self, corpus_dir):
         for path in sorted(corpus_dir.glob("*.thy")):
@@ -531,6 +551,14 @@ class TestSpans:
          "bad.thy:3:2: unexpected end of type (expected type)"),
         ("datatype t = C nat (nat list, nat)",
          "bad.thy:1:29: trailing tokens in type"),
+        # a parenthesised constructor argument is read from the tokens its
+        # datatype holds, with the positions a scan of its text gives
+        ("datatype t = C (nat",
+         "bad.thy:1:16: unterminated type"),
+        ("datatype t 'a = C ('b list)",
+         "bad.thy:1:19: type variable 'b is not a parameter"),
+        ("datatype t = C ((nat list) => foo)",
+         "bad.thy:1:31: unknown type foo"),
         ('fun f :: "nat => nat" where "f x"',
          "bad.thy:1:33: unexpected end of input (expected '=')"),
         ('lemma a: "x = y',
