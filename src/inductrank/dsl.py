@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import Callable, Iterable, NamedTuple, Union
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .parser import Cursor, Token
 from .schemes import RULE_SUFFIX, rule_fundef
@@ -203,13 +204,24 @@ def make_context(goal: Goal, candidate: Candidate, thy: Theory,
     )
 
 
-# what a verdict can depend on in the candidate, by name; everything else
-# an assertion reads is fixed by the goal
-CANDIDATE_READS: dict[str, Callable[[Candidate], object]] = {
-    "induction_terms": lambda c: c.induction_terms,
-    "induction_term_count": lambda c: len(c.induction_terms),
-    "arbitrary": lambda c: c.arbitrary,
-    "rule": lambda c: c.rule,
+def _term_sets(candidates: Sequence[Candidate]) -> list[frozenset]:
+    # one set per distinct tuple of terms, shared by the candidates with it
+    terms = [c.induction_terms for c in candidates]
+    sets = {t: frozenset(t) for t in set(terms)}
+    return list(map(sets.__getitem__, terms))
+
+
+# what a verdict can depend on in the candidate, by name, each read as a
+# column of values, one per candidate; everything else an assertion reads
+# is fixed by the goal.  The ordered terms are read by
+# ``is_nth_induction_term`` alone; ``ALL``/``EX t : term in induction_term``
+# read the set, since their verdict is blind to the terms' order.
+CANDIDATE_READS: dict[str, Callable[[Sequence[Candidate]], list]] = {
+    "induction_terms": lambda cs: [c.induction_terms for c in cs],
+    "induction_term_set": _term_sets,
+    "induction_term_count": lambda cs: [len(c.induction_terms) for c in cs],
+    "arbitrary": lambda cs: [c.arbitrary for c in cs],
+    "rule": lambda cs: [c.rule for c in cs],
 }
 
 
@@ -230,9 +242,11 @@ def compile_formula(f: Formula) -> tuple[Check, tuple[str, ...]]:
     """Compile a closed, well-sorted formula into a test of a context, and
     say what the test reads of the candidate: names of `CANDIDATE_READS`,
     in that order.  Two candidates of one goal that agree on those get the
-    same verdict.  A number quantifier's domain grows with the number of
-    induction terms, so it reads that count; reading the terms themselves
-    covers it.
+    same verdict.  A quantifier ``in induction_term`` reads the set of
+    induction terms: ``ALL`` and ``EX`` give the same verdict in any order.
+    Only ``is_nth_induction_term`` reads the ordered terms, and that read
+    covers the set and the count.  A number quantifier's domain grows with
+    the number of induction terms, so it reads that count.
 
     Connectives, quantifier domains and assertions are chosen here, once,
     so a verdict only walks domains and calls tests.  Every quantifier and
@@ -251,7 +265,7 @@ def compile_formula(f: Formula) -> tuple[Check, tuple[str, ...]]:
     memoisable: _Memoisable = {}
     reads = _analyse(f, memoisable)[0]
     if "induction_terms" in reads:
-        reads.discard("induction_term_count")
+        reads -= {"induction_term_set", "induction_term_count"}
     template: list[Value | None] = []
     node = _compile(f, {}, template, memoisable)
 
@@ -311,7 +325,7 @@ def _analyse(f: Formula,
         elif f.sort is Sort.NUMBER:
             reads.add("induction_term_count")
         elif isinstance(f.restriction, InductionTerms):
-            reads.add("induction_terms")
+            reads.add("induction_term_set")
         if quantified and free and reads <= {"induction_term_count"}:
             memoisable[id(f)] = (tuple(free), bool(reads))
         return reads, free, True
@@ -377,9 +391,10 @@ def _memoised(node: _Node, free: tuple[int, ...], bounded: bool) -> _Node:
     """`node` with its verdicts kept in the goal index's `memo`, keyed on
     `node`, the values in the slots `free` and, if `bounded`, the number
     bound."""
+    slots = itemgetter(*free)
+
     def memoised(ctx: EvalContext, env: list) -> bool:
-        key = (node, ctx.number_bound if bounded else 0,
-               *[env[s] for s in free])
+        key = (node, ctx.number_bound if bounded else 0, slots(env))
         memo = ctx.index.memo
         verdict = memo.get(key)
         if verdict is None:

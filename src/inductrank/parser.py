@@ -874,11 +874,11 @@ def _read_tokens(source: str, file: str, goals: Collection[str] | None,
     p = Cursor(source, file)
     r = _Reader(source, file)
     reach = None if goals is None else _reach(p.tokens, goals, texts)
+    top_level = ("datatype", "fun", "primrec", "lemma")
     while p.peek().kind != "eof":
         tok = p.peek()
-        if tok.kind != "ident" or tok.text not in _KEYWORDS:
-            raise p.fail(f"found {tok.text!r}", tok,
-                         expected=("datatype", "fun", "primrec", "lemma"))
+        if tok.kind != "ident" or tok.text not in top_level:
+            raise p.fail(f"found {tok.text!r}", tok, expected=top_level)
         if tok.text == "datatype":
             r.datatype(_parse_datatype(p, r))
         elif tok.text in ("fun", "primrec"):

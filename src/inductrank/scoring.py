@@ -7,18 +7,24 @@ pipeline position (stable), and ranks assigned from 1.
 
 Scoring is serial.  A verdict depends only on the candidate fields its
 formula reads (`Heuristic.reads`), so each heuristic is evaluated once
-per distinct value of those fields and the verdict reused for every other
-candidate of the goal that shares it.  Heuristics that read the same
-fields share one key, computed once per candidate, and one memo.  These
-memos last for one `score_all` call; the memo of sub-formulas that no
-candidate field but the number of induction terms changes is the goal
+per distinct value of those fields.  Most heuristics read the induction
+terms only through ``in induction_term``, that is, their set, so one
+verdict serves every order of the same terms.  `score_all` works in
+column passes: each read a group uses is one column over the candidates
+(`dsl.CANDIDATE_READS`); heuristics that read the same fields form a
+group, which evaluates each distinct key once, in pipeline order; and
+`zip` joins the heuristics' verdict columns into one row per candidate.
+These memos last for one `score_all` call; the memo of sub-formulas that
+no candidate field but the number of induction terms changes is the goal
 index's (`dsl.GoalIndex.memo`) and lasts as long as that index.
 """
 
 from __future__ import annotations
 
 from importlib import resources
-from typing import Callable, NamedTuple, Sequence
+from itertools import repeat
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .dsl import (
     CANDIDATE_READS, Check, EvalContext, Formula, compile_formula, evaluate,
@@ -71,39 +77,41 @@ def score_all(candidates: Sequence[Candidate],
     candidate fields its formula reads, and a context is built only for a
     candidate with at least one verdict not yet memoised.
     """
-    # heuristics that read the same candidate fields share one key and
-    # one memo, which maps the key to their verdicts
+    # heuristics that read the same candidate fields form one group, with
+    # one memo from a key of those fields to the group's verdicts
     groups: dict[tuple[str, ...], list[int]] = {}
     for i, h in enumerate(suite):
         groups.setdefault(h.reads, []).append(i)
-    plan = [([CANDIDATE_READS[n] for n in reads],
-             [suite[i] for i in members], {})
-            for reads, members in groups.items()]
-    # a candidate's verdicts come group by group; heuristic i's is at
-    # position[i] among them
-    order = [i for members in groups.values() for i in members]
-    position = sorted(range(len(order)), key=order.__getitem__)
-    unranked = []
-    for index, candidate in enumerate(candidates):
-        ctx = None
-        found: list[bool] = []
-        for getters, members, memo in plan:
-            key = tuple([get(candidate) for get in getters])
-            verdicts = memo.get(key)
-            if verdicts is None:
+    # each read that a group uses as a column, one value per candidate
+    column = {name: CANDIDATE_READS[name](candidates)
+              for name in set().union(*groups)}
+
+    def keys(reads: tuple[str, ...]) -> Iterable[tuple]:
+        # zip reuses the tuple of a key that no memo keeps
+        return zip(*[column[n] for n in reads]) if reads \
+            else repeat((), len(candidates))
+
+    contexts: dict[int, EvalContext] = {}
+    verdicts: list = [None] * len(suite)    # heuristic -> verdict column
+    for reads, members in groups.items():
+        memo: dict = {}
+        for index, key in enumerate(keys(reads)):
+            if key not in memo:
+                ctx = contexts.get(index)
                 if ctx is None:
-                    ctx = ctx_factory(candidate)
-                verdicts = memo[key] = [evaluate(h.formula, ctx, h.check)
-                                        for h in members]
-            found += verdicts
-        verdicts = tuple([found[p] for p in position])
-        unranked.append((candidate, sum(verdicts), verdicts, index))
-    unranked.sort(key=lambda item: (-item[1], item[3]))
-    return [
-        ScoredCandidate(candidate, score, verdicts, rank, index)
-        for rank, (candidate, score, verdicts, index)
-        in enumerate(unranked, start=1)
-    ]
+                    ctx = contexts[index] = ctx_factory(candidates[index])
+                memo[key] = tuple([evaluate(suite[i].formula, ctx,
+                                            suite[i].check)
+                                   for i in members])
+        found = list(map(memo.__getitem__, keys(reads)))
+        for j, i in enumerate(members):
+            verdicts[i] = list(map(itemgetter(j), found))
+    rows = list(zip(*verdicts)) if suite else [()] * len(candidates)
+    scores = list(map(sum, rows))
+    # sorted is stable also in reverse, so ties keep pipeline order
+    ranking = sorted(range(len(rows)), key=scores.__getitem__, reverse=True)
+    return [ScoredCandidate(candidates[i], scores[i], rows[i], rank, i)
+            for rank, i in enumerate(ranking, start=1)]
 
 
 def shortlist(scored: Sequence[ScoredCandidate],

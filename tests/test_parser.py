@@ -602,6 +602,9 @@ class TestSpans:
         ("datatypes t = C",
          "bad.thy:1:1: found 'datatypes' (expected datatype or fun or "
          "primrec or lemma)"),
+        ('where x: "0 = 0"',
+         "bad.thy:1:1: found 'where' (expected datatype or fun or "
+         "primrec or lemma)"),
         ('datatype t = C\'fun D\nfun f :: "t => t" where "f x = x"',
          "bad.thy:1:20: unknown type D"),
         ('datatype t = C 3fun f :: "t" where "f = C"',

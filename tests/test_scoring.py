@@ -155,11 +155,16 @@ SINGLE_READ_HEURISTICS = [
     (("rule",),
      "EX r : rule. EX t : term. EX to : term_occurrence in t : term. "
      "(r is_rule_of to) & (occurs_in_conclusion (to))"),
-    (("induction_terms",),
+    (("induction_term_set",),
      "EX t : term in induction_term. "
      "EX to : term_occurrence in t : term. "
      "EX t1 : term. EX to1 : term_occurrence in t1 : term. "
      "is_nth_argument_of (to, 2, to1)"),
+    (("induction_terms",),
+     "EX t : term in induction_term. (t is_nth_induction_term 1) & "
+     "(EX to : term_occurrence in t : term. "
+     "EX t1 : term. EX to1 : term_occurrence in t1 : term. "
+     "is_nth_argument_of (to, 2, to1))"),
     (("induction_term_count",),
      "ALL n : number. EX t1 : term. EX to1 : term_occurrence in t1 : term. "
      "EX t2 : term. EX to2 : term_occurrence in t2 : term. "
@@ -212,6 +217,50 @@ def candidate_grid(goal, thy):
         lambda two: [Candidate(*c) for c in itertools.product(*zip(*two))])
 
 
+def permutation_grid(goal, thy):
+    """Every order of drawn induction terms, crossed with two drawn
+    `arbitrary` sets and two drawn rule values, so that each set of terms
+    is scored in all its orders."""
+    names = [v.name for v in goal_free_variables(goal)]
+    rules = [None] + rules_for(goal, thy)
+    return st.tuples(
+        st.lists(st.sampled_from(names), min_size=2, max_size=3,
+                 unique=True),
+        st.lists(st.frozensets(st.sampled_from(names)), min_size=2,
+                 max_size=2),
+        st.lists(st.sampled_from(rules), min_size=2, max_size=2,
+                 unique=True) if len(rules) > 1 else st.just(rules),
+    ).map(lambda drawn: [
+        Candidate(terms, arbitrary, rule)
+        for terms in itertools.permutations(drawn[0])
+        for arbitrary in drawn[1] for rule in drawn[2]])
+
+
+def random_suite_agrees_with_oracle(data, oracle_goals, grid,
+                                    keep=lambda source: True):
+    """Score eight random formulas whose source `keep` accepts on a `grid`
+    of candidates of a drawn goal of two or more variables, and compare
+    each verdict with the oracle."""
+    thy, goal = data.draw(st.sampled_from(
+        [(t, g) for t, g in oracle_goals
+         if len(goal_free_variables(g)) > 1]))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    formulas: list = []
+    while len(formulas) < 8:
+        f = random_formula(rng, depth=4, max_quantifiers=3)
+        if keep(formula_source(f)):
+            formulas.append(f)
+    suite = load_suite("".join(
+        f"heuristic h{i}: {formula_source(f)}\n"
+        for i, f in enumerate(formulas)))
+    assert [h.formula for h in suite] == formulas
+    candidates = data.draw(grid(goal, thy))
+    for sc in scored_as_cli(goal, thy, suite, candidates):
+        for h, verdict in zip(suite, sc.verdicts):
+            assert verdict == ref_evaluate(
+                h.formula, goal, sc.candidate, thy), (h.name, h.reads)
+
+
 class TestMemoisedVerdicts:
     def test_every_corpus_finalist_agrees_with_oracle(self,
                                                       corpus_finalists):
@@ -245,21 +294,20 @@ class TestMemoisedVerdicts:
         # show here as a verdict copied to a candidate that differs in it.
         # Few random formulas depend on any one field, hence the many
         # examples; a goal of one variable has too few candidates to tell.
-        thy, goal = data.draw(st.sampled_from(
-            [(t, g) for t, g in oracle_goals
-             if len(goal_free_variables(g)) > 1]))
-        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
-        formulas = [random_formula(rng, depth=4, max_quantifiers=3)
-                    for _ in range(8)]
-        suite = load_suite("".join(
-            f"heuristic h{i}: {formula_source(f)}\n"
-            for i, f in enumerate(formulas)))
-        assert [h.formula for h in suite] == formulas
-        candidates = data.draw(candidate_grid(goal, thy))
-        for sc in scored_as_cli(goal, thy, suite, candidates):
-            for h, verdict in zip(suite, sc.verdicts):
-                assert verdict == ref_evaluate(
-                    h.formula, goal, sc.candidate, thy), (h.name, h.reads)
+        random_suite_agrees_with_oracle(data, oracle_goals, candidate_grid)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_every_order_of_the_terms_agrees_with_oracle(self, data,
+                                                         oracle_goals):
+        # a verdict keyed on the set of terms is reused for every order of
+        # them, so a formula whose verdict depends on the order but whose
+        # key is the set shows here as one verdict copied to another order.
+        # Only is_nth_induction_term reads the order, and few random
+        # formulas hold it, so every formula here does.
+        random_suite_agrees_with_oracle(
+            data, oracle_goals, permutation_grid,
+            keep=lambda source: "is_nth_induction_term" in source)
 
     @pytest.mark.parametrize("reads, formula", SINGLE_READ_HEURISTICS,
                              ids=[r[0] for r, _ in SINGLE_READ_HEURISTICS])
@@ -274,6 +322,19 @@ class TestMemoisedVerdicts:
                 assert sc.verdicts == (evaluate(suite[0].formula, fresh),)
                 seen.add(sc.verdicts)
         assert seen == {(True,), (False,)}  # the field matters
+
+    def test_default_ordered_readers(self):
+        # only is_nth_induction_term reads the order of the terms
+        assert [h.name for h in default_suite()
+                if "induction_terms" in h.reads] == [
+            "rule_constant_takes_induction_terms_in_order",
+            "rule_argument_agreement_at_1",
+            "rule_argument_agreement_at_2",
+            "rule_argument_agreement_at_3",
+            "rule_argument_agreement_at_4",
+            "induction_position_matches_recursion",
+            "first_induction_term_is_first_argument",
+        ]
 
 
 class TestEvaluateBinding:
@@ -296,7 +357,7 @@ class TestEvaluateBinding:
             scored_as_cli(goal, thy, suite, finalists)
             misses = Counter({
                 id(h.formula): len({
-                    tuple([CANDIDATE_READS[n](c) for n in h.reads])
+                    tuple([CANDIDATE_READS[n]([c])[0] for n in h.reads])
                     for c in finalists})
                 for h in suite})
             assert all(any(f is h.formula for h in suite) for f in calls)
