@@ -16,13 +16,11 @@ induction rule; ``primrec`` constants do not.
 The top level is read by one regular expression, `_DECLARATION`, with
 one match per declaration: a definition's name, quoted type and quoted
 equations, a lemma's name and quoted statement, or a datatype's span up
-to the next keyword, each after whitespace and comments that hold no
-comment.  A file that these matches do not read to its end, such as one
-with a nested comment, with a comment or quote inside a declaration or
-with a malformed declaration, is read token by token instead, and so is
-a file whose declarations raise an error when read from the matches:
-the errors of a parse are the token reader's.  Both readers give each
-declaration the same work.
+to the next keyword or quote.  Comments are blanked in place first
+(`_blanked`), so the matches read every well-formed file to its end;
+where they stop short, at a malformed declaration, a cursor reads on
+and raises its error.  A parse reports a file's first lexical error
+outside quotes, or else its first error in file order.
 
 The scanner makes one regular-expression match per token and the
 whitespace before it.  A token carries its offset into the file: line
@@ -91,7 +89,8 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Lexing
 
-_KEYWORDS = {"datatype", "fun", "primrec", "lemma", "where"}
+_TOP_LEVEL = ("datatype", "fun", "primrec", "lemma")
+_KEYWORDS = {*_TOP_LEVEL, "where"}
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -212,7 +211,8 @@ class Cursor:
         raise self.unexpected(f"'{text}'")
 
     def expect_ident(self, what: str) -> Token:
-        if self.peek().kind == "ident":
+        tok = self.peek()
+        if tok.kind == "ident" and tok.text not in _KEYWORDS:
             return self.next()
         raise self.unexpected(what)
 
@@ -697,21 +697,25 @@ def parse_theory(source: str, file: str = "<string>",
     will read against the theory, have their equations parsed (see
     `_closure`).  Every other definition is still declared with its type,
     and its equations must be quoted, but the theory leaves it out and
-    names it in its `unread`."""
-    source = source.replace("\r\n", "\n")
-    matches = _declarations(source)
-    if matches is not None:
-        try:
-            return _read_matches(source, file, goals, texts, matches)
-        except (ParseError, RecursionError):
-            pass  # the token reader raises what it raises on this file
-    return _read_tokens(source, file, goals, texts)
+    names it in its `unread`.
+
+    The error raised is the file's first lexical error outside quotes,
+    else its first error in file order in what the request reads.  Reach
+    is found before the first malformed declaration: in a file with two
+    errors, a lemma after it reaches no definition."""
+    source = _blanked(source.replace("\r\n", "\n"))
+    try:
+        return _read_matches(source, file, goals, texts,
+                             *_declarations(source))
+    except (ParseError, RecursionError):
+        scan(source, file)  # raises the first lexical error, if any
+        raise
 
 
 class _Reader:
     """A theory being read: the declarations read so far, and the names,
     types and constants they declare.  Its methods do the work of one
-    declaration once a top-level reader has found its parts."""
+    declaration once the top level has found its parts."""
 
     def __init__(self, source: str, file: str) -> None:
         self.source, self.file = source, file
@@ -794,55 +798,94 @@ class _Reader:
 
 # -- the top level, one match per declaration ------------------------------
 
+_NOT_NEWLINE = re.compile(r"[^\n]")
+
+
+def _blanked(source: str) -> str:
+    """`source` with each comment outside quotes, which may nest, made
+    spaces, keeping every offset and newline.  A comment is found by its
+    ``*``, rarer than ``(``.  An unterminated comment or quote and all
+    after it are left for `scan` to report."""
+    pieces: list[str] = []
+    done = out = 0  # the end of the text copied; a place outside quotes
+    star = source.find("*", 1)
+    while star > 0:
+        i = star - 1
+        if source[i] != "(":
+            star = source.find("*", star + 1)
+        elif source.count('"', out, i) % 2:  # the ``(*`` is quoted
+            out = source.find('"', star) + 1
+            star = source.find("*", out) if out else -1
+        else:
+            depth = 1
+            while depth and (star := source.find("*", star + 1)) > 0:
+                if source[star - 1] == "(":
+                    depth += 1
+                elif source.startswith(")", star + 1):
+                    depth -= 1
+            if depth:
+                break
+            star += 2
+            pieces += source[done:i], _NOT_NEWLINE.sub(" ", source[i:star])
+            done = out = star
+            star = source.find("*", star)
+    return "".join(pieces) + source[done:]
+
+
 _WORD = "[a-zA-Z0-9_']"  # a character that continues an identifier
+_KEYWORD = rf"(?:{'|'.join(_TOP_LEVEL)})(?!{_WORD})"  # a whole token
+_NAME = rf"(?!{_KEYWORD}|where(?!{_WORD}))[a-zA-Z_]{_WORD}*"  # no keyword
 _DECLARATION = re.compile(
-    # whitespace and comments that hold no comment
-    r"\s*(?:\(\*[^(*]*(?:(?:\((?!\*)|\*(?!\)))[^(*]*)*\*\)\s*)*(?:"
-    r"(?P<fun>fun|primrec)\s+(?P<fname>[a-zA-Z_][a-zA-Z0-9_']*)\s*::\s*"
+    rf"\s*(?:(?P<fun>fun|primrec)\s+(?P<fname>{_NAME})\s*::\s*"
     r'"(?P<type>[^"]*)"\s*where\s*(?P<eqs>"[^"]*"(?:\s*\|\s*"[^"]*")*)'
-    r"|(?P<lemma>lemma)\s+(?P<lname>[a-zA-Z_][a-zA-Z0-9_']*)\s*:\s*"
-    r'"(?P<stmt>[^"]*)"'
-    # up to the next keyword that is a whole token, a quote or a comment
-    rf"|(?P<datatype>datatype(?!{_WORD})(?:[^\"(a-zA-Z0-9_']+|\((?!\*)"
-    rf"|(?!(?:datatype|fun|primrec|lemma)(?!{_WORD})){_WORD}+)*)"
+    r"(?!\s*\|)"
+    rf'|(?P<lemma>lemma)\s+(?P<lname>{_NAME})\s*:\s*"(?P<stmt>[^"]*)"'
+    # up to the next keyword, quote or comment; `next` is the token there
+    rf"|(?P<datatype>datatype(?!{_WORD})(?:[^\"(?a-zA-Z0-9_']+|\((?!\*)"
+    rf"|\?{_WORD}*|(?!{_KEYWORD}){_WORD}+)*)"
+    r'(?:(?=(?P<next>"[^"]*"|[a-z]+)))?'
     r"|\Z)")
 _QUOTED = re.compile(r'"([^"]*)"')
 
 
-def _declarations(source: str) -> list[re.Match] | None:
-    """The `_DECLARATION` matches that read `source`, one per declaration;
-    None if they do not reach its end."""
+def _declarations(source: str) -> tuple[list[re.Match], int]:
+    """The `_DECLARATION` matches that read the `_blanked` `source` from
+    its start, one per declaration, and the offset where they stop: at a
+    malformed declaration, or at the length of `source`."""
     matches: list[re.Match] = []
     pos = 0
     # the end of the source, after the last declaration, matches no group
     while (m := _DECLARATION.match(source, pos)) is not None and m.lastindex:
         matches.append(m)
         pos = m.end()
-    return matches if m is not None else None
+    return matches, len(source) if m is not None else pos
 
 
 def _read_matches(source: str, file: str, goals: Collection[str] | None,
-                  texts: Sequence[str], matches: list[re.Match]) -> Theory:
-    """The theory whose declarations are `matches`, each read by its groups
-    with the per-declaration work of `_read_tokens`, less what a request
-    skips: an unread lemma or unreached definition is only declared.  A
-    datatype's match is its span, which it must read to its end."""
+                  texts: Sequence[str], matches: list[re.Match],
+                  end: int) -> Theory:
+    """The theory of `source`, whose declarations before `end` are
+    `matches`, each read by its groups, less what a request skips: an
+    unread lemma or unreached definition is only declared.  A datatype's
+    span is read with the keyword or quote after it, which an error may
+    name, and must be read to its end.  A cursor reads on from `end`: in
+    a file that is not well-formed, its first declaration raises."""
     r = _Reader(source, file)
     reach = None
+    groups = [m.groups() for m in matches]
     if goals is not None:
         # a definition's equations are one text here, with their quotes and
         # bars, which hold no identifier
         equations: dict[str, list[str]] = {}
         named = list(texts)
-        for m in matches:
-            kw, fname, _, eqs, lemma, lname, stmt, _ = m.groups()
+        for kw, fname, _, eqs, lemma, lname, stmt, _, _ in groups:
             if kw:
                 equations.setdefault(fname, []).append(eqs)
             elif lemma and lname in goals:
                 named.append(stmt)
         reach = _closure(equations, named)
-    for m in matches:
-        kw, fname, ty_text, eqs, lemma, lname, stmt, _ = m.groups()
+    for m, (kw, fname, ty_text, _, lemma, lname, stmt, _, _) in zip(
+            matches, groups):
         if kw:
             ty = r.signature(fname, m.start("fname"), ty_text, m.start("type"))
             if reach is None or fname in reach:
@@ -857,28 +900,16 @@ def _read_matches(source: str, file: str, goals: Collection[str] | None,
                 r.lemma(m.start("lemma"), lname,
                         _new(Token, ("quoted", stmt, m.start("stmt") - 1)))
         else:
-            p = Cursor(source, file, *m.span("datatype"))
+            start, stop = m.span("datatype")
+            p = Cursor(source, file, start, max(stop, m.end("next")))
             r.datatype(_parse_datatype(p, r))
-            if p.peek().kind != "eof":
-                raise p.unexpected("declaration")
-    return r.theory()
-
-
-# -- the top level, token by token -----------------------------------------
-
-
-def _read_tokens(source: str, file: str, goals: Collection[str] | None,
-                 texts: Sequence[str]) -> Theory:
-    """The theory of `source`, read token by token: the reader of a file
-    that `_DECLARATION` does not read, whose errors are the parse's."""
-    p = Cursor(source, file)
-    r = _Reader(source, file)
-    reach = None if goals is None else _reach(p.tokens, goals, texts)
-    top_level = ("datatype", "fun", "primrec", "lemma")
+            if p.peek().offset < stop:
+                raise p.fail(f"found {p.peek().text!r}", expected=_TOP_LEVEL)
+    p = Cursor(source, file, end)
     while p.peek().kind != "eof":
         tok = p.peek()
-        if tok.kind != "ident" or tok.text not in top_level:
-            raise p.fail(f"found {tok.text!r}", tok, expected=top_level)
+        if tok.kind != "ident" or tok.text not in _TOP_LEVEL:
+            raise p.fail(f"found {tok.text!r}", expected=_TOP_LEVEL)
         if tok.text == "datatype":
             r.datatype(_parse_datatype(p, r))
         elif tok.text in ("fun", "primrec"):
@@ -912,38 +943,6 @@ def _closure(equations: dict[str, list[str]], named: list[str]) -> set[str]:
                 reach.add(ident)
                 named += equations[ident]
     return reach
-
-
-def _reach(tokens: list[Token], goals: Collection[str],
-           texts: Sequence[str]) -> set[str]:
-    """The `_closure` of the statements of the lemmas `goals` and the
-    `texts`.  It reads the top-level `tokens` in the shapes the
-    declaration loop accepts, and never raises: a declaration it cannot
-    read is one the loop reports."""
-    def at(i: int, kind: str, text: str | None = None) -> bool:
-        return i < len(tokens) and tokens[i].kind == kind \
-            and text in (None, tokens[i].text)
-
-    equations: dict[str, list[str]] = {}
-    named = list(texts)
-    for i, tok in enumerate(tokens):
-        if tok.kind != "ident" or not at(i + 1, "ident"):
-            continue
-        name = tokens[i + 1].text
-        if tok.text == "lemma":
-            if name in goals and at(i + 2, "sym", ":") \
-                    and at(i + 3, "quoted"):
-                named.append(tokens[i + 3].text)
-        elif tok.text in ("fun", "primrec") and at(i + 2, "sym", "::") \
-                and at(i + 3, "quoted") and at(i + 4, "ident", "where"):
-            texts_of = equations.setdefault(name, [])
-            j = i + 5
-            while at(j, "quoted"):
-                texts_of.append(tokens[j].text)
-                if not at(j + 1, "sym", "|"):
-                    break
-                j += 2
-    return _closure(equations, named)
 
 
 def _parse_datatype(p: Cursor, r: _Reader) -> DatatypeDef:
@@ -993,12 +992,13 @@ def _parse_ctor_arg(p: Cursor, known: dict[str, int], params: list[str],
                 tok)
         return tables.type(tok.text)
     # a parenthesised compound type: the tokens before the matching `)`,
-    # `t`, and the `eof` at `t` with which a scan of their text would end
+    # `t`, and the `eof` at `t` with which a scan of their text would end;
+    # a top-level keyword or a quote ends it unterminated
     p.expect_sym("(")
     start, depth = p.pos, 1
     while depth > 0:
         t = p.next()
-        if t.kind == "eof":
+        if t.kind in ("eof", "quoted") or t.text in _TOP_LEVEL:
             raise p.fail("unterminated type", tok)
         if t.kind == "sym" and t.text == "(":
             depth += 1
@@ -1028,10 +1028,9 @@ def _parse_fundef(p: Cursor, r: _Reader
     p.next()
     ty = r.signature(name_tok.text, name_tok.offset, ty_tok.text,
                      ty_tok.offset + 1)
-    where_tok = p.expect_ident("'where'")
-    if where_tok.text != "where":
-        raise p.fail(f"found {where_tok.text!r}", where_tok,
-                     expected=("'where'",))
+    if p.peek().kind != "ident" or p.peek().text != "where":
+        raise p.unexpected("'where'")
+    p.next()
     return kw.text, name_tok.text, ty, _equation_tokens(p)
 
 

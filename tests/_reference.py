@@ -18,7 +18,10 @@ from inductrank.dsl import (
     OccurrencesOf, Or, Sort, TrueF, ATOM_SIGNATURES,
     INDUCTION_TERMS, UNRESTRICTED,
 )
-from inductrank.parser import ParseError, SourceSpan, Token
+from inductrank.parser import (
+    Cursor, ParseError, SourceSpan, Token, _Reader, _closure,
+    _parse_datatype, _parse_fundef, _parse_lemma,
+)
 from inductrank.schemes import rules_for
 from inductrank.tactic import Candidate
 from inductrank.terms import (
@@ -69,6 +72,75 @@ def reference_scan(source: str, file: str, start: int, end: int,
         i = j
     tokens.append(Token("eof", "", end))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Reference top level
+
+
+def ref_token_theory(source: str, file: str, goals=None, texts=()) -> Theory:
+    """The theory of `source` (with CRLF read as LF), read token by
+    token: one `scan` of the whole file, then a loop over its
+    declarations with the parser's own per-declaration readers.  It is
+    what `parse_theory` gives, save in a file with two errors: here reach
+    is found over every declaration the tokens show (`_token_reach`),
+    where `parse_theory` finds it over those before the first malformed
+    one, so a definition that only a later lemma names raises here and
+    not there."""
+    source = source.replace("\r\n", "\n")
+    p = Cursor(source, file)
+    r = _Reader(source, file)
+    reach = None if goals is None else _token_reach(p.tokens, goals, texts)
+    top_level = ("datatype", "fun", "primrec", "lemma")
+    while p.peek().kind != "eof":
+        tok = p.peek()
+        if tok.kind != "ident" or tok.text not in top_level:
+            raise p.fail(f"found {tok.text!r}", tok, expected=top_level)
+        if tok.text == "datatype":
+            r.datatype(_parse_datatype(p, r))
+        elif tok.text in ("fun", "primrec"):
+            kw, name, ty, quoted = _parse_fundef(p, r)
+            if reach is None or name in reach:
+                r.definition(kw, name, ty, quoted)
+            else:  # read past its equations, each checked to be quoted
+                list(quoted)
+                r.unread.add(name)
+        else:
+            at, name, prop = _parse_lemma(p, r)
+            if goals is None or name in goals:
+                r.lemma(at, name, prop)
+    return r.theory()
+
+
+def _token_reach(tokens: list[Token], goals, texts) -> set[str]:
+    """The `_closure` of the statements of the lemmas `goals` and the
+    `texts`.  It reads the top-level `tokens` in the shapes the
+    declaration loop accepts, and never raises: a declaration it cannot
+    read is one the loop reports."""
+    def at(i: int, kind: str, text: str | None = None) -> bool:
+        return i < len(tokens) and tokens[i].kind == kind \
+            and text in (None, tokens[i].text)
+
+    equations: dict[str, list[str]] = {}
+    named = list(texts)
+    for i, tok in enumerate(tokens):
+        if tok.kind != "ident" or not at(i + 1, "ident"):
+            continue
+        name = tokens[i + 1].text
+        if tok.text == "lemma":
+            if name in goals and at(i + 2, "sym", ":") \
+                    and at(i + 3, "quoted"):
+                named.append(tokens[i + 3].text)
+        elif tok.text in ("fun", "primrec") and at(i + 2, "sym", "::") \
+                and at(i + 3, "quoted") and at(i + 4, "ident", "where"):
+            texts_of = equations.setdefault(name, [])
+            j = i + 5
+            while at(j, "quoted"):
+                texts_of.append(tokens[j].text)
+                if not at(j + 1, "sym", "|"):
+                    break
+                j += 2
+    return _closure(equations, named)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _reference import (
-    ref_declared_texts, ref_lemma_lines, ref_reached, reference_scan,
+    ref_declared_texts, ref_lemma_lines, ref_reached, ref_token_theory,
+    reference_scan,
 )
 from inductrank import dsl, parser
 from inductrank.parser import (
@@ -590,9 +591,10 @@ class TestSpans:
          "bad.thy:3:20: schematic variable ?y on the right-hand side"),
         ('lemma a: "Suc 0"',
          "bad.thy:1:11: goal must be propositional"),
-        # declarations that the declaration pattern does not read: a token
-        # left out, a keyword in a word, a comment inside a datatype, a
-        # quote that holds an opening comment, a nested comment
+        # declarations that the declaration pattern stops at, or reads into
+        # an error: a token left out, a keyword in a word, a comment inside
+        # a datatype, a quote that holds an opening comment, an
+        # unterminated nested comment
         ('fun f "nat => nat" where "f x = x"',
          "bad.thy:1:7: found 'nat => nat' (expected '::')"),
         ('lemma a "x = x"\nfun f :: "nat" where "f = 0"',
@@ -621,6 +623,29 @@ class TestSpans:
          "bad.thy:1:11: unterminated comment"),
         ('lemma a: "x = x" (* a (* b *)\nfun f :: "nat" where "f = 0"',
          "bad.thy:1:18: unterminated comment"),
+        # a datatype's span ends where its datatype does: a schematic
+        # variable is one token, and a parenthesised type ends at a
+        # keyword or a quote
+        ("datatype t = C ?fun | D",
+         "bad.thy:1:16: found '?fun' (expected datatype or fun or primrec "
+         "or lemma)"),
+        ("datatype t = C (nat ?fun)",
+         "bad.thy:1:21: trailing tokens in type"),
+        ("datatype t = C (nat fun)",
+         "bad.thy:1:16: unterminated type"),
+        ('datatype t = C (nat "x")',
+         "bad.thy:1:16: unterminated type"),
+        # a keyword is no name
+        ('lemma lemma: "0 = 0"',
+         "bad.thy:1:7: found 'lemma' (expected lemma name)"),
+        ('fun lemma :: "nat => nat" where "lemma 0 = 0"',
+         "bad.thy:1:5: found 'lemma' (expected function name)"),
+        ("datatype fun = C",
+         "bad.thy:1:10: found 'fun' (expected datatype name)"),
+        ('datatype t =\nlemma a: "x = x"',
+         "bad.thy:2:1: found 'lemma' (expected constructor name)"),
+        ('datatype t = C | fun\nfun f :: "t" where "f = fun"',
+         "bad.thy:1:18: found 'fun' (expected constructor name)"),
     ])
     def test_exact_error_positions(self, src, error):
         with pytest.raises(ParseError) as err:
@@ -757,6 +782,22 @@ class TestRequestedGoals:
         assert parse_goal_expr("tl2 xs = xs", read) \
             == parse_goal_expr("tl2 xs = xs", parse_theory(src))
 
+    def test_reach_ends_at_the_first_malformed_declaration(self):
+        # in a file with two errors, a lemma after the first malformed
+        # declaration reaches nothing, while the token reader finds reach
+        # over every declaration
+        src = ('fun f :: "nat => nat" where "f 0 = ]"\ngarbage\n'
+               'lemma a: "f x = x"')
+        in_f = "bad.thy:1:36: found ']' (expected term)"
+        for read, goals, error in [
+                (parse_theory, None, in_f),
+                (parse_theory, ("a",), "bad.thy:2:1: found 'garbage' "
+                 "(expected datatype or fun or primrec or lemma)"),
+                (ref_token_theory, ("a",), in_f)]:
+            with pytest.raises(ParseError) as err:
+                read(src, "bad.thy", goals)
+            assert str(err.value) == error
+
     def test_forward_reference_in_a_reached_definition(self):
         # a reached definition is parsed where it stands
         src = ('fun f :: "nat => nat" where "f n = g n"\n'
@@ -827,10 +868,11 @@ class TestGoalLines:
                            stride=17)
 
 
-def _token_theory(text: str, file: str, goals=None) -> Theory:
-    """The token reader's theory of `text`: what `parse_theory` must give,
-    whichever reader it uses."""
-    return parser._read_tokens(text.replace("\r\n", "\n"), file, goals, ())
+def _read_to_its_end(text: str) -> bool:
+    """Whether the `_DECLARATION` matches read `text`, as `parse_theory`
+    reads it, to its end."""
+    source = parser._blanked(text.replace("\r\n", "\n"))
+    return parser._declarations(source)[1] == len(source)
 
 
 def _outcome(read, text: str, goals) -> tuple | str:
@@ -844,12 +886,13 @@ def _outcome(read, text: str, goals) -> tuple | str:
 
 
 def _assert_readers_agree(text: str) -> None:
-    """`parse_theory` gives what the token reader gives, in full, with no
-    lemma and with each lemma the text names alone."""
+    """`parse_theory` gives what the token reader, `ref_token_theory`,
+    gives, in full, with no lemma and with each lemma the text names
+    alone."""
     names = re.findall(r"lemma\s+([a-zA-Z_][a-zA-Z0-9_']*)", text)
     for goals in (None, (), *((name,) for name in names)):
         assert _outcome(parse_theory, text, goals) \
-            == _outcome(_token_theory, text, goals), goals
+            == _outcome(ref_token_theory, text, goals), goals
 
 
 _KEYWORD_TEXTS = ("datatype", "fun", "primrec", "lemma", "where")
@@ -896,20 +939,15 @@ class TestDeclarationPattern:
     """The top level read one declaration per match of `_DECLARATION`,
     against the token reader."""
 
-    def test_reads_the_corpus_and_the_benchmark_theories(self, corpus_dir,
-                                                          monkeypatch):
-        # a later edit to the pattern must not send these to the token
-        # reader without a word
+    def test_reads_the_corpus_and_the_benchmark_theories(self, corpus_dir):
+        # a later edit to the pattern must not leave these to the cursor
+        # without a word
         texts = [path.read_text(encoding="utf-8")
                  for path in sorted(corpus_dir.glob("*.thy"))]
         texts += [_workload_theory(w, 1) for w in
                   ("scaled_recommend", "large_theory_recommend")]
-
-        def token_reader(*args):
-            raise AssertionError("read token by token")
-        monkeypatch.setattr(parser, "_read_tokens", token_reader)
         for text in texts:
-            assert parser._declarations(text) is not None
+            assert _read_to_its_end(text)
             full = parse_theory(text)
             for goal in (full.goals[0], full.goals[-1]):
                 parse_theory(text, goals=(goal.name,))
@@ -922,10 +960,10 @@ class TestDeclarationPattern:
         ('lemma a: "x = x"\nfunny f :: "nat" where "f = 0"\n', False),
         # comments between declarations, or inside one
         ('(* a *) lemma a: "x = x" (* fun *)\n(**)', True),
-        ('(* a (* b *) *)\nlemma a: "x = x"\n', False),
+        ('(* a (* b *) *)\nlemma a: "x = x"\n', True),
         ('(* a (* b *)\nlemma a: "x = x"\n', False),
-        ('datatype t = C (* fun *) | D\n', False),
-        ('fun f :: "nat" (* c *) where "f = 0"\n', False),
+        ('datatype t = C (* fun *) | D\n', True),
+        ('fun f :: "nat" (* c *) where "f = 0"\n', True),
         # a quote inside a datatype
         ('datatype t = C "x"\n', False),
         # a datatype span that its datatype does not read to its end
@@ -933,15 +971,21 @@ class TestDeclarationPattern:
         ('datatype t = C where\nlemma a: "C = x"\n', True),
     ])
     def test_which_texts_the_pattern_reads(self, text, read):
-        assert (parser._declarations(text) is not None) == read
+        assert _read_to_its_end(text) == read
         _assert_readers_agree(text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=commented_theory_texts())
+    def test_reads_commented_theories_to_their_end(self, text):
+        assert _read_to_its_end(text)
 
     def test_a_statement_too_deep_is_the_token_readers_error(self):
         # read from the matches, the statement overflows the stack before
-        # the datatype is scanned; the token reader scans the file first
+        # the datatype is scanned; the token reader scans the file first,
+        # and so does the parse on its way out
         text = ('lemma a: "' + "(" * 2000 + "x" + ")" * 2000 + ' = y"\n'
                 "datatype t = A $")
-        assert parser._declarations(text) is not None
+        assert _read_to_its_end(text)
         with pytest.raises(ParseError) as err:
             parse_theory(text, "bad.thy", goals=("a",))
         assert str(err.value) == "bad.thy:2:16: unexpected character '$'"
@@ -961,8 +1005,12 @@ class TestDeclarationPattern:
     @example(text='datatype t = C\'fun | D\nlemma a: "x = x"\n')
     @example(text='datatype t = C 3fun f :: "t" where "f = C"\n')
     @example(text='datatype t = C ?fun | D\nlemma a: "x = x"\n')
+    @example(text='datatype t = C (nat ?fun) | D\nlemma a: "x = x"\n')
     @example(text='datatype t = C (* fun *) | D\nlemma a: "D = x"\n')
     @example(text='datatype t = C | fun\nfun f :: "t" where "f = fun"\n')
+    # a parenthesised type that a keyword or a quote ends
+    @example(text='datatype t = C (nat\nfun f :: "nat" where "f = 0")\n')
+    @example(text='datatype t = C (nat "x")\nlemma a: "x = x"\n')
     # a quote that holds an opening comment, requested or not
     @example(text='lemma a: "(* x"\nlemma b: "x = x"\n')
     # long runs the pattern reads before it fails
