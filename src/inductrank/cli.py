@@ -234,7 +234,8 @@ def cmd_explain(args) -> int:
 def _disposition_of(candidate: Candidate, goal: Goal, thy: Theory) -> str:
     """Why a candidate that was not ranked was dropped, from screening it
     alone.  If it passes both stages, its rule is not one enumeration
-    collects from the goal, or it lies beyond the enumeration cap."""
+    collects from the goal, or it lies beyond the default cap, which
+    `explain` and `eval` always use."""
     outcome = apply_induct(goal, candidate, thy)
     if type(outcome) is Failure:
         return f"filtered: stage 1 ({outcome.kind.value})"
@@ -247,7 +248,7 @@ def _disposition_of(candidate: Candidate, goal: Goal, thy: Theory) -> str:
     if rule is not None and rule not in rules_for(goal, thy):
         return (f"not enumerated (outside the enumerated space: {rule} is "
                 "not the rule of a constant in the goal)")
-    return "not enumerated (raise --max-candidates)"
+    return f"not enumerated (beyond the {DEFAULT_CAP:,}-candidate cap)"
 
 
 # ---------------------------------------------------------------------------

@@ -206,18 +206,20 @@ def stage2(goal: Goal,
 
     A survivor carries its case's subgoals before generalisation, and
     generalising renames each `arbitrary` variable, per subgoal, to fresh
-    names that avoid the goal's and the case's variables.  Each condition
-    reads the same on both forms, except that condition 2 never holds on
-    a generalised one, so a set gets at most two verdicts:
+    names that avoid the goal's variables and the subgoal's.  Each
+    condition reads the same on both forms, except that condition 2 never
+    holds on a generalised one, so a set gets at most two verdicts:
 
     - Condition 3 reads `SubgoalSet.schematic`, which a renaming keeps.
     - Condition 1.  Every case variable occurs in its subgoal, which holds
       the case's argument tuple (`schemes.py`: a constructor's arguments
       or an equation's left-hand side) at the goal's induction terms or in
-      anchor equations.  So two equal subgoals avoid the same names and get
-      the same renamings.  Conversely a renaming keeps structure and never
-      touches a case variable, so two equal generalised subgoals hold the
-      same argument tuple, hence the same case variables and renamings.
+      anchor equations.  So the names a renaming avoids, the goal's and
+      the subgoal's, are the goal's and the case's variables, and two
+      equal subgoals get the same renamings.  Conversely a renaming keeps
+      structure and never touches a case variable, so two equal
+      generalised subgoals hold the same argument tuple, hence the same
+      case variables and renamings.
     - Condition 2.  A generalised variable is a goal variable but not an
       induction term, so no case variable bears its name.  If it occurs in
       the goal's conclusion, no generalised conclusion holds the goal's;

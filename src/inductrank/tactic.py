@@ -2,12 +2,13 @@
 
 This is the desk-scale stand-in for a proof assistant's `induct` tactic:
 it instantiates an induction scheme and returns the subgoals, or a
-`Failure` saying why there are none.  Screening reads the subgoals before
-generalisation (`InductTactic.apply_case`).  As in Isabelle, structural
-induction is rule induction with the datatype's own one-position rule, so
-a candidate with a rule and one without are instantiated by the same
-code.  Nothing here raises for a candidate.  No proof search happens
-here.
+`Failure` saying why there are none.  As in Isabelle, induction without a
+rule is rule induction with the datatype's own one-position rule, so the
+two differ only in how the scheme is found; one path fits and
+instantiates either.  A case is its subgoals before generalisation
+(`InductTactic.apply_case`), which screening reads, and generalising
+renames variables in them.  Nothing here raises for a candidate.  No
+proof search happens here.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .schemes import (
     InductionScheme, SchemeCase, scheme_for_rule_name, structural_scheme,
 )
 from .terms import (
-    FreeVar, Goal, SchematicVar, SimpleType, Term, Theory,
+    DatatypeDef, FreeVar, Goal, SchematicVar, SimpleType, Term, Theory,
     contains_schematic, fresh_name, goal_free_variables,
     instantiate_term_types, match_type, mk_eq, mk_implies, subst_frees,
     subst_type,
@@ -128,37 +129,23 @@ def _unknown(name: str) -> Failure:
                    f"{name} is not a free variable of the goal")
 
 
-class _Case(NamedTuple):
-    """One case of an application before generalisation: the goal's
-    conclusion under the case's substitution, each induction hypothesis
-    (the goal's premises and conclusion under its substitution), both
-    already under the equations that anchor the scheme's schematic
-    positions, and the goal's premises under the case's substitution; and
-    the names a generalised variable must avoid."""
-
-    name: str
-    conclusion: Term
-    hypotheses: tuple[Term, ...]
-    premises: tuple[Term, ...]
-    used: frozenset[str]
-
-
 class InductTactic:
     """The induct tactic on one goal.
 
-    Holds what every application to the goal shares: the goal's free
-    variables, in order and by name, whether the goal has a schematic
-    variable, and the schemes of the rules and datatypes named so far.
-    It is the one place that builds a rule's scheme; elsewhere a rule is
-    its name.  Both modes find a scheme, a type instantiation and the
-    variables for its first positions, and build the cases by one path,
-    `_instantiate`, which wraps each case's anchor equations once.
+    As in Isabelle, induction without a rule is rule induction with the
+    first induction term's datatype rule, so both modes differ only in how
+    the scheme is found.  Fitting is one path (`_fit`): the arity check,
+    the type match of each induction term with its position, and
+    `_instantiate`, which wraps each case's anchor equations once.  This
+    is the one place that builds a scheme; elsewhere a rule is its name.
 
-    It memoises, per (induction terms read, rule) case applied so far,
-    where structural mode reads only the first term: the instantiated
-    cases and their `SubgoalSet` before generalisation, or how the case
-    failed.  Neither depends on `arbitrary`, so `apply_case` gives every
-    candidate of one case the same object.
+    The tactic holds what every application to the goal shares: the goal's
+    free variables, in order and by name, whether the goal has a schematic
+    variable, one scheme per rule name or datatype named so far, and, per
+    (induction terms read, rule) case applied so far, the case's
+    `SubgoalSet` before generalisation or the `Failure` it gives.  Neither
+    depends on `arbitrary`, so `apply_case` gives every candidate of one
+    case the same object, and `apply` generalises from that set alone.
     """
 
     def __init__(self, goal: Goal, thy: Theory):
@@ -168,46 +155,44 @@ class InductTactic:
         self.by_name = {v.name: v for v in self.variables}
         self._names = frozenset(self.by_name)
         self._schematic_goal = contains_schematic(goal)
-        self._rules: dict[str, InductionScheme | None] = {}
-        self._structural: dict[str, InductionScheme] = {}
-        self._cases: dict[tuple, tuple[tuple[_Case, ...], SubgoalSet]
-                          | Failure] = {}
+        # by rule name, or by the datatype itself, which equals no name
+        self._schemes: dict[str | DatatypeDef, InductionScheme | Failure] = {}
+        self._cases: dict[tuple, SubgoalSet | Failure] = {}
 
     def apply(self, candidate: Candidate) -> SubgoalSet | Failure:
         """Apply an induction candidate to the goal: the subgoals, or the
         `Failure` saying why there are none.
 
-        The scheme is the rule's in functional mode (rule given).  In
-        structural mode (no rule) it is the one-position structural
-        scheme of the first induction term's datatype; further induction
-        terms are left untouched (no simultaneous product induction).
-        Either way the scheme's k-th position is instantiated with the k-th
-        induction term.  Positions beyond the supplied terms, which only a
-        rule can have, are instantiated with fresh schematic variables, and
-        each case records them as schematic equations wrapped around its
-        conclusion and hypotheses, so the under-determination is visible
-        to the screening stage.
+        The scheme is the rule's with a rule, and without one the
+        one-position rule of the first induction term's datatype; further
+        induction terms are then left untouched (no simultaneous product
+        induction).  Either way the scheme's k-th position is instantiated
+        with the k-th induction term.  Positions beyond the supplied terms,
+        which only a rule can have, are instantiated with fresh schematic
+        variables, and each case records them as schematic equations
+        wrapped around its conclusion and hypotheses, so the
+        under-determination is visible to the screening stage.
 
-        Variables in `arbitrary` are generalised per subgoal: the conclusion
-        and the original premises share one fresh renaming, and every
-        induction hypothesis gets its own fresh copies.  With `arbitrary`
-        empty the result is `apply_case`'s shared set; otherwise the
-        generalised set is built anew on each call.
+        Variables in `arbitrary` are generalised per subgoal of
+        `apply_case`'s set: the conclusion and the goal's premises share
+        one fresh renaming, and every induction hypothesis gets its own
+        fresh copies.  With `arbitrary` empty the result is that shared
+        set; otherwise the generalised set is built anew on each call.
         """
         plain = self.apply_case(candidate)
-        terms, arbitrary, rule = candidate
+        arbitrary = candidate.arbitrary
         if type(plain) is Failure or not arbitrary:
             return plain
-        cases, _ = self._cases[terms[:1] if rule is None else terms, rule]
         generalised = [v for v in self.variables if v.name in arbitrary]
         return plain._replace(subgoals=tuple(
-            self._subgoal(c, generalised) for c in cases))
+            self._generalise(sg, generalised) for sg in plain.subgoals))
 
     def apply_case(self, candidate: Candidate) -> SubgoalSet | Failure:
         """The subgoals of the candidate's (induction terms read, rule)
-        case before generalisation, or the `Failure` that `apply` returns.
-        Candidates that differ only in `arbitrary`, or in the terms that
-        structural mode does not read, get the same object."""
+        case before generalisation, or the `Failure` that `apply` returns,
+        memoised as they are.  Candidates that differ only in `arbitrary`,
+        or in the terms that induction without a rule does not read, get
+        the same object."""
         terms, arbitrary, rule = candidate
         if not terms and rule is None:
             return _NO_ARGUMENTS
@@ -219,82 +204,69 @@ class InductTactic:
             return _unknown(min(arbitrary - self._names))
 
         if rule is None:
-            terms = terms[:1]  # structural mode reads only the first one
+            terms = terms[:1]  # the datatype's rule reads only the first
         entry = self._cases.get((terms, rule))
         if entry is None:
-            entry = self._structural_mode(terms[0]) \
-                if rule is None else self._functional_mode(terms, rule)
-            if type(entry) is not Failure:
-                # No scheme term holds a schematic variable, and
-                # generalising is a renaming of free variables, so a
-                # subgoal holds one exactly when the scheme has a
-                # schematic position or the goal holds one.
-                cases, open_positions = entry
-                entry = cases, SubgoalSet(
-                    tuple(c.name for c in cases),
-                    tuple(self._subgoal(c, []) for c in cases),
-                    self._schematic_goal or open_positions)
-            self._cases[terms, rule] = entry
-        return entry if type(entry) is Failure else entry[1]
+            entry = self._cases[terms, rule] = self._fit(terms, rule)
+        return entry
 
-    def _structural_mode(self, name: str,
-                         ) -> tuple[tuple[_Case, ...], bool] | Failure:
-        first = self.by_name[name]
-        dt = None if first.type.is_var() else self.thy.datatype(
-            first.type.name)
-        if dt is None:
-            return Failure(
-                TacticErrorKind.NON_DATATYPE_VARIABLE,
-                f"{first.name} has type {first.type}, which is not a "
-                "datatype")
-        scheme = self._structural.get(dt.name)
-        if scheme is None:
-            scheme = self._structural[dt.name] = structural_scheme(dt)
-        return self._instantiate(scheme, [first],
-                                 dict(zip(dt.params, first.type.args)))
-
-    def _functional_mode(self, terms: tuple[str, ...], rule: str,
-                         ) -> tuple[tuple[_Case, ...], bool] | Failure:
-        if rule not in self._rules:
-            self._rules[rule] = scheme_for_rule_name(rule, self.thy)
-        scheme = self._rules[rule]
-        if scheme is None:
-            return Failure(TacticErrorKind.UNKNOWN_RULE,
-                           f"no induction rule named {rule}")
+    def _fit(self, terms: tuple[str, ...],
+             rule: str | None) -> SubgoalSet | Failure:
+        """The case of `terms` under the scheme of `rule`, or without a
+        rule under that of the first term's datatype."""
         supplied = [self.by_name[n] for n in terms]
+        key = rule
+        if rule is None:
+            ty = supplied[0].type
+            key = None if ty.is_var() else self.thy.datatype(ty.name)
+            if key is None:
+                return Failure(
+                    TacticErrorKind.NON_DATATYPE_VARIABLE,
+                    f"{supplied[0].name} has type {ty}, which is not a "
+                    "datatype")
+        scheme = self._schemes.get(key)
+        if scheme is None:
+            if rule is None:
+                scheme = structural_scheme(key)
+            else:
+                scheme = scheme_for_rule_name(rule, self.thy) or Failure(
+                    TacticErrorKind.UNKNOWN_RULE,
+                    f"no induction rule named {rule}")
+            self._schemes[key] = scheme
+        if type(scheme) is Failure:
+            return scheme
         if len(supplied) > scheme.arity:
             return Failure(
                 TacticErrorKind.RULE_ARITY_EXCEEDED,
-                f"{rule} has {scheme.arity} position(s), "
+                f"{scheme.name} has {scheme.arity} position(s), "
                 f"got {len(supplied)} induction terms")
-
         tymap: dict[str, SimpleType] = {}
         for k, var in enumerate(supplied):
             if not match_type(scheme.positions[k], var.type, tymap):
                 return Failure(
                     TacticErrorKind.NON_DATATYPE_VARIABLE,
                     f"{var.name} : {var.type} does not fit position "
-                    f"{k + 1} of {rule} ({scheme.positions[k]})")
+                    f"{k + 1} of {scheme.name} ({scheme.positions[k]})")
         return self._instantiate(scheme, supplied, tymap)
 
     def _instantiate(self, scheme: InductionScheme, supplied: list[FreeVar],
-                     tymap: dict[str, SimpleType],
-                     ) -> tuple[tuple[_Case, ...], bool]:
-        """The cases of `scheme` with its k-th position instantiated by
+                     tymap: dict[str, SimpleType]) -> SubgoalSet:
+        """The subgoals of `scheme` with its k-th position instantiated by
         the k-th supplied variable, its type variables by `tymap`, and its
-        case variables renamed apart from the goal's other variables, and
-        whether the scheme has a position beyond the supplied ones.  Each
-        such position becomes a schematic variable ``?xk``, anchored to the
-        case's argument there by an equation ``?xk = arg`` that is wrapped
-        around the conclusion and around each hypothesis, ``?x1``
-        outermost."""
+        case variables renamed apart from the goal's other variables.  Each
+        position beyond the supplied ones becomes a schematic variable
+        ``?xk``, anchored to the case's argument there by an equation
+        ``?xk = arg`` that is wrapped around the conclusion and around each
+        hypothesis, ``?x1`` outermost.  A subgoal is the hypotheses, then
+        the goal's premises under the case's substitution, then its
+        conclusion."""
         goal = self.goal
         names = [v.name for v in supplied]
         schematics = [SchematicVar(f"x{k + 1}",
                                    subst_type(scheme.positions[k], tymap))
                       for k in range(len(names), scheme.arity)]
         taken = set(self.by_name).difference(names)
-        cases = []
+        subgoals = []
         for case in scheme.cases:
             case = _instantiate_case(case, tymap)
             renaming: dict[str, Term] = {}
@@ -316,15 +288,15 @@ class InductTactic:
                 for x, arg in reversed([*zip(schematics, args[len(names):])]):
                     t = mk_implies(mk_eq(x, arg), t)
                 terms.append(t)
-            cases.append(_Case(
-                name=case.name,
-                conclusion=terms[0],
-                hypotheses=tuple(terms[1:]),
-                premises=tuple(subst_frees(p, maps[0])
-                               for p in goal.premises),
-                used=frozenset(used.union(self.by_name)),
-            ))
-        return tuple(cases), bool(schematics)
+            premises = (subst_frees(p, maps[0]) for p in goal.premises)
+            subgoals.append(Goal(f"{goal.name}.{case.name}",
+                                 (*terms[1:], *premises), terms[0]))
+        # No scheme term holds a schematic variable, and generalising is
+        # a renaming of free variables, so a subgoal holds one exactly when
+        # the scheme has a schematic position or the goal holds one.
+        return SubgoalSet(tuple(c.name for c in scheme.cases),
+                          tuple(subgoals),
+                          self._schematic_goal or bool(schematics))
 
     def _hypothesis(self, m: dict[str, Term]) -> Term:
         """The goal under the substitution `m`, its premises as
@@ -335,31 +307,31 @@ class InductTactic:
             hyp = mk_implies(subst_frees(p, m), hyp)
         return hyp
 
-    def _subgoal(self, case: _Case, generalised: list[FreeVar]) -> Goal:
-        conclusion = case.conclusion
-        hypotheses = case.hypotheses
-        premises = case.premises
-        if generalised:
-            used = set(case.used)
+    def _generalise(self, sg: Goal, generalised: list[FreeVar]) -> Goal:
+        """`sg` with each generalised variable renamed to a fresh name: the
+        conclusion and the goal's premises, the last premises of `sg`,
+        share one renaming, and each induction hypothesis before them gets
+        its own, in order.  A fresh name avoids the goal's variables and
+        the subgoal's, which include every case variable."""
+        used = {v.name for v in goal_free_variables(sg)}
+        used.update(self._names)
 
-            def fresh_renaming() -> dict[str, Term]:
-                renaming: dict[str, Term] = {}
-                for var in generalised:
-                    new = fresh_name(var.name, used)
-                    used.add(new)
-                    renaming[var.name] = FreeVar(new, var.type)
-                return renaming
+        def fresh_renaming() -> dict[str, Term]:
+            renaming: dict[str, Term] = {}
+            for var in generalised:
+                new = fresh_name(var.name, used)
+                used.add(new)
+                renaming[var.name] = FreeVar(new, var.type)
+            return renaming
 
-            # conclusion and original premises share one fresh renaming;
-            # every induction hypothesis gets its own, in order
-            concl_renaming = fresh_renaming()
-            conclusion = subst_frees(conclusion, concl_renaming)
-            hypotheses = tuple(subst_frees(h, fresh_renaming())
-                               for h in hypotheses)
-            premises = tuple(subst_frees(p, concl_renaming)
-                             for p in premises)
-        return Goal(f"{self.goal.name}.{case.name}",
-                    (*hypotheses, *premises), conclusion)
+        shared = fresh_renaming()
+        conclusion = subst_frees(sg.conclusion, shared)
+        n = len(sg.premises) - len(self.goal.premises)
+        hypotheses = [subst_frees(h, fresh_renaming())
+                      for h in sg.premises[:n]]
+        premises = [subst_frees(p, shared) for p in sg.premises[n:]]
+        return Goal(sg.name, (*hypotheses, *premises), conclusion)
+
 
 def _instantiate_case(case: SchemeCase,
                       tymap: dict[str, SimpleType]) -> SchemeCase:

@@ -353,7 +353,7 @@ class TestExplain:
             "--tactic", "induct xs ys zs m n")
         assert code == 0
         assert out.splitlines()[-1] \
-            == "not enumerated (raise --max-candidates)"
+            == "not enumerated (beyond the 10,000-candidate cap)"
 
     @pytest.mark.parametrize("tactic, note", [
         ("induct xs arbitrary: zz", "filtered: stage 1 (UnknownVariable)"),
@@ -363,7 +363,7 @@ class TestExplain:
     ])
     def test_candidate_no_cap_enumerates(self, capsys, tmp_path, corpus_dir,
                                          tactic, note):
-        # raising --max-candidates can never enumerate these
+        # no cap can enumerate these
         path = tmp_path / "running.thy"
         path.write_text(
             (corpus_dir / "running.thy").read_text(encoding="utf-8")

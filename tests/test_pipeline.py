@@ -14,6 +14,7 @@ from inductrank.pipeline import (
     Disposition, enumerate_candidates, expected_candidate_count, screen,
     stage1, stage2, stage2_condition,
 )
+from inductrank.schemes import scheme_for_rule_name, structural_scheme
 from inductrank.tactic import (
     Candidate, Failure, InductTactic, SubgoalSet, apply_induct,
     parse_candidate,
@@ -606,20 +607,26 @@ class TestScreeningWithoutGeneralising:
 
 
 def _case_variables_checked(goal, thy) -> int:
-    """Check that each case's names to avoid are the goal's variables plus
-    its subgoal's before generalisation, so every case variable occurs in
-    it, for every case that stage 1 applies; return the number of cases."""
+    """Check that every case variable of the scheme occurs in its subgoal
+    before generalisation, for every case that stage 1 applies: the
+    subgoal's names, less the goal's variables that are not induction
+    terms, are as many as the case's variables.  So the names that
+    generalising avoids, the goal's and the subgoal's, include them.
+    Return the number of cases."""
     tactic = InductTactic(goal, thy)
     for candidate in enumerate_candidates(goal, thy):
         tactic.apply_case(candidate)
     cases = 0
-    for entry in tactic._cases.values():
+    for (terms, rule), entry in tactic._cases.items():
         if type(entry) is Failure:
             continue
-        case_list, subgoals = entry
-        for case, sg in zip(case_list, subgoals.subgoals, strict=True):
+        scheme = structural_scheme(thy.datatype(
+            tactic.by_name[terms[0]].type.name)) if rule is None \
+            else scheme_for_rule_name(rule, thy)
+        others = set(tactic.by_name).difference(terms)
+        for case, sg in zip(scheme.cases, entry.subgoals, strict=True):
             names = {v.name for v in goal_free_variables(sg)}
-            assert case.used == names.union(tactic.by_name), \
+            assert len(names - others) == len(case.fresh_vars), \
                 (goal.name, sg.name)
             cases += 1
     return cases

@@ -372,6 +372,24 @@ class TestSharedTactic:
                                running_theory)
         assert f"{failure.kind.value}: {failure.detail}" == message
 
+    @pytest.mark.parametrize("source, goal, text, message", [
+        ("g4", "g4", "induct xs ys zs rule: itrev.induct",
+         "RuleArityExceeded: itrev.induct has 2 position(s), got 3 "
+         "induction terms"),
+        ("g4", "g4", "induct m rule: itrev.induct",
+         "NonDatatypeVariable: m : nat does not fit position 1 of "
+         "itrev.induct ('a list)"),
+        ("lists.thy", "snoc_append", "induct y",
+         "NonDatatypeVariable: y has type 'a, which is not a datatype"),
+    ])
+    def test_fitting_error_messages(self, corpus_dir, g4_theory, source,
+                                    goal, text, message):
+        thy = g4_theory if source == "g4" else parse_theory(
+            (corpus_dir / source).read_text(encoding="utf-8"), source)
+        failure = apply_induct(thy.goal_named(goal), parse_candidate(text),
+                               thy)
+        assert f"{failure.kind.value}: {failure.detail}" == message
+
     def test_structural_candidates_share_one_subgoal_set(self, g4_theory):
         goal = g4_theory.goal_named("g4")
         tactic = InductTactic(goal, g4_theory)
@@ -421,34 +439,38 @@ class TestSharedTactic:
 
 class _RestartingTactic(InductTactic):
     """The tactic with generalised variables named as first written: every
-    search for a fresh name starts again from the variable's own name."""
+    search for a fresh name starts again from the variable's own name, and
+    avoids every name met so far in the subgoal, the goal or a renaming.
+    `calls` counts the subgoals it generalised."""
 
-    def _subgoal(self, case, generalised):
-        if generalised:
-            used = set(case.used)
+    calls = 0
 
-            def fresh_renaming():
-                renaming = {}
-                for var in generalised:
-                    new = fresh_name(var.name, used)
-                    used.add(new)
-                    renaming[var.name] = FreeVar(new, var.type)
-                return renaming
+    def _generalise(self, sg, generalised):
+        self.calls += 1
+        taken = {v.name for v in self.variables}
+        for term in (*sg.premises, sg.conclusion):
+            taken.update(v.name for v in free_variables(term))
 
-            renaming = fresh_renaming()
-            case = case._replace(
-                conclusion=subst_frees(case.conclusion, renaming),
-                hypotheses=tuple(subst_frees(h, fresh_renaming())
-                                 for h in case.hypotheses),
-                premises=tuple(subst_frees(p, renaming)
-                               for p in case.premises))
-        return super()._subgoal(case, [])
+        def fresh_renaming():
+            renaming = {}
+            for var in generalised:
+                new = fresh_name(var.name, taken)
+                taken.add(new)
+                renaming[var.name] = FreeVar(new, var.type)
+            return renaming
+
+        renaming = fresh_renaming()
+        conclusion = subst_frees(sg.conclusion, renaming)
+        hypotheses = len(sg.premises) - len(self.goal.premises)
+        return Goal(sg.name, tuple(
+            subst_frees(p, fresh_renaming() if i < hypotheses else renaming)
+            for i, p in enumerate(sg.premises)), conclusion)
 
 
 class TestGeneralisedNames:
     def test_every_finalist_names_as_first_written(self, corpus_dir,
                                                    g4_theory):
-        generalised = 0
+        generalised = calls = 0
         for thy, goal in _corpus_and_g4_goals(corpus_dir, g4_theory):
             tactic = InductTactic(goal, thy)
             restarting = _RestartingTactic(goal, thy)
@@ -456,7 +478,10 @@ class TestGeneralisedNames:
                 assert tactic.apply(candidate) == restarting.apply(
                     candidate), (goal.name, candidate.tactic_text())
                 generalised += bool(candidate.arbitrary)
+            calls += restarting.calls
         assert generalised > 100
+        # every generalised subgoal was named by the override
+        assert calls >= generalised
 
     def test_primed_variables_generalised_together(self, corpus_dir):
         # x' is a variable of its own and also a name that the search for
